@@ -1,8 +1,8 @@
 """Monte Carlo under the product Haar measure.
 
 Fields are sampled edge by edge; matrices entry by entry.  Sample k owns a
-generator derived from (seed, k), so estimates depend only on (seed, N)
-and never on how work is split across threads.
+generator derived from (seed, k), so estimates depend only on (seed, N):
+a rerun reproduces them bit for bit.
 """
 
 import math
@@ -21,11 +21,11 @@ print("\nwilson character on the triangle boundary (centered at 0):")
 est = expectation(K, U1, Observable("wilson_character"), N=N, seed=0)
 print(f"  u1: {est.mean:.4f} +/- {est.std_error:.4f}")
 
-print("\ndeterminism across worker counts:")
-a = expectation(K, SU2, Observable("mean_curvature_In"), N=5000, seed=42, workers=1)
-b = expectation(K, SU2, Observable("mean_curvature_In"), N=5000, seed=42, workers=8)
-print("  1 worker :", a.mean)
-print("  8 workers:", b.mean, " identical:", a == b)
+print("\ndeterminism across reruns:")
+a = expectation(K, SU2, Observable("mean_curvature_In"), N=5000, seed=42)
+b = expectation(K, SU2, Observable("mean_curvature_In"), N=5000, seed=42)
+print("  first run:", a.mean)
+print("  rerun    :", b.mean, " identical:", a == b)
 
 print("\ndistribution of the indicator over random 3x3 circle matrices:")
 hist, est = ii_distribution(U1, n=3, N=N, seed=1)

@@ -36,7 +36,7 @@ from .serialize import (
     save_matrix,
     save_obj,
 )
-from .simplicial import global_ii, holonomy_pc_matrix, triangle_curvature
+from .simplicial import global_ii, holonomy_pc_matrix, plaquette
 
 
 def _print_report(report: dict, out: str | None) -> None:
@@ -128,8 +128,10 @@ def cmd_holonomy(args) -> int:
     ind = default_indicator(F.group)
     A = holonomy_pc_matrix(K, F)
     value, worst = global_ii(K, F, ind)
+    # the bi-invariant indicator cannot see the conjugation that basing the
+    # loop at the base vertex adds, so the plaquette scores each triangle
     curvatures = [
-        {"triangle": list(t), "in_value": float(ind(triangle_curvature(K, F, t)))}
+        {"triangle": list(t), "in_value": float(ind(plaquette(K, F, t)))}
         for t in K.triangles
     ]
     report = {
@@ -159,9 +161,7 @@ def _mc_report(group_tag: str, est, histogram) -> dict:
 def cmd_montecarlo(args) -> int:
     group = group_from_tag(args.group)
     if args.random_pc is not None:
-        hist, est = ii_distribution(
-            group, n=args.random_pc, N=args.samples, seed=args.seed, workers=args.workers
-        )
+        hist, est = ii_distribution(group, n=args.random_pc, N=args.samples, seed=args.seed)
         report = _mc_report(group.tag, est, hist.to_obj())
         if args.format == "csv":
             if not args.out:
@@ -181,7 +181,7 @@ def cmd_montecarlo(args) -> int:
         return _fail("--format csv applies to --random-pc histograms only")
     K = complex_from_obj(load_json(args.complex))
     obs = Observable(args.observable, loop=tuple(args.loop) if args.loop else None)
-    est = expectation(K, group, obs, N=args.samples, seed=args.seed, workers=args.workers)
+    est = expectation(K, group, obs, N=args.samples, seed=args.seed)
     _print_report(_mc_report(group.tag, est, None), args.out)
     return 0
 
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", type=int, nargs="+", help="vertex loop for wilson_character")
     p.add_argument("-N", "--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="report (json) or histogram (csv) destination")
     p.set_defaults(func=cmd_montecarlo)

@@ -65,7 +65,7 @@ def residual_between(A: PCMatrix, C: PCMatrix) -> float:
 
 def _require_ready(A: PCMatrix) -> None:
     if not A.gap_free:
-        raise GapError("matrix has gaps: use simplicial consistencization")
+        raise GapError("matrix has gaps: gapped matrices are not supported yet; fill every entry first")
     if A.variance != COVARIANT and A.group.tag == "su2":
         raise ValueError("contravariant su2 matrices are not supported: dualize first")
 

@@ -5,14 +5,13 @@ and random comparison matrices with one draw per upper-triangle entry.
 Sampling is plain i.i.d. -- the product measure is directly samplable, so
 no Markov chain is involved.
 
-Sample k derives its own generator from (seed, k), which makes every
-estimate a deterministic function of (seed, N) alone, independent of how
-samples are partitioned across workers.
+Sample k derives its own generator from (seed, k), so every estimate is
+a deterministic function of (seed, N) alone: rerunning with the same seed
+and sample count reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import NonCompactGroupError
 from .groups import Group
 from .pcmatrix import Indicator, _checked_indicator, ii_indicator, random_pc_matrix
-from .simplicial import EdgeField, SimplicialComplex2, global_ii, plaquette
+from .simplicial import EdgeField, SimplicialComplex2, global_ii, path_holonomy, plaquette
 
 OBSERVABLE_TAGS = (
     "mean_curvature_In",
@@ -132,7 +131,6 @@ def _make_evaluator(
             if not K.has_edge(v, w):
                 raise ValueError(f"wilson loop steps over a missing edge {v}-{w}")
         chi = _character(group)
-        from .simplicial import path_holonomy
 
         def wilson(rng):
             F = sample_field(K, group, rng)
@@ -157,25 +155,9 @@ def _make_evaluator(
     return sup_curv
 
 
-def _fill_values(value_of, N: int, workers: int) -> np.ndarray:
-    vals = np.empty(N)
-    if workers <= 1:
-        for k in range(N):
-            vals[k] = value_of(k)
-        return vals
-
-    def run_chunk(lo: int, hi: int):
-        for k in range(lo, hi):
-            vals[k] = value_of(k)
-
-    chunk = -(-N // workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk, lo, min(lo + chunk, N)) for lo in range(0, N, chunk)
-        ]
-        for f in futures:
-            f.result()
-    return vals
+def _sample_values(value_at, seed: int, N: int) -> np.ndarray:
+    """Values of samples 0..N-1, sample k evaluated on sample_rng(seed, k)."""
+    return np.fromiter((value_at(sample_rng(seed, k)) for k in range(N)), dtype=float, count=N)
 
 
 def _estimate(vals: np.ndarray, seed: int, tag: str) -> MCEstimate:
@@ -195,20 +177,20 @@ def expectation(
     obs: Observable,
     N: int,
     seed: int = 0,
-    workers: int = 1,
     indicator: Indicator | None = None,
 ) -> MCEstimate:
     """Plain Monte Carlo mean and standard error of an observable.
 
-    Results are bit-identical for fixed (seed, N) whatever ``workers`` is;
-    the standard error uses the unbiased variance estimator, so N >= 2.
+    Sample k is evaluated on ``sample_rng(seed, k)``, so results are
+    bit-identical for fixed (seed, N); the standard error uses the unbiased
+    variance estimator, so N >= 2.
     """
     if N < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
     value_at = _make_evaluator(K, group, obs, indicator)
-    vals = _fill_values(lambda k: value_at(sample_rng(seed, k)), N, workers)
+    vals = _sample_values(value_at, seed, N)
     return _estimate(vals, seed, obs.tag)
 
 
@@ -219,7 +201,6 @@ def ii_distribution(
     seed: int = 0,
     indicator: Indicator | None = None,
     bins: int = 64,
-    workers: int = 1,
 ) -> tuple[Histogram, MCEstimate]:
     """Empirical law of the indicator over Haar-random n x n matrices.
 
@@ -232,7 +213,7 @@ def ii_distribution(
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
     ind = _checked_indicator(group, indicator)
     value_at = lambda rng: ii_indicator(random_pc_matrix(group, n, rng), ind)[0]
-    vals = _fill_values(lambda k: value_at(sample_rng(seed, k)), N, workers)
+    vals = _sample_values(value_at, seed, N)
     counts, edges = np.histogram(vals, bins=bins)
     hist = Histogram(tuple(int(c) for c in counts), tuple(float(e) for e in edges))
     return hist, _estimate(vals, seed, "ii3_of_random_matrix")

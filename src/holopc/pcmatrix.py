@@ -287,7 +287,7 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
     generalization of ii3: on positive-real matrices the two are linked by
     ii3 = 1 - exp(-ii_In) triad by triad.
     """
-    _require_gap_free(A, "indicator undefined with gaps; use the simplicial assembly")
+    _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
     ind = _checked_indicator(A.group, indicator)
     best_val, best_triad = 0.0, None
     for (i, j, k) in A.triads():

@@ -186,13 +186,5 @@ def save_matrix(A: PCMatrix, path: str | Path, fmt: str | None = None) -> None:
         path.write_text(json.dumps(matrix_to_obj(A), indent=2, sort_keys=True) + "\n")
 
 
-def load_complex(path: str | Path) -> SimplicialComplex2:
-    return complex_from_obj(load_json(path))
-
-
-def load_field(path: str | Path) -> EdgeField:
-    return field_from_obj(load_json(path))
-
-
 def save_obj(obj, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ transformations.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingEdgeError
@@ -81,9 +82,9 @@ class SimplicialComplex2:
     def _bfs_parents(self) -> dict[int, int | None]:
         # breadth first from the base, neighbors in increasing order
         parents: dict[int, int | None] = {self.base: None}
-        queue = [self.base]
+        queue = deque([self.base])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in self._adj[v]:
                 if w not in parents:
                     parents[w] = v
@@ -234,14 +235,10 @@ def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, .
     if not K.is_connected:
         raise ValueError("disconnected complex: no gauge paths reach every vertex")
     G = F.group
-    g: dict[int, Element] = {K.base: G.identity}
-    queue = [K.base]
-    while queue:
-        v = queue.pop(0)
-        for w in K.neighbors(v):
-            if w not in g:
-                g[w] = G.multiply(F.value(v, w), g[v])
-                queue.append(w)
+    g: dict[int, Element] = {}
+    # the parent map is filled in breadth-first order, so parents come first
+    for v, parent in K._parents.items():
+        g[v] = G.identity if parent is None else G.multiply(F.value(parent, v), g[parent])
     return tuple(g[v] for v in range(K.vertices))
 
 
@@ -249,24 +246,21 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
     """The contravariant PC matrix of a field, with gaps off the edge graph.
 
     Entry (i, j) is g_j * Hol(gamma_i * [i,j] * gamma_j^-1) * g_i^-1 for the
-    tree gauge g; with that gauge the conjugations telescope and the entry
-    reduces to the edge holonomy itself, which keeps the construction
-    numerically tame on large complexes.
+    tree gauge g, where gamma_v is the tree path base -> v with holonomy
+    g_v.  The based loop's holonomy is g_j^-1 * h_ij * g_i, so the
+    conjugations telescope and the entry is the edge holonomy h_ij itself,
+    which is what is stored.
     """
     if not K.is_connected:
         raise ValueError("disconnected complex: holonomy matrix needs gauge paths")
     G = F.group
-    g = spanning_tree_gauge(K, F)
     n = K.vertices
     grid: list[list[Element | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = G.identity
     for (i, j) in K.edges:
-        path = K.tree_path(i) + (j,) + tuple(reversed(K.tree_path(j)))[1:]
-        hol = path_holonomy(K, F, path)
-        a = G.multiply(G.multiply(g[j], hol), G.inverse(g[i]))
-        grid[i][j] = a
-        grid[j][i] = G.inverse(a)
+        grid[i][j] = F.value(i, j)
+        grid[j][i] = F.value(j, i)
     return PCMatrix(G, grid, CONTRAVARIANT)
 
 

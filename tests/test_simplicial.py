@@ -195,14 +195,25 @@ def test_holonomy_matrix_is_valid_on_random_fields():
 
 
 def test_holonomy_matrix_entries_are_edge_holonomies():
-    # with the tree gauge the based conjugations telescope away
+    # with the tree gauge the based conjugations telescope away; the matrix
+    # canonicalizes each carrier on construction, so compare with check()
     rng = np.random.default_rng(54)
-    K = grid_complex(2)
-    F = random_field(K, SU2, rng)
-    A = holonomy_pc_matrix(K, F)
-    for (i, j) in K.edges:
-        assert SU2.distance(A.entry(i, j), F.value(i, j)) < 1e-12
-    assert A.entry(0, 5) is None
+    for group in [U1, SU2, zmod(5)]:
+        for K in [grid_complex(2), full_simplex(4)]:
+            F = random_field(K, group, rng)
+            A = holonomy_pc_matrix(K, F)
+            for (i, j) in K.edges:
+                assert A.entry(i, j) == group.check(F.value(i, j))
+                assert A.entry(j, i) == group.check(F.value(j, i))
+            assert len(A.gaps()) == K.vertices * (K.vertices - 1) - 2 * len(K.edges)
+
+
+def test_spanning_tree_gauge_follows_tree_paths():
+    K = grid_complex(4)
+    F = random_field(K, SU2, np.random.default_rng(57))
+    g = spanning_tree_gauge(K, F)
+    for v in range(K.vertices):
+        assert SU2.distance(g[v], path_holonomy(K, F, K.tree_path(v))) < 1e-12
 
 
 def test_flat_field_gives_consistent_matrix():
