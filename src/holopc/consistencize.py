@@ -10,6 +10,11 @@ coordinates (a row mean); for the others a Riemannian gradient descent on
 (lam_1, ..., lam_{n-1}) does the job.  The least-squares objective is an
 average-type surrogate for the sup-based indicator: the output matrix is
 consistent by construction, so the indicator value always drops to zero.
+
+The objective, its gradient and the residual run as one array kernel over
+the pairs i < j of ``np.triu_indices(n, 1)``, and the descent keeps its
+gauge vector as a carrier array (see :mod:`holopc.groups`); gradient
+contributions accumulate per component with ``np.add.at`` in pair order.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from .pcmatrix import (
     COVARIANT,
     Indicator,
     PCMatrix,
-    from_gauge_vector,
+    _entry_array,
+    _gauge_matrix,
+    _gauge_upper,
+    _pairs,
     ii_indicator,
 )
 
@@ -53,14 +61,26 @@ class ConsistencizationResult:
     status: str
 
 
+def _upper(A: PCMatrix) -> np.ndarray:
+    """The entries a_ij, i < j, row-major, as a carrier array."""
+    return _entry_array(A)[_pairs(A.n)]
+
+
+def _sum_of_squares(d: np.ndarray) -> float:
+    return float(np.sum(d * d))
+
+
+def _gauge_array(G: Group, lam) -> np.ndarray:
+    """A gauge vector as a carrier array.  A sequence of elements is
+    checked; an ndarray is taken to be a carrier array already."""
+    if isinstance(lam, np.ndarray):
+        return lam
+    return G.to_array([G.check(v) for v in lam])
+
+
 def residual_between(A: PCMatrix, C: PCMatrix) -> float:
     """Sum of squared entry distances over i < j."""
-    G = A.group
-    total = 0.0
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            total += G.distance(A.entry(i, j), C.entry(i, j)) ** 2
-    return total
+    return _sum_of_squares(A.group.batch_distance(_upper(A), _upper(C)))
 
 
 def _require_ready(A: PCMatrix) -> None:
@@ -71,48 +91,44 @@ def _require_ready(A: PCMatrix) -> None:
 
 
 def lsq_objective(A: PCMatrix, lam) -> float:
-    """The squared-distance objective at a gauge vector."""
+    """The squared-distance objective at a gauge vector.
+
+    ``lam`` is a sequence of n elements or a carrier array of them.
+    """
     G = A.group
-    total = 0.0
-    for i in range(A.n):
-        inv_i = G.inverse(lam[i])
-        for j in range(i + 1, A.n):
-            total += G.distance(A.entry(i, j), G.multiply(inv_i, lam[j])) ** 2
-    return total
+    return _sum_of_squares(G.batch_distance(_upper(A), _gauge_upper(G, _gauge_array(G, lam))))
 
 
-def lsq_gradient(A: PCMatrix, lam) -> list[np.ndarray]:
+def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
     """Gradient of the objective for lam_1..lam_{n-1}, lam_0 held fixed.
 
     Coordinates are taken in the chart lam_p -> lam_p * exp(xi), the same
-    chart a finite-difference check must use.  Raises
-    :class:`LogBranchError` when some residual rotation sits on the cut
-    locus, where the squared distance is not differentiable.
+    chart a finite-difference check must use.  Returns an (n - 1, dim)
+    array, row p - 1 for lam_p.  Raises :class:`LogBranchError` when some
+    residual rotation sits on the cut locus, where the squared distance is
+    not differentiable.
     """
     G = A.group
-    n = A.n
-    grad = [np.zeros(G.dim) for _ in range(n)]
+    lam = _gauge_array(G, lam)
+    grad = np.zeros((A.n, G.dim))
     if G.dim == 0:
         return grad[1:]  # finite groups have no directions to move in
-    for i in range(n):
-        inv_i = G.inverse(lam[i])
-        for j in range(i + 1, n):
-            a = A.entry(i, j)
-            e = G.multiply(inv_i, lam[j])
-            # d/dt d(a, e*exp(t xi))^2 = -2 <log(e^-1 a), xi>
-            r = G.log_coords(G.multiply(G.inverse(e), a))
-            grad[j] -= 2.0 * r
-            # d/dt d(a, exp(-t xi)... ) via the right-translated chart at lam_i
-            grad[i] += 2.0 * G.log_coords(G.multiply(a, G.inverse(e)))
+    I, J = _pairs(A.n)
+    a = _upper(A)
+    e_inv = G.batch_inverse(_gauge_upper(G, lam))
+    # moving lam_j turns e = lam_i^-1 lam_j into e exp(t xi):
+    # d/dt d(a, e exp(t xi))^2 = -2 <log(e^-1 a), xi>
+    np.add.at(grad, J, -2.0 * G.batch_log(G.batch_multiply(e_inv, a)))
+    # moving lam_i turns e into exp(-t xi) e, and by bi-invariance
+    # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi>
+    np.add.at(grad, I, 2.0 * G.batch_log(G.batch_multiply(a, e_inv)))
     return grad[1:]
 
 
-def _result(A: PCMatrix, lam, iterations: int, status: str) -> ConsistencizationResult:
-    C = from_gauge_vector(A.group, lam)
-    if A.variance != COVARIANT:
-        C = PCMatrix(A.group, C.entries, A.variance)
+def _result(A: PCMatrix, lam: np.ndarray, iterations: int, status: str) -> ConsistencizationResult:
+    C = _gauge_matrix(A.group, lam, A.variance)
     return ConsistencizationResult(
-        lam=tuple(lam),
+        lam=tuple(A.group.from_array(lam)),
         matrix=C,
         residual=residual_between(A, C),
         ii_before=ii_indicator(A)[0],
@@ -135,19 +151,14 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     G = A.group
     if G.tag not in ("rplus", "u1"):
         raise ValueError(f"closed-form consistencization needs rplus or u1, not {G.tag}")
-    n = A.n
-    L = np.array([[G.log_coords(A.entry(i, k))[0] for k in range(n)] for i in range(n)])
+    L = G.batch_log(_entry_array(A))[..., 0]
     ell = -L.mean(axis=1)
     ell -= ell[0]
-    lam = [G.exp_coords([t]) for t in ell]
+    lam = G.batch_exp(ell[:, None])
     result = _result(A, lam, 0, STATUS_CONVERGED)
 
     if G.tag == "u1":
-        worst = max(
-            G.distance(A.entry(i, j), result.matrix.entry(i, j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        worst = float(np.max(G.batch_distance(_upper(A), _gauge_upper(G, lam))))
         if worst > math.pi / 2:
             # principal-branch least squares can pick a wrong winding
             refined = consistencize_riemannian(A)
@@ -175,23 +186,21 @@ def consistencize_riemannian(
     n = A.n
     if step is None:
         step = 1.0 / (2.0 * n)
-    lam = [G.identity] + [A.entry(0, j) for j in range(1, n)]
+    lam = G.to_array([G.identity] + [A.entry(0, j) for j in range(1, n)])
     f = lsq_objective(A, lam)
     grad = lsq_gradient(A, lam)
 
     iterations = 0
     status = STATUS_CONVERGED
     while iterations < max_iter:
-        gnorm2 = sum(float(g @ g) for g in grad)
+        gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= 1e-30:
             break
         s = step
         accepted = None
         hit_branch = False
         while s >= _MIN_STEP:
-            cand = [G.identity] + [
-                G.multiply(lam[p], G.exp_coords(-s * grad[p - 1])) for p in range(1, n)
-            ]
+            cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(-s * grad))))
             fc = lsq_objective(A, cand)
             if fc < f:
                 try:

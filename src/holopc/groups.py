@@ -1,6 +1,6 @@
 """The concrete groups behind every comparison and holonomy computation.
 
-Elements are plain Python values, one carrier per group:
+Single elements are plain Python values, one carrier per group:
 
 * positive reals ``"rplus"``  -- strictly positive finite floats,
 * circle group ``"u1"``       -- angles in (-pi, pi],
@@ -11,6 +11,17 @@ A :class:`Group` instance supplies the group law, a bi-invariant distance,
 exponential/logarithm coordinates on the Lie algebra, and Haar sampling for
 the compact groups.  Everything is a pure function of its inputs; random
 sampling draws from an explicit ``numpy.random.Generator``.
+
+The element methods check their inputs on every call.  Whole batches of
+elements go through the array forms instead: :meth:`Group.to_array` stacks
+already-checked elements into a carrier array -- shape ``(...,)`` float for
+rplus and u1, ``(...,)`` int64 for zmod, ``(..., 4)`` float for su2 -- and
+the ``batch_*`` kernels apply the group law elementwise over the leading
+axes, with broadcasting, without checking again.  Each kernel uses the
+formula and operation order of its element method: u1 and zmod results are
+bit-identical, su2 and rplus results agree to within an ulp or two (the
+element methods renormalize their inputs, and numpy's transcendental
+functions may round differently from ``math``).
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .errors import GroupMismatchError, LogBranchError, NonCompactGroupError
 Element = float | int | tuple[float, float, float, float]
 
 TAU = 2.0 * math.pi
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def wrap_angle(theta: float) -> float:
@@ -32,6 +44,19 @@ def wrap_angle(theta: float) -> float:
     t = math.remainder(theta, TAU)
     if t <= -math.pi:
         t += TAU
+    return t
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Array form of :func:`wrap_angle`, bit for bit.
+
+    ``fmod`` is exact and leaves (-TAU, TAU); one correction by TAU lands
+    in (-pi, pi] and is exact too (Sterbenz), so the result is the same
+    exactly reduced angle that ``remainder`` plus the tie rule gives.
+    """
+    t = np.fmod(theta, TAU)
+    np.subtract(t, TAU, out=t, where=t > math.pi)
+    np.add(t, TAU, out=t, where=t <= -math.pi)
     return t
 
 
@@ -48,6 +73,7 @@ class Group:
     dim: int
     compact: bool
     identity: Element
+    dtype = float  # carrier array dtype
 
     def check(self, a: Element) -> Element:
         """Return the canonicalized element, or raise :class:`GroupMismatchError`."""
@@ -83,6 +109,34 @@ class Group:
 
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
+        raise NotImplementedError
+
+    # -- array forms: carrier arrays of checked elements, never checked again --
+
+    def to_array(self, elements) -> np.ndarray:
+        """Stack a sequence of already-checked elements into a carrier array."""
+        return np.array(elements, dtype=self.dtype)
+
+    def from_array(self, arr: np.ndarray) -> list[Element]:
+        """The elements of a one-dimensional stack of carriers, as plain values."""
+        return arr.tolist()
+
+    def batch_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def batch_inverse(self, a: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def batch_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def batch_exp(self, v: np.ndarray) -> np.ndarray:
+        """Exponential of coordinate vectors stacked along the last axis (length ``dim``)."""
+        raise NotImplementedError
+
+    def batch_log(self, g: np.ndarray) -> np.ndarray:
+        """Principal logarithms, coordinates along a new last axis of length ``dim``.
+        Raises :class:`LogBranchError` if any element sits at the cut locus."""
         raise NotImplementedError
 
     def _coords(self, v) -> np.ndarray:
@@ -142,6 +196,24 @@ class PositiveReals(Group):
     def log_coords(self, g):
         return np.array([math.log(self.check(g))])
 
+    def batch_multiply(self, a, b):
+        p = a * b
+        if not np.all((p > 0.0) & np.isfinite(p)):
+            raise ValueError("positive-real product left (0, inf)")
+        return p
+
+    def batch_inverse(self, a):
+        return 1.0 / a
+
+    def batch_distance(self, a, b):
+        return np.abs(np.log(a / b))
+
+    def batch_exp(self, v):
+        return np.exp(v[..., 0])
+
+    def batch_log(self, g):
+        return np.log(g)[..., None]
+
     def element_to_obj(self, a):
         return self.check(a)
 
@@ -177,6 +249,21 @@ class CircleGroup(Group):
 
     def haar_sample(self, rng):
         return wrap_angle(float(rng.uniform(-math.pi, math.pi)))
+
+    def batch_multiply(self, a, b):
+        return wrap_angles(a + b)
+
+    def batch_inverse(self, a):
+        return wrap_angles(-a)
+
+    def batch_distance(self, a, b):
+        return np.abs(wrap_angles(a - b))
+
+    def batch_exp(self, v):
+        return wrap_angles(v[..., 0])
+
+    def batch_log(self, g):
+        return g[..., None]
 
     def element_to_obj(self, a):
         return {"theta": self.check(a)}
@@ -270,6 +357,57 @@ class UnitQuaternions(Group):
             if n > 1e-12:
                 return (float(v[0] / n), float(v[1] / n), float(v[2] / n), float(v[3] / n))
 
+    # The kernels below spell out every sum term by term: a numpy reduction
+    # over the last axis would add in another order than the element methods.
+
+    @staticmethod
+    def _batch_normalize(w, x, y, z):
+        n = np.sqrt(w * w + x * x + y * y + z * z)
+        return np.stack((w / n, x / n, y / n, z / n), axis=-1)
+
+    def to_array(self, elements):
+        return np.array(elements, dtype=float).reshape(-1, 4)
+
+    def from_array(self, arr):
+        return [tuple(q) for q in arr.tolist()]
+
+    def batch_multiply(self, a, b):
+        w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
+        w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+        return self._batch_normalize(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    def batch_inverse(self, a):
+        return a * _CONJUGATE
+
+    def batch_distance(self, a, b):
+        dm, dp = a - b, a + b
+        dm = np.sqrt(dm[..., 0] ** 2 + dm[..., 1] ** 2 + dm[..., 2] ** 2 + dm[..., 3] ** 2)
+        dp = np.sqrt(dp[..., 0] ** 2 + dp[..., 1] ** 2 + dp[..., 2] ** 2 + dp[..., 3] ** 2)
+        return 2.0 * np.arctan2(dm, dp)
+
+    def batch_exp(self, v):
+        vx, vy, vz = np.moveaxis(v, -1, 0)
+        phi = np.sqrt(vx * vx + vy * vy + vz * vz)
+        small = phi < 1e-8
+        k = np.where(small, 1.0 - phi * phi / 6.0, np.sin(phi) / np.where(small, 1.0, phi))
+        return self._batch_normalize(np.cos(phi), k * vx, k * vy, k * vz)
+
+    def batch_log(self, g):
+        w, x, y, z = np.moveaxis(g, -1, 0)
+        s = np.sqrt(x * x + y * y + z * z)
+        tiny = s < 1e-15
+        if np.any(tiny & (w <= 0.0)):
+            raise LogBranchError("log branch singularity: antipodal to identity")
+        if np.any((w < 0.0) & (s < 1e-9)):
+            raise LogBranchError("log branch singularity: within 1e-9 of the cut locus")
+        k = np.where(tiny, 0.0, np.arctan2(s, w) / np.where(tiny, 1.0, s))
+        return np.stack((k * x, k * y, k * z), axis=-1)
+
     def element_to_obj(self, a):
         return {"q": list(self.check(a))}
 
@@ -279,17 +417,23 @@ class UnitQuaternions(Group):
         return self.check(obj["q"])
 
 
+MAX_CYCLIC_ORDER = 2**62  # residue sums a + b stay below 2**63, inside int64
+
+
 class CyclicGroup(Group):
     """Z_m with additive notation; exact integer arithmetic throughout."""
 
     dim = 0
     compact = True
     identity = 0
+    dtype = np.int64
 
     def __init__(self, m: int):
         m = int(m)
         if m < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {m}")
+        if m > MAX_CYCLIC_ORDER:
+            raise ValueError(f"cyclic group order must be at most 2**62 (int64 carriers), got {m}")
         self.m = m
         self.tag = f"zmod:{m}"
 
@@ -320,6 +464,24 @@ class CyclicGroup(Group):
     def haar_sample(self, rng):
         return int(rng.integers(self.m))
 
+    def batch_multiply(self, a, b):
+        return (a + b) % self.m
+
+    def batch_inverse(self, a):
+        return (-a) % self.m
+
+    def batch_distance(self, a, b):
+        k = np.abs(a - b) % self.m
+        return TAU * np.minimum(k, self.m - k) / self.m
+
+    def batch_exp(self, v):
+        return np.zeros(v.shape[:-1], dtype=np.int64)
+
+    def batch_log(self, g):
+        if np.any(g != 0):
+            raise LogBranchError("log branch singularity: finite group has no continuous log away from the identity")
+        return np.zeros(g.shape + (0,))
+
     def element_to_obj(self, a):
         return self.check(a)
 
@@ -348,7 +510,7 @@ def group_from_tag(tag: str) -> Group:
         try:
             return CyclicGroup(int(tag.split(":", 1)[1]))
         except ValueError as exc:
-            raise ValueError(f"bad cyclic group tag {tag!r}") from exc
+            raise ValueError(f"bad cyclic group tag {tag!r}: {exc}") from exc
     raise ValueError(f"unknown group tag {tag!r}")
 
 

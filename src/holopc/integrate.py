@@ -110,9 +110,9 @@ def _make_evaluator(
     if obs.tag == "ii3_of_random_matrix":
         if obs.n is None or obs.n < 2:
             raise ValueError("ii3_of_random_matrix needs a matrix size n >= 2")
-        ind = _checked_indicator(group, indicator)
         n = obs.n
-        return lambda rng: ii_indicator(random_pc_matrix(group, n, rng), ind)[0]
+        # ``indicator`` goes through as given: None selects the batched default
+        return lambda rng: ii_indicator(random_pc_matrix(group, n, rng), indicator)[0]
 
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
@@ -211,8 +211,7 @@ def ii_distribution(
         raise ValueError("need at least 2 samples for a standard error")
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    ind = _checked_indicator(group, indicator)
-    value_at = lambda rng: ii_indicator(random_pc_matrix(group, n, rng), ind)[0]
+    value_at = lambda rng: ii_indicator(random_pc_matrix(group, n, rng), indicator)[0]
     vals = _sample_values(value_at, seed, N)
     counts, edges = np.histogram(vals, bins=bins)
     hist = Histogram(tuple(int(c) for c in counts), tuple(float(e) for e in edges))

@@ -10,13 +10,26 @@ a_ij * a_jk = a_ik and contravariant a_jk * a_ij = a_ik), triad holonomy,
 the classical triad indicator ii3 with its chain variant, the group-valued
 indicator built from an indicator map, and the gauge-vector factorization
 a_ij = lam_i^-1 * lam_j of consistent matrices together with its converse.
+
+``is_consistent``, ``ii_indicator`` and ``ii3_matrix`` are one array sweep
+over the C(n,3) triads i < j < k.  The sweep walks the triads in
+lexicographic order in consecutive blocks of ``_TRIAD_BLOCK`` triads, which
+bounds its temporaries, gathers (a_ij, a_ik, a_jk) for a whole block as
+carrier arrays and scores them with the group's batched kernels.  The
+reported triad is the lexicographically first one that attains the
+maximum: ``argmax`` picks the first maximum inside a block, and a later
+block replaces the best only when it scores strictly higher.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import GapError, InconsistentMatrixError, NonCompactGroupError
 from .groups import Element, Group, as_generator
@@ -26,6 +39,8 @@ CONTRAVARIANT = "contravariant"
 
 ALGEBRA_TOL = 1e-12  # tolerance for algebraic identities on float carriers
 
+_TRIAD_BLOCK = 2048  # triads scored per step of the sweep
+
 Triad = tuple[int, int, int]
 Indicator = Callable[[Element], float]
 
@@ -34,10 +49,12 @@ class PCMatrix:
     """Immutable n x n grid of optional group elements.
 
     ``entries`` is any nested sequence; ``None`` marks a gap.  Carrier
-    values are canonicalized through the group on construction.
+    values are canonicalized through the group on construction, once: the
+    triad sweeps work on a carrier array of the checked entries and never
+    check them again.
     """
 
-    __slots__ = ("group", "n", "variance", "entries")
+    __slots__ = ("group", "n", "variance", "entries", "_array")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
         if variance not in (COVARIANT, CONTRAVARIANT):
@@ -49,10 +66,21 @@ class PCMatrix:
         grid = tuple(
             tuple(None if e is None else group.check(e) for e in row) for row in rows
         )
+        self._set(group, grid, variance)
+
+    @classmethod
+    def _of_checked(cls, group: Group, rows, variance: str) -> PCMatrix:
+        """Wrap a square grid (n >= 2) of elements that already passed ``group.check``."""
+        A = cls.__new__(cls)
+        A._set(group, tuple(tuple(r) for r in rows), variance)
+        return A
+
+    def _set(self, group, grid, variance) -> None:
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(grid))
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PCMatrix is immutable")
@@ -93,6 +121,26 @@ class PCMatrix:
         return f"PCMatrix({self.group.tag}, n={self.n}, {self.variance}{extra})"
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: the pairs i < j, row-major."""
+    I, J = np.triu_indices(n, 1)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
+
+
+def _entry_array(A: PCMatrix) -> np.ndarray:
+    """The entries as one read-only carrier array of shape (n, n, ...),
+    gaps filled with the identity; built once per matrix."""
+    if A._array is None:
+        e = A.group.identity
+        M = A.group.to_array([e if v is None else v for row in A.entries for v in row])
+        M = M.reshape((A.n, A.n) + M.shape[1:])
+        M.flags.writeable = False
+        object.__setattr__(A, "_array", M)
+    return A._array
+
+
 def identity_matrix(group: Group, n: int, variance: str = COVARIANT) -> PCMatrix:
     e = group.identity
     return PCMatrix(group, [[e] * n for _ in range(n)], variance)
@@ -104,19 +152,25 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
     ``values`` has length n(n-1)/2; the diagonal is set to the identity and
     the lower triangle to the inverses.
     """
+    if variance not in (COVARIANT, CONTRAVARIANT):
+        raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
     m = len(values)
     n = round((1 + (1 + 8 * m) ** 0.5) / 2)
-    if n * (n - 1) // 2 != m:
-        raise ValueError(f"{m} values do not fill a strict upper triangle")
-    grid = [[None] * n for _ in range(n)]
-    it = iter(values)
-    for i in range(n):
-        grid[i][i] = group.identity
-        for j in range(i + 1, n):
-            v = group.check(next(it))
-            grid[i][j] = v
-            grid[j][i] = group.inverse(v)
-    return PCMatrix(group, grid, variance)
+    if n < 2 or n * (n - 1) // 2 != m:
+        raise ValueError(f"{m} values do not fill a strict upper triangle with n >= 2")
+    upper = group.to_array([group.check(v) for v in values])
+    return _from_upper_array(group, n, upper, variance)
+
+
+def _from_upper_array(group: Group, n: int, upper: np.ndarray, variance: str) -> PCMatrix:
+    """The matrix whose strict upper triangle, row-major, is the carrier
+    array ``upper``: identity diagonal, inverses below, nothing re-checked."""
+    grid = [[group.identity] * n for _ in range(n)]
+    pairs = zip(*(idx.tolist() for idx in _pairs(n)))
+    for (i, j), a, b in zip(pairs, group.from_array(upper), group.from_array(group.batch_inverse(upper))):
+        grid[i][j] = a
+        grid[j][i] = b
+    return PCMatrix._of_checked(group, grid, variance)
 
 
 def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
@@ -127,20 +181,18 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     "reciprocity", "gap symmetry".
     """
     G = A.group
-    out = []
-    for i in range(A.n):
-        d = A.entry(i, i)
-        if d is None:
-            out.append((i, i, "diagonal"))
-        elif G.distance(d, G.identity) > ALGEBRA_TOL:
-            out.append((i, i, "diagonal"))
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            a, b = A.entry(i, j), A.entry(j, i)
-            if (a is None) != (b is None):
-                out.append((i, j, "gap symmetry"))
-            elif a is not None and G.distance(b, G.inverse(a)) > ALGEBRA_TOL:
-                out.append((j, i, "reciprocity"))
+    M = _entry_array(A)
+    gap = np.array([[v is None for v in row] for row in A.entries])
+    d = np.arange(A.n)
+    bad_diag = gap[d, d] | (G.batch_distance(M[d, d], G.to_array([G.identity])) > ALGEBRA_TOL)
+    out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
+    # one pass over the upper triangle, row-major
+    I, J = _pairs(A.n)
+    asymmetric = gap[I, J] != gap[J, I]
+    unreciprocal = ~(gap[I, J] | gap[J, I]) & (G.batch_distance(M[J, I], G.batch_inverse(M[I, J])) > ALGEBRA_TOL)
+    for p in np.flatnonzero(asymmetric | unreciprocal).tolist():
+        i, j = int(I[p]), int(J[p])
+        out.append((i, j, "gap symmetry") if asymmetric[p] else (j, i, "reciprocity"))
     return out
 
 
@@ -168,6 +220,50 @@ def triad_entries(A: PCMatrix, i: int, j: int, k: int) -> tuple[Element, Element
     return x, y, z
 
 
+@functools.lru_cache(maxsize=64)
+def _triad_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per first index i: the rank just past its last triad, and the shift
+    from the rank of a triad (i, j, k) to the rank of the pair (j, k)."""
+    first = np.arange(n)
+    count = (n - 1 - first) * (n - 2 - first) // 2  # triads with first index i
+    end = np.cumsum(count)
+    # the pairs (j, k) with j > i are the suffix of the pair list after the
+    # (i + 1)(n - 1) - i(i + 1)/2 pairs with j <= i
+    shift = (first + 1) * (n - 1) - first * (first + 1) // 2 - (end - count)
+    end.flags.writeable = shift.flags.writeable = False
+    return end, shift
+
+
+def _triad_blocks(n: int):
+    """Index arrays (i, j, k) of the triads i < j < k in lexicographic
+    order, in consecutive blocks of at most ``_TRIAD_BLOCK`` triads."""
+    J, K = _pairs(n)
+    end, shift = _triad_ranks(n)
+    total = math.comb(n, 3)
+    for lo in range(0, total, _TRIAD_BLOCK):
+        t = np.arange(lo, min(lo + _TRIAD_BLOCK, total))
+        i = np.searchsorted(end, t, side="right")
+        p = t + shift[i]
+        yield i, J[p], K[p]
+
+
+def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
+    """The lexicographically first triad of maximal score, with its score.
+
+    ``score(x, y, z)`` maps the carrier arrays of a block's entries
+    (a_ij, a_ik, a_jk) to one float per triad.  Matrices with n < 3 have no
+    triads and give (0.0, None).
+    """
+    M = _entry_array(A)
+    best_val, best_triad = 0.0, None
+    for i, j, k in _triad_blocks(A.n):
+        v = score(M[i, j], M[i, k], M[j, k])
+        b = int(np.argmax(v))
+        if best_triad is None or v[b] > best_val:
+            best_val, best_triad = float(v[b]), (int(i[b]), int(j[b]), int(k[b]))
+    return best_val, best_triad
+
+
 @dataclass(frozen=True)
 class ConsistencyCheck:
     consistent: bool
@@ -187,15 +283,19 @@ def is_consistent(A: PCMatrix, tol: float = 1e-9) -> ConsistencyCheck:
     """
     _require_gap_free(A, "consistency undefined with gaps")
     G = A.group
-    worst: Triad | None = None
-    worst_defect = 0.0
-    for (i, j, k) in A.triads():
-        x, y, z = triad_entries(A, i, j, k)
-        comp = G.multiply(x, z) if A.variance == COVARIANT else G.multiply(z, x)
-        defect = G.distance(comp, y)
-        if worst is None or defect > worst_defect:
-            worst, worst_defect = (i, j, k), defect
+    if A.variance == COVARIANT:
+        worst_defect, worst = _triad_sweep(A, lambda x, y, z: G.batch_distance(G.batch_multiply(x, z), y))
+    else:
+        worst_defect, worst = _triad_sweep(A, lambda x, y, z: G.batch_distance(G.batch_multiply(z, x), y))
     return ConsistencyCheck(worst_defect <= tol, worst, worst_defect)
+
+
+def _holonomies(G: Group, variance: str, x, y, z) -> np.ndarray:
+    """Triad loop products over carrier arrays (x, y, z) = (a_ij, a_ik, a_jk)."""
+    y_inv = G.batch_inverse(y)  # a_ki
+    if variance == CONTRAVARIANT:
+        return G.batch_multiply(G.batch_multiply(y_inv, z), x)
+    return G.batch_multiply(G.batch_multiply(x, z), y_inv)
 
 
 def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
@@ -207,12 +307,9 @@ def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
     """
     if not i < j < k:
         raise ValueError(f"triad indices must be strictly increasing, got ({i},{j},{k})")
-    x, y, z = triad_entries(A, i, j, k)
     G = A.group
-    y_inv = G.inverse(y)  # a_ki
-    if A.variance == CONTRAVARIANT:
-        return G.multiply(G.multiply(y_inv, z), x)
-    return G.multiply(G.multiply(x, z), y_inv)
+    x, y, z = (G.to_array([e]) for e in triad_entries(A, i, j, k))
+    return G.from_array(_holonomies(G, A.variance, x, y, z))[0]
 
 
 def ii3(x: float, y: float, z: float) -> float:
@@ -239,13 +336,12 @@ def ii3_matrix(A: PCMatrix) -> tuple[float, Triad | None]:
     """
     _require_rplus(A, "ii3")
     _require_gap_free(A, "ii3 undefined with gaps")
-    best_val, best_triad = 0.0, None
-    for (i, j, k) in A.triads():
-        x, y, z = triad_entries(A, i, j, k)
-        v = ii3(x, y, z)
-        if best_triad is None or v > best_val:
-            best_val, best_triad = v, (i, j, k)
-    return best_val, best_triad
+
+    def score(x, y, z):
+        r = y / (x * z)  # the formula of ii3, on whole blocks
+        return 1.0 - np.minimum(r, 1.0 / r)
+
+    return _triad_sweep(A, score)
 
 
 def ii_n_chain(A: PCMatrix) -> float:
@@ -285,16 +381,24 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
 
     With the default metric indicator this is the group-valued
     generalization of ii3: on positive-real matrices the two are linked by
-    ii3 = 1 - exp(-ii_In) triad by triad.
+    ii3 = 1 - exp(-ii_In) triad by triad.  The default indicator is applied
+    to whole blocks of holonomies; a supplied one, to each holonomy.
     """
     _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
-    ind = _checked_indicator(A.group, indicator)
-    best_val, best_triad = 0.0, None
-    for (i, j, k) in A.triads():
-        v = float(ind(triad_holonomy(A, i, j, k)))
-        if best_triad is None or v > best_val:
-            best_val, best_triad = v, (i, j, k)
-    return best_val, best_triad
+    G = A.group
+    if indicator is None:
+        e = G.to_array([G.identity])
+
+        def score(x, y, z):  # d(1, hol^-1), the default indicator
+            return G.batch_distance(e, G.batch_inverse(_holonomies(G, A.variance, x, y, z)))
+
+    else:
+        ind = _checked_indicator(G, indicator)
+
+        def score(x, y, z):
+            return np.array([float(ind(h)) for h in G.from_array(_holonomies(G, A.variance, x, y, z))])
+
+    return _triad_sweep(A, score)
 
 
 def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
@@ -303,18 +407,21 @@ def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
     Invariant under a global left translation of ``lam``.
     """
     lam = [group.check(v) for v in lam]
-    n = len(lam)
-    if n < 2:
+    if len(lam) < 2:
         raise ValueError("gauge vector needs at least 2 components")
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = group.identity
-        inv_i = group.inverse(lam[i])
-        for j in range(i + 1, n):
-            v = group.multiply(inv_i, lam[j])
-            grid[i][j] = v
-            grid[j][i] = group.inverse(v)
-    return PCMatrix(group, grid, COVARIANT)
+    return _gauge_matrix(group, group.to_array(lam), COVARIANT)
+
+
+def _gauge_upper(group: Group, lam: np.ndarray) -> np.ndarray:
+    """lam_i^-1 * lam_j over the pairs i < j, row-major, from a carrier
+    array of checked gauge components."""
+    I, J = _pairs(len(lam))
+    return group.batch_multiply(group.batch_inverse(lam)[I], lam[J])
+
+
+def _gauge_matrix(group: Group, lam: np.ndarray, variance: str) -> PCMatrix:
+    """The consistent matrix a_ij = lam_i^-1 * lam_j of a carrier array."""
+    return _from_upper_array(group, len(lam), _gauge_upper(group, lam), variance)
 
 
 def normalize_gauge(group: Group, lam: Sequence[Element]) -> tuple[Element, ...]:

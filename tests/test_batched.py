@@ -1,0 +1,370 @@
+"""Batched group kernels and array triad sweeps against their scalar forms.
+
+The kernels must reproduce the element methods: bit for bit on u1 and
+zmod, within 1e-15 (relative above 1) on su2 and rplus.  The scalar triad
+loops that the sweeps replaced live on here as the oracle for
+``is_consistent``, ``ii_indicator``, ``ii3_matrix`` and ``validate``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holopc.consistencize import consistencize_abelian, consistencize_riemannian, lsq_gradient, lsq_objective
+from holopc.errors import LogBranchError
+from holopc.groups import RPLUS, SU2, U1, CircleGroup, wrap_angle, wrap_angles, zmod
+from holopc.pcmatrix import (
+    _TRIAD_BLOCK,
+    ALGEBRA_TOL,
+    CONTRAVARIANT,
+    COVARIANT,
+    PCMatrix,
+    default_indicator,
+    from_gauge_vector,
+    from_upper_triangle,
+    identity_matrix,
+    ii3,
+    ii3_matrix,
+    ii_indicator,
+    is_consistent,
+    random_pc_matrix,
+    validate,
+)
+
+Z7 = zmod(7)
+GROUPS = [RPLUS, U1, SU2, Z7]
+EXACT = (U1, Z7)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# --- strategies ------------------------------------------------------------------
+
+odd_pi = st.integers(-7, 7).map(lambda k: (2 * k + 1) * math.pi)
+angles = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi]),
+    odd_pi,
+    st.floats(-100.0, 100.0, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+quaternions = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4).filter(
+    lambda v: sum(c * c for c in v) > 1e-6
+).map(lambda v: SU2._normalize(tuple(v)))
+special_quaternions = st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)])
+ELEMENTS = {
+    "rplus": st.floats(-30.0, 30.0).map(math.exp),
+    "u1": angles.map(U1.check),
+    "su2": st.one_of(quaternions, special_quaternions),
+    "zmod:7": st.integers(-50, 50).map(Z7.check),
+}
+COORDS = {
+    "rplus": st.floats(-30.0, 30.0),
+    "u1": angles,
+    "su2": st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=3, max_size=3),
+    "zmod:7": st.just([]),
+}
+
+
+def elements(group, min_size=1):
+    return st.lists(ELEMENTS[group.tag], min_size=min_size, max_size=8)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_matches(group, batched, scalar):
+    """Batched results against a list of scalar results."""
+    batched = np.asarray(batched)
+    scalar = np.asarray(scalar, dtype=batched.dtype).reshape(batched.shape)
+    if group in EXACT:
+        assert batched.dtype == scalar.dtype
+        assert batched.tobytes() == scalar.tobytes()
+    else:
+        assert np.all(np.abs(batched - scalar) <= 1e-15 * np.maximum(1.0, np.abs(scalar)))
+
+
+# --- kernels against element methods --------------------------------------------
+
+
+@PROPERTY
+@given(st.lists(angles, min_size=1, max_size=8))
+def test_wrap_angles_is_bitwise_wrap_angle(thetas):
+    assert bits(wrap_angles(np.array(thetas))) == bits([wrap_angle(t) for t in thetas])
+
+
+def test_wrap_angles_ties_go_to_plus_pi():
+    odd = np.array([(2 * k + 1) * math.pi for k in range(-5, 5)] + [-math.pi, math.pi])
+    got = wrap_angles(odd)
+    assert bits(got) == bits([wrap_angle(t) for t in odd])
+    assert got[-2] == got[-1] == math.pi
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_batched_group_law_matches_elements(group, data):
+    a = data.draw(elements(group))
+    b = data.draw(st.lists(ELEMENTS[group.tag], min_size=len(a), max_size=len(a)))
+    A, B = group.to_array(a), group.to_array(b)
+    assert group.from_array(A) == a
+    assert_matches(group, group.batch_inverse(A), [group.inverse(x) for x in a])
+    assert_matches(group, group.batch_distance(A, B), [group.distance(x, y) for x, y in zip(a, b)])
+    assert_matches(group, group.batch_multiply(A, B), [group.multiply(x, y) for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_batched_exp_log_match_elements(group, data):
+    vs = data.draw(st.lists(COORDS[group.tag], min_size=1, max_size=8))
+    V = np.array(vs, dtype=float).reshape(len(vs), group.dim)
+    assert_matches(group, group.batch_exp(V), [group.exp_coords(v) for v in vs])
+    g = data.draw(elements(group))
+    try:
+        scalar = [group.log_coords(x) for x in g]
+    except LogBranchError:
+        with pytest.raises(LogBranchError):
+            group.batch_log(group.to_array(g))
+        return
+    assert_matches(group, group.batch_log(group.to_array(g)), scalar)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-16, 1e-15, 1e-12, 5e-10, 2e-9, 1e-6])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_su2_batch_log_branch_rule(s, sign):
+    q = SU2.check((sign * math.sqrt(1.0 - s * s), s, 0.0, 0.0))
+    try:
+        expected = SU2.log_coords(q)
+    except LogBranchError:
+        with pytest.raises(LogBranchError):
+            SU2.batch_log(SU2.to_array([SU2.identity, q]))
+        return
+    got = SU2.batch_log(SU2.to_array([SU2.identity, q]))
+    assert np.all(got[0] == 0.0)
+    assert np.allclose(got[1], expected, rtol=1e-15, atol=1e-15)
+
+
+def test_zmod_kernels_stay_exact_at_the_order_limit():
+    m = 2**62
+    z = zmod(m)
+    a = [m - 1, m - 2, 1, 0]
+    b = [m - 1, 3, m - 1, 0]
+    A, B = z.to_array(a), z.to_array(b)
+    assert z.from_array(z.batch_multiply(A, B)) == [z.multiply(x, y) for x, y in zip(a, b)]
+    assert z.from_array(z.batch_inverse(A)) == [z.inverse(x) for x in a]
+    assert bits(z.batch_distance(A, B)) == bits([z.distance(x, y) for x, y in zip(a, b)])
+
+
+# --- the scalar triad loops, kept as the oracle -------------------------------------
+
+
+def oracle_is_consistent(A, tol=1e-9):
+    G = A.group
+    worst, worst_defect = None, 0.0
+    for i, j, k in itertools.combinations(range(A.n), 3):
+        x, y, z = A.entry(i, j), A.entry(i, k), A.entry(j, k)
+        comp = G.multiply(x, z) if A.variance == COVARIANT else G.multiply(z, x)
+        defect = G.distance(comp, y)
+        if worst is None or defect > worst_defect:
+            worst, worst_defect = (i, j, k), defect
+    return worst_defect <= tol, worst, worst_defect
+
+
+def oracle_holonomy(A, i, j, k):
+    G = A.group
+    x, y, z = A.entry(i, j), A.entry(i, k), A.entry(j, k)
+    y_inv = G.inverse(y)
+    if A.variance == CONTRAVARIANT:
+        return G.multiply(G.multiply(y_inv, z), x)
+    return G.multiply(G.multiply(x, z), y_inv)
+
+
+def oracle_ii_indicator(A, ind):
+    best_val, best_triad = 0.0, None
+    for i, j, k in itertools.combinations(range(A.n), 3):
+        v = float(ind(oracle_holonomy(A, i, j, k)))
+        if best_triad is None or v > best_val:
+            best_val, best_triad = v, (i, j, k)
+    return best_val, best_triad
+
+
+def oracle_ii3_matrix(A):
+    best_val, best_triad = 0.0, None
+    for i, j, k in itertools.combinations(range(A.n), 3):
+        v = ii3(A.entry(i, j), A.entry(i, k), A.entry(j, k))
+        if best_triad is None or v > best_val:
+            best_val, best_triad = v, (i, j, k)
+    return best_val, best_triad
+
+
+def oracle_validate(A):
+    G = A.group
+    out = []
+    for i in range(A.n):
+        d = A.entry(i, i)
+        if d is None or G.distance(d, G.identity) > ALGEBRA_TOL:
+            out.append((i, i, "diagonal"))
+    for i in range(A.n):
+        for j in range(i + 1, A.n):
+            a, b = A.entry(i, j), A.entry(j, i)
+            if (a is None) != (b is None):
+                out.append((i, j, "gap symmetry"))
+            elif a is not None and G.distance(b, G.inverse(a)) > ALGEBRA_TOL:
+                out.append((j, i, "reciprocity"))
+    return out
+
+
+def random_element(group, rng):
+    return group.haar_sample(rng) if group.compact else math.exp(rng.normal())
+
+
+def random_matrix(group, n, rng, variance):
+    if group.compact:
+        return random_pc_matrix(group, n, rng, variance)
+    return from_upper_triangle(group, [random_element(group, rng) for _ in range(n * (n - 1) // 2)], variance)
+
+
+SIZES = list(range(3, 13)) + [26]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+def test_sweeps_match_scalar_loops(group, variance):
+    rng = np.random.default_rng(20240)
+    for n in SIZES:
+        A = random_matrix(group, n, rng, variance)
+        chk = is_consistent(A)
+        ok, worst, defect = oracle_is_consistent(A)
+        assert (chk.consistent, chk.worst_triad) == (ok, worst)
+        assert chk.worst_defect == pytest.approx(defect, abs=1e-12)
+
+        value, triad = ii_indicator(A)
+        expected = oracle_ii_indicator(A, default_indicator(group))
+        assert triad == expected[1]
+        assert value == pytest.approx(expected[0], abs=1e-12)
+        if group in EXACT:
+            assert value == expected[0]
+
+        if group is RPLUS:
+            value, triad = ii3_matrix(A)
+            expected = oracle_ii3_matrix(A)
+            assert triad == expected[1]
+            assert value == pytest.approx(expected[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_supplied_indicator_sees_every_holonomy(group):
+    rng = np.random.default_rng(20241)
+    ind = lambda g: 0.5 * group.distance(group.identity, g)  # noqa: E731
+    for n in (3, 7, 26):
+        A = random_matrix(group, n, rng, COVARIANT)
+        value, triad = ii_indicator(A, ind)
+        expected = oracle_ii_indicator(A, ind)
+        assert triad == expected[1]
+        assert value == pytest.approx(expected[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_validate_matches_scalar_loop(group):
+    rng = np.random.default_rng(20242)
+    for n in SIZES:
+        grid = [[random_element(group, rng) for _ in range(n)] for _ in range(n)]
+        good = random_matrix(group, n, rng, COVARIANT)
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.6:
+                    grid[i][j] = good.entry(i, j)  # keep many reciprocal pairs
+                if rng.random() < 0.1:
+                    grid[i][j] = None
+        A = PCMatrix(group, grid)
+        assert validate(A) == oracle_validate(A)
+        assert validate(good) == oracle_validate(good) == []
+
+
+# --- tie rule across blocks ---------------------------------------------------------
+
+
+def zmod_matrix_with_bumped_triads(n, bumps):
+    """Z7 matrix, all zero except the pairs of the given triads, bumped by
+    (d_ij, d_ik, d_jk); its defect at such a triad is d_ij + d_jk - d_ik."""
+    upper = {pair: 0 for pair in itertools.combinations(range(n), 2)}
+    for (i, j, k), (dij, dik, djk) in bumps.items():
+        upper[i, j], upper[i, k], upper[j, k] = dij, dik, djk
+    return from_upper_triangle(Z7, [upper[p] for p in sorted(upper)])
+
+
+def triad_rank(n, triad):
+    return list(itertools.combinations(range(n), 3)).index(triad)
+
+
+def test_tie_across_blocks_keeps_the_lexicographically_first_triad():
+    n = 26
+    first, last = (1, 2, 3), (n - 3, n - 2, n - 1)
+    assert triad_rank(n, first) < _TRIAD_BLOCK <= triad_rank(n, last)
+
+    # both triads reach the largest Z7 defect, 3 steps; every other triad 1 step
+    tie = zmod_matrix_with_bumped_triads(n, {first: (1, 6, 1), last: (1, 6, 1)})
+    chk = is_consistent(tie)
+    assert chk.worst_triad == first
+    assert chk.worst_defect == Z7.distance(0, 3)
+    assert ii_indicator(tie) == (Z7.distance(0, 3), first)
+    assert oracle_ii_indicator(tie, default_indicator(Z7)) == (Z7.distance(0, 3), first)
+
+    # a strictly larger defect in the later block wins
+    later = zmod_matrix_with_bumped_triads(n, {first: (1, 0, 1), last: (1, 6, 1)})
+    assert is_consistent(later).worst_triad == last
+    assert ii_indicator(later) == (Z7.distance(0, 3), last)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_identity_matrix_reports_first_triad(group):
+    A = identity_matrix(group, 30)
+    assert math.comb(30, 3) > _TRIAD_BLOCK
+    assert ii_indicator(A) == (0.0, (0, 1, 2))
+    chk = is_consistent(A, tol=0.0)
+    assert (chk.consistent, chk.worst_triad, chk.worst_defect) == (True, (0, 1, 2), 0.0)
+
+
+# --- each carrier is checked once ------------------------------------------------------
+
+
+class CountingCircle(CircleGroup):
+    """u1 that counts its carrier checks."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, a):
+        self.checks += 1
+        return super().check(a)
+
+
+def test_constructors_check_each_value_once():
+    G = CountingCircle()
+    values = [0.1 * k for k in range(10)]
+    from_upper_triangle(G, values)
+    assert G.checks == len(values)
+
+    G.checks = 0
+    lam = [0.3, -1.0, 2.5, 3.0]
+    from_gauge_vector(G, lam)
+    assert G.checks == len(lam)
+
+
+def test_sweeps_and_descent_check_nothing():
+    G = CountingCircle()
+    rng = np.random.default_rng(20243)
+    A = from_upper_triangle(G, [U1.haar_sample(rng) for _ in range(15)], CONTRAVARIANT)
+    G.checks = 0
+    validate(A)
+    is_consistent(A)
+    ii_indicator(A)
+    consistencize_abelian(A)
+    consistencize_riemannian(A)
+    lam = G.to_array([A.entry(0, j) for j in range(A.n)])
+    lsq_objective(A, lam)
+    lsq_gradient(A, lam)
+    assert G.checks == 0

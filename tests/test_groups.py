@@ -252,3 +252,11 @@ def test_element_serialization_round_trip():
     assert U1.element_to_obj(0.5) == {"theta": 0.5}
     assert SU2.element_to_obj(SU2.identity) == {"q": [1.0, 0.0, 0.0, 0.0]}
     assert zmod(5).element_to_obj(7) == 2
+
+
+def test_cyclic_order_limited_to_int64_carriers():
+    assert zmod(2**62).m == 2**62
+    with pytest.raises(ValueError, match=r"at most 2\*\*62"):
+        zmod(2**62 + 1)
+    with pytest.raises(ValueError, match=r"bad cyclic group tag .* at most 2\*\*62"):
+        group_from_tag(f"zmod:{2**63}")
