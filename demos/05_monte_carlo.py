@@ -1,8 +1,10 @@
 """Monte Carlo under the product Haar measure.
 
-Fields are sampled edge by edge; matrices entry by entry.  Sample k owns a
-generator derived from (seed, k), so estimates depend only on (seed, N):
-a rerun reproduces them bit for bit.
+Samples come in blocks of 1024.  Block b owns the generator
+block_rng(seed, b) and draws its samples as one array -- every edge of every
+field, or every upper-triangle entry of every matrix -- which is scored with
+the groups' batched kernels.  Estimates depend only on (seed, N): a rerun
+reproduces them bit for bit.
 """
 
 import math

@@ -23,6 +23,7 @@ from .integrate import (
     Histogram,
     MCEstimate,
     Observable,
+    block_rng,
     expectation,
     ii_distribution,
     sample_field,

@@ -106,7 +106,7 @@ def cmd_consistencize(args) -> int:
         "group": G.tag,
         "n": A.n,
         "method": args.method,
-        "lambda": [G.element_to_obj(v) for v in result.lam],
+        "lambda": [G.checked_to_obj(v) for v in result.lam],
         "matrix": matrix_to_obj(result.matrix),
         "residual": result.residual,
         "ii_before": result.ii_before,

@@ -17,7 +17,9 @@ elements go through the array forms instead: :meth:`Group.to_array` stacks
 already-checked elements into a carrier array -- shape ``(...,)`` float for
 rplus and u1, ``(...,)`` int64 for zmod, ``(..., 4)`` float for su2 -- and
 the ``batch_*`` kernels apply the group law elementwise over the leading
-axes, with broadcasting, without checking again.  Each kernel uses the
+axes, with broadcasting, without checking again.  ``batch_haar_sample``
+draws a whole carrier array of i.i.d. Haar elements; ``haar_sample`` is
+that kernel for one element.  Each kernel uses the
 formula and operation order of its element method: u1 and zmod results are
 bit-identical, su2 and rplus results agree to within an ulp or two (the
 element methods renormalize their inputs, and numpy's transcendental
@@ -99,13 +101,16 @@ class Group:
         raise NotImplementedError
 
     def haar_sample(self, rng: np.random.Generator) -> Element:
-        if not self.compact:
-            raise NonCompactGroupError(f"{self.tag}: no normalized Haar measure")
-        raise NotImplementedError
+        """One Haar draw: :meth:`batch_haar_sample` of a single element."""
+        return self.from_array(self.batch_haar_sample(rng, (1,)))[0]
 
     def element_to_obj(self, a: Element):
         """JSON-ready representation of an element."""
-        raise NotImplementedError
+        return self.checked_to_obj(self.check(a))
+
+    def checked_to_obj(self, a: Element):
+        """JSON-ready representation of an element that already passed :meth:`check`."""
+        return a
 
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
@@ -138,6 +143,11 @@ class Group:
         """Principal logarithms, coordinates along a new last axis of length ``dim``.
         Raises :class:`LogBranchError` if any element sits at the cut locus."""
         raise NotImplementedError
+
+    def batch_haar_sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        """Carrier array of i.i.d. Haar draws over the leading axes ``shape``
+        (at least one axis), filled in row-major order from ``rng``."""
+        raise NonCompactGroupError(f"{self.tag}: no normalized Haar measure")
 
     def _coords(self, v) -> np.ndarray:
         arr = np.asarray(v, dtype=float).reshape(-1)
@@ -214,9 +224,6 @@ class PositiveReals(Group):
     def batch_log(self, g):
         return np.log(g)[..., None]
 
-    def element_to_obj(self, a):
-        return self.check(a)
-
     def element_from_obj(self, obj):
         return self.check(obj)
 
@@ -247,9 +254,6 @@ class CircleGroup(Group):
     def log_coords(self, g):
         return np.array([self.check(g)])
 
-    def haar_sample(self, rng):
-        return wrap_angle(float(rng.uniform(-math.pi, math.pi)))
-
     def batch_multiply(self, a, b):
         return wrap_angles(a + b)
 
@@ -265,8 +269,11 @@ class CircleGroup(Group):
     def batch_log(self, g):
         return g[..., None]
 
-    def element_to_obj(self, a):
-        return {"theta": self.check(a)}
+    def batch_haar_sample(self, rng, shape):
+        return wrap_angles(rng.uniform(-math.pi, math.pi, size=shape))
+
+    def checked_to_obj(self, a):
+        return {"theta": a}
 
     def element_from_obj(self, obj):
         if not isinstance(obj, dict) or "theta" not in obj:
@@ -349,14 +356,6 @@ class UnitQuaternions(Group):
         k = phi / s
         return np.array([k * x, k * y, k * z])
 
-    def haar_sample(self, rng):
-        # Four standard normals, normalized: uniform on the 3-sphere.
-        while True:
-            v = rng.normal(size=4)
-            n = float(np.linalg.norm(v))
-            if n > 1e-12:
-                return (float(v[0] / n), float(v[1] / n), float(v[2] / n), float(v[3] / n))
-
     # The kernels below spell out every sum term by term: a numpy reduction
     # over the last axis would add in another order than the element methods.
 
@@ -408,8 +407,19 @@ class UnitQuaternions(Group):
         k = np.where(tiny, 0.0, np.arctan2(s, w) / np.where(tiny, 1.0, s))
         return np.stack((k * x, k * y, k * z), axis=-1)
 
-    def element_to_obj(self, a):
-        return {"q": list(self.check(a))}
+    def batch_haar_sample(self, rng, shape):
+        # Four standard normals per element, normalized: uniform on the 3-sphere.
+        v = rng.normal(size=tuple(shape) + (4,))
+        while True:
+            w, x, y, z = np.moveaxis(v, -1, 0)
+            n = np.sqrt(w * w + x * x + y * y + z * z)
+            small = n <= 1e-12  # no direction to normalize: draw the element again
+            if not small.any():
+                return v / n[..., None]
+            v[small] = rng.normal(size=(int(small.sum()), 4))
+
+    def checked_to_obj(self, a):
+        return {"q": list(a)}
 
     def element_from_obj(self, obj):
         if not isinstance(obj, dict) or "q" not in obj:
@@ -461,9 +471,6 @@ class CyclicGroup(Group):
             raise LogBranchError("log branch singularity: finite group has no continuous log away from the identity")
         return np.zeros(0)
 
-    def haar_sample(self, rng):
-        return int(rng.integers(self.m))
-
     def batch_multiply(self, a, b):
         return (a + b) % self.m
 
@@ -482,8 +489,8 @@ class CyclicGroup(Group):
             raise LogBranchError("log branch singularity: finite group has no continuous log away from the identity")
         return np.zeros(g.shape + (0,))
 
-    def element_to_obj(self, a):
-        return self.check(a)
+    def batch_haar_sample(self, rng, shape):
+        return rng.integers(self.m, size=shape)
 
     def element_from_obj(self, obj):
         return self.check(obj)

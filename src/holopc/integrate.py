@@ -5,22 +5,32 @@ and random comparison matrices with one draw per upper-triangle entry.
 Sampling is plain i.i.d. -- the product measure is directly samplable, so
 no Markov chain is involved.
 
-Sample k derives its own generator from (seed, k), so every estimate is
-a deterministic function of (seed, N) alone: rerunning with the same seed
-and sample count reproduces it bit for bit.
+Samples come in blocks of ``_MC_BLOCK``: block b covers samples
+[_MC_BLOCK * b, _MC_BLOCK * (b + 1)) and draws them from its own generator
+``block_rng(seed, b)``, counter-style as in Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11).  A block draws one carrier array of
+shape (B, E) over the edges ``K.edges`` of a complex, or (B, n(n-1)/2) over
+the strict upper triangle of an n x n matrix, row-major, and the observable
+is scored on the whole array with the group's batched kernels.  Every
+estimate is therefore a deterministic function of (seed, N) alone, and the
+sample values at N are the first N sample values at any larger N.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonCompactGroupError
-from .groups import Group
-from .pcmatrix import Indicator, _checked_indicator, ii_indicator, random_pc_matrix
-from .simplicial import EdgeField, SimplicialComplex2, global_ii, path_holonomy, plaquette
+from .groups import Group, as_generator
+from .pcmatrix import COVARIANT, Indicator, _batched_indicator, _holonomies, _pairs
+from .simplicial import EdgeField, SimplicialComplex2
+
+_MC_BLOCK = 1024  # samples per generator; part of what (seed, N) reproduces
+_TRIAD_STEP = 256  # triads scored at once per block of random matrices
 
 OBSERVABLE_TAGS = (
     "mean_curvature_In",
@@ -75,47 +85,55 @@ class Histogram:
         return {"counts": list(self.counts), "edges": list(self.edges)}
 
 
-def sample_rng(seed: int, k: int) -> np.random.Generator:
-    """Generator for sample k of a run; counter-style derivation from (seed, k)."""
-    return np.random.default_rng([seed, k])
+def block_rng(seed: int, b: int) -> np.random.Generator:
+    """Generator of block b of a run; counter-style derivation from (seed, b)."""
+    return np.random.default_rng([seed, b])
+
+
+sample_rng = block_rng  # older name; callers and perfbench's tracer still use it
 
 
 def sample_field(K: SimplicialComplex2, group: Group, rng) -> EdgeField:
-    """One product-Haar draw: i.i.d. elements on the canonical edges."""
+    """One product-Haar draw: i.i.d. elements on the canonical edges.
+
+    On ``block_rng(seed, b)`` this is the first sample of block b.
+    """
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return EdgeField(group, {e: group.haar_sample(gen) for e in K.edges})
+    draw = group.batch_haar_sample(as_generator(rng), (len(K.edges),))
+    return EdgeField._of_checked(group, dict(zip(K.edges, group.from_array(draw))))
 
 
-def _character(group: Group):
-    """Real character of the defining representation."""
+def _character(group: Group) -> Callable[[np.ndarray], np.ndarray]:
+    """Real character of the defining representation, on carrier arrays."""
     if group.tag == "u1":
-        return lambda g: np.cos(g)
+        return np.cos
     if group.tag == "su2":
-        return lambda g: 2.0 * g[0]
+        return lambda g: 2.0 * g[..., 0]
     if group.tag.startswith("zmod"):
         m = group.m
         return lambda g: np.cos(2.0 * np.pi * g / m)
     raise ValueError(f"no compact character for {group.tag}")
 
 
-def _make_evaluator(
+def _make_scorer(
     K: SimplicialComplex2 | None,
     group: Group,
     obs: Observable,
     indicator: Indicator | None,
-) -> Callable[[np.random.Generator], float]:
-    """Bind an observable to a per-sample evaluation closure."""
+) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """Bind an observable to ``(width, score)``: each sample is ``width``
+    Haar elements, and ``score`` maps a block's (B, width) carrier array to
+    the B sample values."""
     if obs.tag == "ii3_of_random_matrix":
         if obs.n is None or obs.n < 2:
             raise ValueError("ii3_of_random_matrix needs a matrix size n >= 2")
-        n = obs.n
-        # ``indicator`` goes through as given: None selects the batched default
-        return lambda rng: ii_indicator(random_pc_matrix(group, n, rng), indicator)[0]
+        return obs.n * (obs.n - 1) // 2, _matrix_scorer(group, obs.n, _batched_indicator(group, indicator))
 
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
+    width = len(K.edges)
+    col = {e: c for c, e in enumerate(K.edges)}
 
     if obs.tag == "wilson_character":
         loop = obs.loop
@@ -130,34 +148,73 @@ def _make_evaluator(
         for v, w in zip(loop, loop[1:]):
             if not K.has_edge(v, w):
                 raise ValueError(f"wilson loop steps over a missing edge {v}-{w}")
+        steps = [(col[(min(v, w), max(v, w))], v > w) for v, w in zip(loop, loop[1:])]
         chi = _character(group)
+        e = group.to_array([group.identity])
 
-        def wilson(rng):
-            F = sample_field(K, group, rng)
-            return float(chi(path_holonomy(K, F, loop)))
+        def wilson(X):
+            acc = e  # path holonomy: each step multiplies on the left
+            for c, reversed_step in steps:
+                h = group.batch_inverse(X[:, c]) if reversed_step else X[:, c]
+                acc = group.batch_multiply(h, acc)
+            return chi(acc)
 
-        return wilson
+        return width, wilson
 
     if not K.triangles:
         raise ValueError(f"observable {obs.tag} needs at least one triangle")
-    ind = _checked_indicator(group, indicator)
+    In = _batched_indicator(group, indicator)
+    ij, ik, jk = (np.array([col[(t[a], t[b])] for t in K.triangles]) for a, b in ((0, 1), (0, 2), (1, 2)))
+
+    def curvatures(X):  # In of the plaquettes h_ki * h_jk * h_ij, shape (B, T)
+        return In(group.batch_multiply(group.batch_multiply(group.batch_inverse(X[:, ik]), X[:, jk]), X[:, ij]))
+
     if obs.tag == "mean_curvature_In":
-
-        def mean_curv(rng):
-            F = sample_field(K, group, rng)
-            return float(np.mean([ind(plaquette(K, F, t)) for t in K.triangles]))
-
-        return mean_curv
-
-    def sup_curv(rng):
-        return global_ii(K, sample_field(K, group, rng), ind)[0]
-
-    return sup_curv
+        return width, lambda X: curvatures(X).mean(axis=1)
+    return width, lambda X: curvatures(X).max(axis=1)
 
 
-def _sample_values(value_at, seed: int, N: int) -> np.ndarray:
-    """Values of samples 0..N-1, sample k evaluated on sample_rng(seed, k)."""
-    return np.fromiter((value_at(sample_rng(seed, k)) for k in range(N)), dtype=float, count=N)
+def _matrix_scorer(group: Group, n: int, In) -> Callable[[np.ndarray], np.ndarray]:
+    """Worst In(triad holonomy) of covariant matrices given by their strict
+    upper triangles, row-major: the value ``ii_indicator`` gives each matrix."""
+    I, J = _pairs(n)
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[I, J] = np.arange(len(I))
+    tri = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    ij, ik, jk = rank[tri[:, 0], tri[:, 1]], rank[tri[:, 0], tri[:, 2]], rank[tri[:, 1], tri[:, 2]]
+
+    def score(U):
+        if not len(tri):
+            return np.zeros(len(U))  # no triads, as in ii_indicator
+        worst = np.full(len(U), -np.inf)
+        for lo in range(0, len(tri), _TRIAD_STEP):
+            t = slice(lo, lo + _TRIAD_STEP)
+            hol = _holonomies(group, COVARIANT, U[:, ij[t]], U[:, ik[t]], U[:, jk[t]])
+            np.maximum(worst, In(hol).max(axis=1), out=worst)
+        return worst
+
+    return score
+
+
+def _sample_values(
+    K: SimplicialComplex2 | None,
+    group: Group,
+    obs: Observable,
+    N: int,
+    seed: int,
+    indicator: Indicator | None,
+) -> np.ndarray:
+    """Values of samples 0..N-1, block by block on ``block_rng(seed, b)``."""
+    if N < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    if not group.compact:
+        raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
+    width, score = _make_scorer(K, group, obs, indicator)
+    vals = np.empty(N)
+    for b, lo in enumerate(range(0, N, _MC_BLOCK)):
+        hi = min(lo + _MC_BLOCK, N)
+        vals[lo:hi] = score(group.batch_haar_sample(block_rng(seed, b), (hi - lo, width)))
+    return vals
 
 
 def _estimate(vals: np.ndarray, seed: int, tag: str) -> MCEstimate:
@@ -181,17 +238,11 @@ def expectation(
 ) -> MCEstimate:
     """Plain Monte Carlo mean and standard error of an observable.
 
-    Sample k is evaluated on ``sample_rng(seed, k)``, so results are
-    bit-identical for fixed (seed, N); the standard error uses the unbiased
-    variance estimator, so N >= 2.
+    Samples are drawn and scored a block at a time (see the module notes),
+    so results are bit-identical for fixed (seed, N); the standard error
+    uses the unbiased variance estimator, so N >= 2.
     """
-    if N < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if not group.compact:
-        raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    value_at = _make_evaluator(K, group, obs, indicator)
-    vals = _sample_values(value_at, seed, N)
-    return _estimate(vals, seed, obs.tag)
+    return _estimate(_sample_values(K, group, obs, N, seed, indicator), seed, obs.tag)
 
 
 def ii_distribution(
@@ -205,14 +256,10 @@ def ii_distribution(
     """Empirical law of the indicator over Haar-random n x n matrices.
 
     Returns a fixed-bin histogram over the observed range together with the
-    Monte Carlo estimate of the mean.
+    Monte Carlo estimate of the mean.  The histogram needs all N values,
+    so memory grows as 8 N bytes.
     """
-    if N < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if not group.compact:
-        raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    value_at = lambda rng: ii_indicator(random_pc_matrix(group, n, rng), indicator)[0]
-    vals = _sample_values(value_at, seed, N)
+    vals = _sample_values(None, group, Observable("ii3_of_random_matrix", n=n), N, seed, indicator)
     counts, edges = np.histogram(vals, bins=bins)
     hist = Histogram(tuple(int(c) for c in counts), tuple(float(e) for e in edges))
     return hist, _estimate(vals, seed, "ii3_of_random_matrix")

@@ -57,25 +57,21 @@ class PCMatrix:
     __slots__ = ("group", "n", "variance", "entries", "_array")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
-        if variance not in (COVARIANT, CONTRAVARIANT):
-            raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
-        rows = [list(r) for r in entries]
-        n = len(rows)
-        if n < 2 or any(len(r) != n for r in rows):
-            raise ValueError("entries must form a square grid with n >= 2")
-        grid = tuple(
-            tuple(None if e is None else group.check(e) for e in row) for row in rows
-        )
-        self._set(group, grid, variance)
+        self._set(group, [[None if e is None else group.check(e) for e in row] for row in entries], variance)
 
     @classmethod
     def _of_checked(cls, group: Group, rows, variance: str) -> PCMatrix:
-        """Wrap a square grid (n >= 2) of elements that already passed ``group.check``."""
+        """Wrap a grid of elements that already passed ``group.check``."""
         A = cls.__new__(cls)
-        A._set(group, tuple(tuple(r) for r in rows), variance)
+        A._set(group, rows, variance)
         return A
 
-    def _set(self, group, grid, variance) -> None:
+    def _set(self, group, rows, variance) -> None:
+        if variance not in (COVARIANT, CONTRAVARIANT):
+            raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
+        grid = tuple(tuple(r) for r in rows)
+        if len(grid) < 2 or any(len(r) != len(grid) for r in grid):
+            raise ValueError("entries must form a square grid with n >= 2")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "n", len(grid))
         object.__setattr__(self, "variance", variance)
@@ -84,6 +80,10 @@ class PCMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PCMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the canonical carriers, unchecked
+        return (type(self)._of_checked, (self.group, self.entries, self.variance))
 
     def entry(self, i: int, j: int) -> Element | None:
         return self.entries[i][j]
@@ -152,8 +152,6 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
     ``values`` has length n(n-1)/2; the diagonal is set to the identity and
     the lower triangle to the inverses.
     """
-    if variance not in (COVARIANT, CONTRAVARIANT):
-        raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
     m = len(values)
     n = round((1 + (1 + 8 * m) ** 0.5) / 2)
     if n < 2 or n * (n - 1) // 2 != m:
@@ -203,8 +201,7 @@ def dualize(A: PCMatrix) -> PCMatrix:
     contravariant-consistent ones and back.
     """
     flipped = CONTRAVARIANT if A.variance == COVARIANT else COVARIANT
-    grid = [[A.entry(j, i) for j in range(A.n)] for i in range(A.n)]
-    return PCMatrix(A.group, grid, flipped)
+    return PCMatrix._of_checked(A.group, zip(*A.entries), flipped)
 
 
 def _require_gap_free(A: PCMatrix, message: str) -> None:
@@ -386,19 +383,28 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
     """
     _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
     G = A.group
+    In = _batched_indicator(G, indicator)
+    return _triad_sweep(A, lambda x, y, z: In(_holonomies(G, A.variance, x, y, z)))
+
+
+def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The indicator as a map from a carrier array to one float per element.
+
+    None is the default d(1, g^-1) on whole arrays; a supplied indicator is
+    checked once and called on each element.
+    """
+    e = group.to_array([group.identity])
     if indicator is None:
-        e = G.to_array([G.identity])
+        return lambda g: group.batch_distance(e, group.batch_inverse(g))
+    ind = _checked_indicator(group, indicator)
+    tail = e.shape[1:]  # the carrier's own axes
 
-        def score(x, y, z):  # d(1, hol^-1), the default indicator
-            return G.batch_distance(e, G.batch_inverse(_holonomies(G, A.variance, x, y, z)))
+    def apply(g):
+        lead = g.shape[: g.ndim - len(tail)]
+        vals = [float(ind(h)) for h in group.from_array(g.reshape((-1,) + tail))]
+        return np.array(vals, dtype=float).reshape(lead)
 
-    else:
-        ind = _checked_indicator(G, indicator)
-
-        def score(x, y, z):
-            return np.array([float(ind(h)) for h in G.from_array(_holonomies(G, A.variance, x, y, z))])
-
-    return _triad_sweep(A, score)
+    return apply
 
 
 def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
@@ -486,6 +492,7 @@ def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PC
     """
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    gen = as_generator(rng)
-    upper = [group.haar_sample(gen) for _ in range(n * (n - 1) // 2)]
-    return from_upper_triangle(group, upper, variance)
+    if n < 2:
+        raise ValueError(f"random matrix needs n >= 2, got {n}")
+    upper = group.batch_haar_sample(as_generator(rng), (n * (n - 1) // 2,))
+    return _from_upper_array(group, n, upper, variance)

@@ -23,9 +23,7 @@ from .simplicial import EdgeField, SimplicialComplex2
 
 def matrix_to_obj(A: PCMatrix) -> dict:
     G = A.group
-    flat = [
-        None if e is None else G.element_to_obj(e) for row in A.entries for e in row
-    ]
+    flat = [None if e is None else G.checked_to_obj(e) for row in A.entries for e in row]
     return {"group": G.tag, "n": A.n, "variance": A.variance, "entries": flat}
 
 
@@ -45,10 +43,10 @@ def matrix_from_obj(obj) -> PCMatrix:
         raise ParseError(f"expected {n * n} entries, got {len(flat) if isinstance(flat, list) else type(flat).__name__}")
     try:
         grid = [
-            [None if flat[i * n + j] is None else group.element_from_obj(flat[i * n + j]) for j in range(n)]
+            [None if v is None else group.element_from_obj(v) for v in flat[i * n : (i + 1) * n]]
             for i in range(n)
         ]
-        return PCMatrix(group, grid, variance)
+        return PCMatrix._of_checked(group, grid, variance)
     except (GroupMismatchError, ValueError) as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
 
@@ -120,7 +118,7 @@ def field_to_obj(F: EdgeField) -> dict:
     G = F.group
     return {
         "group": G.tag,
-        "values": {f"{i}-{j}": G.element_to_obj(v) for (i, j), v in F.items()},
+        "values": {f"{i}-{j}": G.checked_to_obj(v) for (i, j), v in F.items()},
     }
 
 
@@ -147,7 +145,7 @@ def field_from_obj(obj) -> EdgeField:
         except (GroupMismatchError, ValueError) as exc:
             raise ParseError(f"bad element on edge {key}: {exc}") from exc
     try:
-        return EdgeField(group, values)
+        return EdgeField._of_checked(group, values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -168,6 +168,16 @@ class EdgeField:
     """
 
     def __init__(self, group: Group, values: Mapping[Edge, Element]):
+        self._fill(group, values, group.check)
+
+    @classmethod
+    def _of_checked(cls, group: Group, values: Mapping[Edge, Element]) -> EdgeField:
+        """Wrap elements that already passed ``group.check``."""
+        F = cls.__new__(cls)
+        F._fill(group, values, lambda v: v)
+        return F
+
+    def _fill(self, group: Group, values: Mapping[Edge, Element], check) -> None:
         self.group = group
         store: dict[Edge, Element] = {}
         for (i, j), v in values.items():
@@ -177,7 +187,7 @@ class EdgeField:
             key = (i, j) if i < j else (j, i)
             if key in store:
                 raise ValueError(f"duplicate value for edge {key}")
-            store[key] = group.check(v) if i < j else group.inverse(v)
+            store[key] = check(v) if i < j else group.inverse(v)
         self._values = store
 
     def edges(self) -> tuple[Edge, ...]:

@@ -10,17 +10,21 @@ from holopc.integrate import (
     Histogram,
     MCEstimate,
     Observable,
+    _sample_values,
+    block_rng,
     expectation,
     ii_distribution,
     sample_field,
     sample_rng,
 )
-from holopc.pcmatrix import default_indicator
+from holopc.pcmatrix import default_indicator, from_upper_triangle, ii_indicator
 from holopc.simplicial import (
     EdgeField,
     full_simplex,
     gauge_transform_field,
     global_ii,
+    grid_complex,
+    path_holonomy,
     plaquette,
 )
 
@@ -118,15 +122,94 @@ def test_expectation_validation():
 
 
 def test_expectation_follows_sample_streams():
-    # sample k is drawn from sample_rng(seed, k) alone, so the estimate is
-    # reproduced exactly by a hand loop over the same streams
-    est = expectation(TRIANGLE, SU2, Observable("mean_curvature_In"), N=400, seed=5)
-    ind = default_indicator(SU2)
-    vals = []
-    for k in range(400):
-        F = sample_field(TRIANGLE, SU2, sample_rng(5, k))
-        vals.append(float(np.mean([ind(plaquette(TRIANGLE, F, t)) for t in TRIANGLE.triangles])))
-    assert est.mean == np.mean(vals)
+    # samples come in blocks of 1024, block b drawn as one (B, E) carrier
+    # array from block_rng(seed, b); the element methods, applied sample by
+    # sample to those draws, reproduce every sample value
+    K = full_simplex(3)
+    N = 2100
+    obs = Observable("mean_curvature_In")
+    for group in (U1, SU2):
+        vals = _sample_values(K, group, obs, N, 5, None)
+        assert expectation(K, group, obs, N=N, seed=5).mean == np.mean(vals)
+        ind = default_indicator(group)
+        hand = []
+        for b, lo in enumerate(range(0, N, 1024)):
+            draws = group.batch_haar_sample(block_rng(5, b), (min(1024, N - lo), len(K.edges)))
+            for row in draws:
+                F = EdgeField(group, dict(zip(K.edges, group.from_array(row))))
+                hand.append(np.mean([ind(plaquette(K, F, t)) for t in K.triangles]))
+        np.testing.assert_allclose(vals, hand, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("group", [U1, SU2, zmod(5)], ids=lambda g: g.tag)
+def test_block_scores_match_element_methods(group):
+    # every observable, scored on a block's carrier array, against the
+    # element methods on the same draws
+    K = full_simplex(3)
+    loop = (0, 2, 1, 3, 0)  # steps against and along the edge orientation
+    N = 300
+    ind = default_indicator(group)
+    chi = {"u1": math.cos, "su2": lambda g: 2.0 * g[0]}.get(group.tag, lambda g: math.cos(2 * math.pi * g / 5))
+    draws = group.batch_haar_sample(block_rng(26, 0), (N, len(K.edges)))
+    fields = [EdgeField(group, dict(zip(K.edges, group.from_array(row)))) for row in draws]
+    expected = {
+        Observable("sup_curvature_In"): [global_ii(K, F, ind)[0] for F in fields],
+        Observable("wilson_character", loop=loop): [chi(path_holonomy(K, F, loop)) for F in fields],
+    }
+    upper = group.batch_haar_sample(block_rng(26, 0), (N, 78))  # n = 13: 286 triads, two steps of 256
+    expected[Observable("ii3_of_random_matrix", n=13)] = [
+        ii_indicator(from_upper_triangle(group, group.from_array(row)))[0] for row in upper
+    ]
+    for obs, hand in expected.items():
+        np.testing.assert_allclose(_sample_values(K, group, obs, N, 26, None), hand, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "group, K, obs",
+    [
+        (SU2, TRIANGLE, Observable("mean_curvature_In")),
+        (U1, full_simplex(3), Observable("wilson_character", loop=(0, 1, 2, 3, 0))),
+        (zmod(5), None, Observable("ii3_of_random_matrix", n=4)),
+    ],
+    ids=["su2-curvature", "u1-wilson", "zmod5-matrix"],
+)
+def test_sample_values_are_prefixes(group, K, obs):
+    longest = _sample_values(K, group, obs, 2100, 31, None)
+    for N in (1023, 1024, 1025, 2049):
+        assert np.array_equal(_sample_values(K, group, obs, N, 31, None), longest[:N])
+
+
+@pytest.mark.parametrize("group", [U1, SU2], ids=lambda g: g.tag)
+def test_wilson_loop_around_grid_boundary_is_centered(group):
+    # under product Haar the holonomy of a simple closed loop is Haar, and
+    # the character of the defining representation averages to 0
+    K = grid_complex(4)
+    boundary = (0, 1, 2, 3, 4, 9, 14, 19, 24, 23, 22, 21, 20, 15, 10, 5, 0)
+    est = expectation(K, group, Observable("wilson_character", loop=boundary), N=20_000, seed=21)
+    assert abs(est.mean) < 3 * est.std_error
+
+
+@pytest.mark.parametrize("group", [U1, SU2, zmod(5)], ids=lambda g: g.tag)
+def test_batch_haar_sample_matches_haar_sample(group):
+    n = 10_000
+    batch = group.from_array(group.batch_haar_sample(np.random.default_rng(22), (n,)))
+    rng = np.random.default_rng(23)
+    single = [group.haar_sample(rng) for _ in range(n)]
+    d = lambda gs: np.array([group.distance(group.identity, g) for g in gs])
+    stat = stats.ks_2samp(d(batch), d(single)).statistic
+    assert stat < KS_1PCT * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("group", [U1, SU2], ids=lambda g: g.tag)
+def test_explicit_default_indicator_matches_none(group):
+    ind = default_indicator(group)
+    for obs in (Observable("mean_curvature_In"), Observable("sup_curvature_In")):
+        a = expectation(full_simplex(3), group, obs, N=1500, seed=24)
+        b = expectation(full_simplex(3), group, obs, N=1500, seed=24, indicator=ind)
+        assert b.mean == pytest.approx(a.mean, abs=1e-12)
+    _, a = ii_distribution(group, n=4, N=1500, seed=25)
+    _, b = ii_distribution(group, n=4, N=1500, seed=25, indicator=ind)
+    assert b.mean == pytest.approx(a.mean, abs=1e-12)
 
 
 def test_clt_scaling():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +76,18 @@ def test_matrix_is_immutable():
     A = identity_matrix(U1, 3)
     with pytest.raises(AttributeError):
         A.n = 5
+
+
+def test_matrix_copies_and_pickles():
+    rng = np.random.default_rng(19)
+    matrices = [from_gauge_vector(group, random_gauge(group, 4, rng)) for group in ALL_GROUPS]
+    matrices.append(random_pc_matrix(SU2, 5, rng, variance=CONTRAVARIANT))
+    matrices.append(PCMatrix(zmod(7), [[0, 3, None], [4, 0, 1], [None, 6, 0]]))
+    for A in matrices:
+        for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert B == A and hash(B) == hash(A) and validate(B) == validate(A)
+            with pytest.raises(AttributeError):
+                B.n = 5
 
 
 # --- duality -----------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holopc.errors import ParseError
-from holopc.groups import RPLUS, SU2, U1, zmod
+from holopc.groups import RPLUS, SU2, U1, CircleGroup, zmod
 from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
 from holopc.serialize import (
     complex_from_obj,
@@ -28,6 +28,21 @@ def test_matrix_json_round_trip():
         for i in range(4):
             for j in range(4):
                 assert group.distance(A.entry(i, j), B.entry(i, j)) < 1e-15
+
+
+def test_documents_check_each_value_once(monkeypatch):
+    A = random_pc_matrix(U1, 5, rng=71)
+    F = EdgeField(U1, {(0, 1): 0.3, (1, 2): -2.0, (0, 2): 3.1})
+    checked = []
+    check = CircleGroup.check
+    monkeypatch.setattr(CircleGroup, "check", lambda self, a: checked.append(a) or check(self, a))
+    obj, fobj = matrix_to_obj(A), field_to_obj(F)
+    assert checked == []  # stored carriers are written as they are
+    assert matrix_from_obj(obj) == A
+    assert len(checked) == 25
+    del checked[:]
+    assert field_from_obj(fobj).items() == F.items()
+    assert len(checked) == 3
 
 
 def test_matrix_json_preserves_gaps():
