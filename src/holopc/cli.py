@@ -20,7 +20,6 @@ from .errors import ParseError
 from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
 from .pcmatrix import (
-    default_indicator,
     ii3_matrix,
     ii_indicator,
     ii_n_chain,
@@ -36,7 +35,7 @@ from .serialize import (
     save_matrix,
     save_obj,
 )
-from .simplicial import global_ii, holonomy_pc_matrix, plaquette
+from .simplicial import _triangle_scores, holonomy_pc_matrix
 
 
 def _print_report(report: dict, out: str | None) -> None:
@@ -125,14 +124,14 @@ def cmd_consistencize(args) -> int:
 def cmd_holonomy(args) -> int:
     K = complex_from_obj(load_json(args.complex))
     F = field_from_obj(load_json(args.field))
-    ind = default_indicator(F.group)
     A = holonomy_pc_matrix(K, F)
-    value, worst = global_ii(K, F, ind)
     # the bi-invariant indicator cannot see the conjugation that basing the
-    # loop at the base vertex adds, so the plaquette scores each triangle
+    # loop at the base vertex adds, so the plaquette scores each triangle;
+    # global_ii is the first maximum of the same scores
+    scores, value, worst = _triangle_scores(K, F, None)
     curvatures = [
-        {"triangle": list(t), "in_value": float(ind(plaquette(K, F, t)))}
-        for t in K.triangles
+        {"triangle": list(t), "in_value": v}
+        for t, v in zip(K.triangles, scores.tolist())
     ]
     report = {
         "group": F.group.tag,

@@ -55,8 +55,9 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     ``fmod`` is exact and leaves (-TAU, TAU); one correction by TAU lands
     in (-pi, pi] and is exact too (Sterbenz), so the result is the same
     exactly reduced angle that ``remainder`` plus the tie rule gives.
+    Scalars and 0-d arrays come back as 0-d arrays.
     """
-    t = np.fmod(theta, TAU)
+    t = np.asarray(np.fmod(theta, TAU))  # fmod gives a numpy scalar on 0-d input
     np.subtract(t, TAU, out=t, where=t > math.pi)
     np.add(t, TAU, out=t, where=t <= -math.pi)
     return t
@@ -146,7 +147,7 @@ class Group:
 
     def batch_haar_sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Carrier array of i.i.d. Haar draws over the leading axes ``shape``
-        (at least one axis), filled in row-major order from ``rng``."""
+        (possibly none), filled in row-major order from ``rng``."""
         raise NonCompactGroupError(f"{self.tag}: no normalized Haar measure")
 
     def _coords(self, v) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonCompactGroupError
 from .groups import Group, as_generator
 from .pcmatrix import COVARIANT, Indicator, _batched_indicator, _holonomies, _pairs
-from .simplicial import EdgeField, SimplicialComplex2
+from .simplicial import EdgeField, SimplicialComplex2, _plaquettes, _step_column
 
 _MC_BLOCK = 1024  # samples per generator; part of what (seed, N) reproduces
 _TRIAD_STEP = 256  # triads scored at once per block of random matrices
@@ -133,7 +133,6 @@ def _make_scorer(
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
     width = len(K.edges)
-    col = {e: c for c, e in enumerate(K.edges)}
 
     if obs.tag == "wilson_character":
         loop = obs.loop
@@ -145,10 +144,7 @@ def _make_scorer(
         loop = tuple(int(v) for v in loop)
         if len(loop) < 2 or loop[0] != loop[-1]:
             raise ValueError(f"wilson loop must close up, got {loop}")
-        for v, w in zip(loop, loop[1:]):
-            if not K.has_edge(v, w):
-                raise ValueError(f"wilson loop steps over a missing edge {v}-{w}")
-        steps = [(col[(min(v, w), max(v, w))], v > w) for v, w in zip(loop, loop[1:])]
+        steps = [(_step_column(K, v, w), v > w) for v, w in zip(loop, loop[1:])]
         chi = _character(group)
         e = group.to_array([group.identity])
 
@@ -164,10 +160,9 @@ def _make_scorer(
     if not K.triangles:
         raise ValueError(f"observable {obs.tag} needs at least one triangle")
     In = _batched_indicator(group, indicator)
-    ij, ik, jk = (np.array([col[(t[a], t[b])] for t in K.triangles]) for a, b in ((0, 1), (0, 2), (1, 2)))
 
-    def curvatures(X):  # In of the plaquettes h_ki * h_jk * h_ij, shape (B, T)
-        return In(group.batch_multiply(group.batch_multiply(group.batch_inverse(X[:, ik]), X[:, jk]), X[:, ij]))
+    def curvatures(X):  # In of the plaquettes, shape (B, T)
+        return In(_plaquettes(K, group, X))
 
     if obs.tag == "mean_curvature_In":
         return width, lambda X: curvatures(X).mean(axis=1)

@@ -17,9 +17,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import MissingEdgeError
 from .groups import Element, Group
-from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _checked_indicator
+from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _batched_indicator, _holonomies
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -70,8 +72,15 @@ class SimplicialComplex2:
         self.base = base
         self.edges: tuple[Edge, ...] = tuple(sorted(edge_set))
         self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set))
-        self._edge_set = edge_set
+        self._col = {e: c for c, e in enumerate(self.edges)}  # edge -> column in K.edges
         self._tri_set = tri_set
+        # columns (ij, ik, jk) of each triangle's edges, in K.triangles order
+        tri_cols = np.array(
+            [(self._col[(i, j)], self._col[(i, k)], self._col[(j, k)]) for i, j, k in self.triangles],
+            dtype=np.intp,
+        ).reshape(-1, 3)
+        tri_cols.flags.writeable = False
+        self._tri_cols = tri_cols
         adj: dict[int, list[int]] = {v: [] for v in range(vertices)}
         for i, j in self.edges:
             adj[i].append(j)
@@ -92,7 +101,7 @@ class SimplicialComplex2:
         return parents
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edge_set
+        return (min(i, j), max(i, j)) in self._col
 
     def has_triangle(self, t: Sequence[int]) -> bool:
         return tuple(sorted(int(v) for v in t)) in self._tri_set
@@ -230,10 +239,33 @@ def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> E
     G = F.group
     acc = G.identity
     for v, w in zip(path, path[1:]):
-        if not K.has_edge(v, w):
-            raise ValueError(f"non-adjacent step {v}->{w}")
+        _step_column(K, v, w)
         acc = G.multiply(F.value(v, w), acc)
     return acc
+
+
+def _step_column(K: SimplicialComplex2, v: int, w: int) -> int:
+    """Column in ``K.edges`` of the edge a path steps over from v to w."""
+    a, b = (v, w) if v < w else (w, v)
+    c = K._col.get((a, b))
+    if c is None:
+        raise ValueError(f"non-adjacent step {v}->{w}: missing edge {a}-{b}")
+    return c
+
+
+def _field_array(K: SimplicialComplex2, F: EdgeField) -> np.ndarray:
+    """The field's stored carriers h_ij, i < j, over ``K.edges``: shape (E, ...)."""
+    return F.group.to_array([F.value(i, j) for i, j in K.edges])
+
+
+def _plaquettes(K: SimplicialComplex2, G: Group, X: np.ndarray) -> np.ndarray:
+    """Plaquettes h_ki * h_jk * h_ij of every triangle, in ``K.triangles``
+    order, for carrier arrays X of shape (B, E, ...): shape (B, T, ...).
+
+    They are the triad holonomies of the field's contravariant matrix.
+    """
+    ij, ik, jk = K._tri_cols.T
+    return _holonomies(G, CONTRAVARIANT, X[:, ij], X[:, ik], X[:, jk])
 
 
 def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, ...]:
@@ -259,7 +291,8 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
     tree gauge g, where gamma_v is the tree path base -> v with holonomy
     g_v.  The based loop's holonomy is g_j^-1 * h_ij * g_i, so the
     conjugations telescope and the entry is the edge holonomy h_ij itself,
-    which is what is stored.
+    which is what is stored: the field's carriers above the diagonal and
+    their batched inverses below it, none checked again.
     """
     if not K.is_connected:
         raise ValueError("disconnected complex: holonomy matrix needs gauge paths")
@@ -268,10 +301,11 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
     grid: list[list[Element | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = G.identity
-    for (i, j) in K.edges:
-        grid[i][j] = F.value(i, j)
-        grid[j][i] = F.value(j, i)
-    return PCMatrix(G, grid, CONTRAVARIANT)
+    X = _field_array(K, F)
+    for (i, j), a, b in zip(K.edges, G.from_array(X), G.from_array(G.batch_inverse(X))):
+        grid[i][j] = a
+        grid[j][i] = b
+    return PCMatrix._of_checked(G, grid, CONTRAVARIANT)
 
 
 def _as_triangle(K: SimplicialComplex2, t: Sequence[int]) -> Triangle:
@@ -310,16 +344,25 @@ def global_ii(
     """Worst In(curvature) over all triangles, with the argmax triangle.
 
     The indicator sees the plaquette; basing only conjugates it, which a
-    bi-invariant indicator cannot see.  Complexes without triangles score 0
-    with no triangle.
+    bi-invariant indicator cannot see.  All plaquettes are scored in one
+    sweep of the triad-holonomy kernel (the default indicator on the whole
+    array, a supplied one element by element); ties go to the first
+    triangle.  Complexes without triangles score 0 with no triangle.
     """
-    ind = _checked_indicator(F.group, indicator)
-    best_val, best_tri = 0.0, None
-    for t in K.triangles:
-        v = float(ind(plaquette(K, F, t)))
-        if best_tri is None or v > best_val:
-            best_val, best_tri = v, t
-    return best_val, best_tri
+    return _triangle_scores(K, F, indicator)[1:]
+
+
+def _triangle_scores(
+    K: SimplicialComplex2, F: EdgeField, indicator: Indicator | None
+) -> tuple[np.ndarray, float, Triangle | None]:
+    """In of every plaquette, in ``K.triangles`` order, with the first
+    maximum and its triangle; (0.0, None) when there are no triangles."""
+    In = _batched_indicator(F.group, indicator)  # checks a supplied indicator
+    if not K.triangles:
+        return np.zeros(0), 0.0, None
+    curv = In(_plaquettes(K, F.group, _field_array(K, F)[None]))[0]
+    t = int(np.argmax(curv))
+    return curv, float(curv[t]), K.triangles[t]
 
 
 def gauge_transform_field(

@@ -3,7 +3,8 @@
 The kernels must reproduce the element methods: bit for bit on u1 and
 zmod, within 1e-15 (relative above 1) on su2 and rplus.  The scalar triad
 loops that the sweeps replaced live on here as the oracle for
-``is_consistent``, ``ii_indicator``, ``ii3_matrix`` and ``validate``.
+``is_consistent``, ``ii_indicator``, ``ii3_matrix`` and ``validate``, and
+the scalar ``plaquette`` as the oracle for ``global_ii``.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from holopc.pcmatrix import (
     random_pc_matrix,
     validate,
 )
+from holopc.simplicial import EdgeField, full_simplex, global_ii, grid_complex, identity_field, plaquette
 
 Z7 = zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
@@ -93,6 +95,11 @@ def assert_matches(group, batched, scalar):
 @given(st.lists(angles, min_size=1, max_size=8))
 def test_wrap_angles_is_bitwise_wrap_angle(thetas):
     assert bits(wrap_angles(np.array(thetas))) == bits([wrap_angle(t) for t in thetas])
+    for t in thetas:  # Python floats, numpy scalars and 0-d arrays
+        for x in (t, np.float64(t), np.array(t)):
+            got = wrap_angles(x)
+            assert got.shape == ()
+            assert bits(got) == bits(wrap_angle(t))
 
 
 def test_wrap_angles_ties_go_to_plus_pi():
@@ -368,3 +375,56 @@ def test_sweeps_and_descent_check_nothing():
     lsq_objective(A, lam)
     lsq_gradient(A, lam)
     assert G.checks == 0
+
+
+# --- plaquette sweep against the scalar plaquette ----------------------------------
+
+Z5 = zmod(5)
+FIELD_VALUES = {"u1": ELEMENTS["u1"], "su2": ELEMENTS["su2"], "zmod:5": st.integers(-50, 50).map(Z5.check)}
+FIELD_COMPLEXES = [full_simplex(2), full_simplex(3), full_simplex(4), grid_complex(2)]
+
+
+def scaled_distance(group):
+    return lambda g: 0.5 * group.distance(g, group.identity)
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["default", "supplied"])
+@pytest.mark.parametrize("group", [U1, SU2, Z5], ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_global_ii_matches_scalar_plaquettes(group, supplied, data):
+    K = data.draw(st.sampled_from(FIELD_COMPLEXES))
+    values = data.draw(st.lists(FIELD_VALUES[group.tag], min_size=len(K.edges), max_size=len(K.edges)))
+    F = EdgeField(group, dict(zip(K.edges, values)))
+    ind = scaled_distance(group) if supplied else default_indicator(group)
+    scores = [float(ind(plaquette(K, F, t))) for t in K.triangles]
+    first = max(range(len(scores)), key=scores.__getitem__)  # first maximum
+    value, tri = global_ii(K, F, ind if supplied else None)
+    if group is SU2:
+        assert value == pytest.approx(scores[first], abs=1e-12)
+        assert scores[K.triangles.index(tri)] == pytest.approx(scores[first], abs=1e-12)
+    else:
+        assert (value, tri) == (scores[first], K.triangles[first])
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["default", "supplied"])
+@pytest.mark.parametrize("group", [U1, Z5], ids=lambda g: g.tag)
+def test_global_ii_tie_goes_to_first_triangle(group, supplied):
+    # only h_23 is off the identity: triangles (0,2,3) and (1,2,3) tie
+    K = full_simplex(3)
+    h = 0.5 if group is U1 else 2
+    F = EdgeField(group, {e: h if e == (2, 3) else group.identity for e in K.edges})
+    ind = scaled_distance(group) if supplied else None
+    value, tri = global_ii(K, F, ind)
+    assert tri == (0, 2, 3)
+    assert value == float((ind or default_indicator(group))(plaquette(K, F, (1, 2, 3)))) > 0
+
+
+@pytest.mark.parametrize("group", [U1, SU2, Z5], ids=lambda g: g.tag)
+def test_global_ii_without_triangles_still_checks_the_indicator(group):
+    K = full_simplex(1)
+    F = identity_field(K, group)
+    assert global_ii(K, F) == (0.0, None)
+    assert global_ii(K, F, scaled_distance(group)) == (0.0, None)
+    with pytest.raises(ValueError, match="not an indicator map"):
+        global_ii(K, F, lambda g: 1.0)

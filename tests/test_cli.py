@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from holopc.cli import main
-from holopc.groups import SU2, U1
+from holopc.groups import SU2, U1, UnitQuaternions
 from holopc.pcmatrix import default_indicator, from_upper_triangle, random_pc_matrix
 from holopc.serialize import complex_to_obj, field_to_obj, save_matrix, save_obj
 from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
@@ -214,6 +215,25 @@ def test_holonomy_curvatures_match_global_ii(tmp_path, capsys):
     ind = default_indicator(SU2)
     for c in report["curvatures"]:
         assert abs(c["in_value"] - ind(triangle_curvature(K, F, c["triangle"]))) < 1e-12
+
+
+def test_holonomy_checks_each_field_value_once(tmp_path, capsys, monkeypatch):
+    # parsing checks each edge value; the matrix, the curvatures and
+    # global_ii run on the batched kernels and call no element method
+    K = grid_complex(3)
+    rng = np.random.default_rng(86)
+    F = EdgeField(SU2, {e: SU2.haar_sample(rng) for e in K.edges})
+    cpath, fpath = tmp_path / "k.json", tmp_path / "f.json"
+    save_obj(complex_to_obj(K), cpath)
+    save_obj(field_to_obj(F), fpath)
+    calls = collections.Counter()
+    for name in ("check", "multiply", "inverse", "distance"):
+        method = getattr(UnitQuaternions, name)
+        counted = lambda self, *a, _name=name, _method=method: calls.update([_name]) or _method(self, *a)  # noqa: E731
+        monkeypatch.setattr(UnitQuaternions, name, counted)
+    code, _, _ = run(capsys, ["holonomy", str(cpath), str(fpath)])
+    assert code == 0
+    assert dict(calls) == {"check": len(K.edges)}
 
 
 # --- montecarlo ----------------------------------------------------------------------

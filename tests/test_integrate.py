@@ -22,7 +22,6 @@ from holopc.simplicial import (
     EdgeField,
     full_simplex,
     gauge_transform_field,
-    global_ii,
     grid_complex,
     path_holonomy,
     plaquette,
@@ -153,7 +152,7 @@ def test_block_scores_match_element_methods(group):
     draws = group.batch_haar_sample(block_rng(26, 0), (N, len(K.edges)))
     fields = [EdgeField(group, dict(zip(K.edges, group.from_array(row)))) for row in draws]
     expected = {
-        Observable("sup_curvature_In"): [global_ii(K, F, ind)[0] for F in fields],
+        Observable("sup_curvature_In"): [max(ind(plaquette(K, F, t)) for t in K.triangles) for F in fields],
         Observable("wilson_character", loop=loop): [chi(path_holonomy(K, F, loop)) for F in fields],
     }
     upper = group.batch_haar_sample(block_rng(26, 0), (N, 78))  # n = 13: 286 triads, two steps of 256
