@@ -204,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consistencize", help="replace a matrix by a nearby consistent one")
     p.add_argument("matrix")
     p.add_argument("--method", choices=("abelian", "riemannian"), required=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="descent stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument(
+        "--tol", type=float, default=1e-12, help="riemannian: stop once a step lowers the objective by less than this"
+    )
+    p.add_argument("--max-iter", type=int, default=500, help="riemannian: most accepted Gauss-Newton steps")
     p.add_argument("--format", choices=("json", "csv"), help="override input format inference")
     p.add_argument("--out", help="write the consistent matrix here")
     p.set_defaults(func=cmd_consistencize)

@@ -6,21 +6,31 @@ C (c_ij = lam_i^-1 * lam_j) minimizes the squared-distance residual
     sum_{i<j} d(a_ij, c_ij)^2.
 
 For the abelian scalar groups the minimizer has a closed form in log
-coordinates (a row mean); for the others a Riemannian gradient descent on
-(lam_1, ..., lam_{n-1}) does the job.  The least-squares objective is an
-average-type surrogate for the sup-based indicator: the output matrix is
-consistent by construction, so the indicator value always drops to zero.
+coordinates (a row mean); for the others a damped Gauss-Newton
+(Levenberg-Marquardt) iteration on (lam_1, ..., lam_{n-1}) does the job.
+The least-squares objective is an average-type surrogate for the
+sup-based indicator: the output matrix is consistent by construction, so
+the indicator value always drops to zero.
 
-The objective, its gradient and the residual run as one array kernel over
-the pairs i < j of ``np.triu_indices(n, 1)``, and the descent keeps its
-gauge vector as a carrier array (see :mod:`holopc.groups`); gradient
-contributions accumulate per component with ``np.add.at`` in pair order.
+The residual of pair i < j is r_ij = log(e_ij^-1 a_ij) with
+e_ij = lam_i^-1 lam_j, so the objective is sum |r_ij|^2.  Moving lam_p to
+lam_p exp(xi_p) changes r_ij to first order by Ad(e_ij^-1) xi_i - xi_j,
+and the Gauss-Newton normal matrix J^T J is a connection Laplacian: blocks
+(n - 1) I on the diagonal and -Ad(e_ij^-1)^T at (i, j).  For su2 this is
+rotation averaging (Hartley, Trumpf, Dai and Li, "Rotation averaging",
+IJCV 2013); for rplus and u1 it is the Laplacian of the complete graph.
+
+The objective, the residual logs and J^T r run as one array kernel over
+the pairs i < j of ``np.triu_indices(n, 1)``, and the solver keeps its
+gauge vector as a carrier array (see :mod:`holopc.groups`); contributions
+to J^T r accumulate per component with ``np.add.at`` in pair order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +50,20 @@ from .pcmatrix import (
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter reached"
 
-_MIN_STEP = 1e-18
+_DAMPING_START = 1e-6  # initial damping, relative to the normal matrix's diagonal n - 1
+_DAMPING_MIN = 1e-15  # keeps the damping from underflowing to 0 over long runs
+_DAMPING_MAX = 1e18  # damping beyond which a trial step no longer moves the gauge
+
+
+class IterationRecord(NamedTuple):
+    """One accepted Gauss-Newton step: the objective and the gradient norm
+    at the new gauge, the damping the step was solved with, and how many
+    trials were rejected before it."""
+
+    objective: float
+    grad_norm: float
+    mu: float
+    rejected: int
 
 
 @dataclass(frozen=True)
@@ -48,8 +71,9 @@ class ConsistencizationResult:
     """A consistent matrix near the input, with bookkeeping.
 
     ``residual`` is the squared-distance sum between input and output over
-    the strict upper triangle; ``iterations`` counts accepted descent steps
-    (zero for the closed form).
+    the strict upper triangle; ``iterations`` counts accepted Gauss-Newton
+    steps (zero for the closed form), and ``history`` holds one
+    :class:`IterationRecord` per accepted step.
     """
 
     lam: tuple[Element, ...]
@@ -59,6 +83,7 @@ class ConsistencizationResult:
     ii_after: float
     iterations: int
     status: str
+    history: tuple[IterationRecord, ...] = ()
 
 
 def _upper(A: PCMatrix) -> np.ndarray:
@@ -99,6 +124,28 @@ def lsq_objective(A: PCMatrix, lam) -> float:
     return _sum_of_squares(G.batch_distance(_upper(A), _gauge_upper(G, _gauge_array(G, lam))))
 
 
+def _linearize(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoints Ad(e_ij) over the pairs i < j, and J^T r as an (n, dim)
+    array, row p for lam_p, from the residual logs r_ij = log(e_ij^-1 a_ij).
+
+    Raises :class:`LogBranchError` when some residual sits on the cut locus.
+    """
+    G = A.group
+    I, J = _pairs(A.n)
+    if G.dim == 0:  # finite groups have no directions to move in
+        return np.zeros((len(I), 0, 0)), np.zeros((A.n, 0))
+    e = _gauge_upper(G, lam)
+    r = G.batch_log(G.batch_multiply(G.batch_inverse(e), _upper(A)))
+    ad = G.batch_adjoint(e)
+    half = np.zeros((A.n, G.dim))
+    # moving lam_j turns e into e exp(t xi), and d/dt d(a, e exp(t xi))^2 = -2 <r, xi>
+    np.add.at(half, J, -r)
+    # moving lam_i turns e into exp(-t xi) e, and by bi-invariance
+    # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi> = 2 <Ad(e) r, xi>
+    np.add.at(half, I, (ad @ r[..., None])[..., 0])
+    return ad, half
+
+
 def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
     """Gradient of the objective for lam_1..lam_{n-1}, lam_0 held fixed.
 
@@ -108,24 +155,25 @@ def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
     residual rotation sits on the cut locus, where the squared distance is
     not differentiable.
     """
-    G = A.group
-    lam = _gauge_array(G, lam)
-    grad = np.zeros((A.n, G.dim))
-    if G.dim == 0:
-        return grad[1:]  # finite groups have no directions to move in
-    I, J = _pairs(A.n)
-    a = _upper(A)
-    e_inv = G.batch_inverse(_gauge_upper(G, lam))
-    # moving lam_j turns e = lam_i^-1 lam_j into e exp(t xi):
-    # d/dt d(a, e exp(t xi))^2 = -2 <log(e^-1 a), xi>
-    np.add.at(grad, J, -2.0 * G.batch_log(G.batch_multiply(e_inv, a)))
-    # moving lam_i turns e into exp(-t xi) e, and by bi-invariance
-    # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi>
-    np.add.at(grad, I, 2.0 * G.batch_log(G.batch_multiply(a, e_inv)))
-    return grad[1:]
+    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[1][1:]
 
 
-def _result(A: PCMatrix, lam: np.ndarray, iterations: int, status: str) -> ConsistencizationResult:
+def _normal_matrix(ad: np.ndarray, n: int) -> np.ndarray:
+    """J^T J for lam_1..lam_{n-1}: the connection Laplacian of the complete
+    graph, blocks (n - 1) I on the diagonal and -Ad(e_ij^-1)^T = -Ad(e_ij)
+    at (i, j), since an adjoint is orthogonal."""
+    d = ad.shape[-1]
+    I, J = _pairs(n)
+    blocks = np.zeros((n, n, d, d))
+    blocks[np.arange(n), np.arange(n)] = (n - 1) * np.eye(d)
+    blocks[I, J] = -ad
+    blocks[J, I] = -np.swapaxes(ad, -1, -2)
+    return blocks[1:, 1:].transpose(0, 2, 1, 3).reshape((n - 1) * d, (n - 1) * d)
+
+
+def _result(
+    A: PCMatrix, lam: np.ndarray, status: str, history: tuple[IterationRecord, ...] = ()
+) -> ConsistencizationResult:
     C = _gauge_matrix(A.group, lam, A.variance)
     return ConsistencizationResult(
         lam=tuple(A.group.from_array(lam)),
@@ -133,8 +181,9 @@ def _result(A: PCMatrix, lam: np.ndarray, iterations: int, status: str) -> Consi
         residual=residual_between(A, C),
         ii_before=ii_indicator(A)[0],
         ii_after=ii_indicator(C)[0],
-        iterations=iterations,
+        iterations=len(history),
         status=status,
+        history=history,
     )
 
 
@@ -144,8 +193,8 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     In log coordinates the optimal gauge is the row mean
     l_i = -(1/n) sum_k log a_ik, normalized to l_0 = 0.  Circle matrices
     use principal angles; when that branch choice leaves some entry more
-    than pi/2 away from the projection, a descent pass refines the result
-    and the better of the two is returned.
+    than pi/2 away from the projection, a Gauss-Newton pass refines the
+    result and the better of the two is returned.
     """
     _require_ready(A)
     G = A.group
@@ -155,7 +204,7 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     ell = -L.mean(axis=1)
     ell -= ell[0]
     lam = G.batch_exp(ell[:, None])
-    result = _result(A, lam, 0, STATUS_CONVERGED)
+    result = _result(A, lam, STATUS_CONVERGED)
 
     if G.tag == "u1":
         worst = float(np.max(G.batch_distance(_upper(A), _gauge_upper(G, lam))))
@@ -167,64 +216,76 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     return result
 
 
-def consistencize_riemannian(
-    A: PCMatrix,
-    max_iter: int = 500,
-    step: float | None = None,
-    tol: float = 1e-12,
-) -> ConsistencizationResult:
-    """Gradient descent on gauge vectors for any group.
+def _check_solver_options(max_iter: int, tol: float) -> None:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter (--max-iter) must be a nonnegative integer, got {max_iter!r}")
+    if not tol >= 0.0:  # also rejects nan
+        raise ValueError(f"tol (--tol) must be a nonnegative number, got {tol!r}")
 
-    Starts from lam_j = a_0j (exact on consistent input), takes fixed-size
-    steps with halving whenever the objective fails to decrease, and stops
-    once the decrease per accepted step falls below ``tol`` or ``max_iter``
-    steps were taken.  On abelian matrices the result matches the closed
-    form; the default step 1/(2n) is the exact minimizing step there.
+
+def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
+    """Damped Gauss-Newton (Levenberg-Marquardt) on gauge vectors, any group.
+
+    Starts from lam_j = a_0j (exact on consistent input) and holds lam_0
+    fixed.  Each trial solves (J^T J + mu I) xi = -J^T r on the connection
+    Laplacian and moves lam_p to lam_p exp(xi_p); a trial is accepted only
+    if the objective decreases, and the damping mu follows Nielsen's gain
+    ratio rule.  Stops once the gradient vanishes, the decrease per
+    accepted step falls below ``tol``, no damping gives a decrease, or
+    ``max_iter`` steps were accepted.  On rplus the problem is linear in
+    log coordinates and the result matches the closed form.
     """
+    _check_solver_options(max_iter, tol)
     _require_ready(A)
     G = A.group
     n = A.n
-    if step is None:
-        step = 1.0 / (2.0 * n)
     lam = G.to_array([G.identity] + [A.entry(0, j) for j in range(1, n)])
     f = lsq_objective(A, lam)
-    grad = lsq_gradient(A, lam)
+    ad, half = _linearize(A, lam)
 
-    iterations = 0
+    mu, nu = _DAMPING_START * (n - 1), 2.0
+    history: list[IterationRecord] = []
     status = STATUS_CONVERGED
-    while iterations < max_iter:
-        gnorm2 = float(np.sum(grad * grad))
+    while len(history) < max_iter:
+        g = half[1:].reshape(-1)
+        gnorm2 = 4.0 * float(g @ g)  # |lsq_gradient|^2
         if gnorm2 <= 1e-30:
             break
-        s = step
-        accepted = None
+        H = _normal_matrix(ad, n)
+        rejected = 0
         hit_branch = False
-        while s >= _MIN_STEP:
-            cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(-s * grad))))
+        accepted = None
+        while mu <= _DAMPING_MAX:
+            np.fill_diagonal(H, n - 1 + mu)
+            xi = np.linalg.solve(H, -g)
+            cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(xi.reshape(n - 1, G.dim)))))
             fc = lsq_objective(A, cand)
             if fc < f:
                 try:
-                    gc = lsq_gradient(A, cand)
+                    accepted = (cand, fc, *_linearize(A, cand))
+                    break
                 except LogBranchError:
                     hit_branch = True
-                    s *= 0.5
-                    continue
-                accepted = (cand, fc, gc)
-                break
-            s *= 0.5
+            rejected += 1
+            mu *= nu
+            nu *= 2.0
         if accepted is None:
             if hit_branch:
-                raise LogBranchError("descent stalled on the log branch cut: step underflow")
+                raise LogBranchError("Gauss-Newton stalled on the log branch cut: damping ran out")
             break  # no admissible decrease left
-        decrease = f - accepted[1]
-        lam, f, grad = accepted
-        iterations += 1
+        lam, fc, ad, half = accepted
+        decrease = f - fc
+        gain = decrease / float(xi @ (mu * xi - g))  # actual over predicted decrease
+        history.append(IterationRecord(fc, 2.0 * float(np.linalg.norm(half[1:])), mu, rejected))
+        mu = max(_DAMPING_MIN, mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3))
+        nu = 2.0
+        f = fc
         if decrease < tol:
             break
     else:
         status = STATUS_MAX_ITER
 
-    return _result(A, lam, iterations, status)
+    return _result(A, lam, status, tuple(history))
 
 
 def epsilon_membership(A: PCMatrix, epsilon: float, indicator: Indicator | None = None) -> bool:

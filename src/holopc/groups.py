@@ -23,7 +23,9 @@ that kernel for one element.  Each kernel uses the
 formula and operation order of its element method: u1 and zmod results are
 bit-identical, su2 and rplus results agree to within an ulp or two (the
 element methods renormalize their inputs, and numpy's transcendental
-functions may round differently from ``math``).
+functions may round differently from ``math``).  ``batch_adjoint`` has no
+element form: it gives the matrices of conjugation in log coordinates,
+which the Gauss-Newton consistencizer needs.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ class Group:
         """Principal logarithms, coordinates along a new last axis of length ``dim``.
         Raises :class:`LogBranchError` if any element sits at the cut locus."""
         raise NotImplementedError
+
+    def batch_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """The matrices of v -> log(g exp(v) g^-1) in exp/log coordinates,
+        shape ``(..., dim, dim)``.  An abelian group acts trivially: the
+        identity matrix."""
+        return np.broadcast_to(np.eye(self.dim), g.shape + (self.dim, self.dim))
 
     def batch_haar_sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Carrier array of i.i.d. Haar draws over the leading axes ``shape``
@@ -407,6 +415,17 @@ class UnitQuaternions(Group):
             raise LogBranchError("log branch singularity: within 1e-9 of the cut locus")
         k = np.where(tiny, 0.0, np.arctan2(s, w) / np.where(tiny, 1.0, s))
         return np.stack((k * x, k * y, k * z), axis=-1)
+
+    def batch_adjoint(self, g):
+        # conjugation by a unit quaternion rotates the vector part: the
+        # rotation matrix of the quaternion, whatever the rotation angle
+        w, x, y, z = np.moveaxis(g, -1, 0)
+        rows = (
+            (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+            (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+            (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+        )
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
     def batch_haar_sample(self, rng, shape):
         # Four standard normals per element, normalized: uniform on the 3-sphere.

@@ -139,6 +139,20 @@ def test_batched_exp_log_match_elements(group, data):
     assert_matches(group, group.batch_log(group.to_array(g)), scalar)
 
 
+@pytest.mark.parametrize("group", [RPLUS, U1, SU2], ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_batch_adjoint_is_conjugation_in_log_coordinates(group, data):
+    g = group.to_array(data.draw(elements(group)))
+    bound = 0.999 / math.sqrt(group.dim)  # |v| < 1
+    coord = st.floats(-bound, bound)
+    vector = st.lists(coord, min_size=group.dim, max_size=group.dim)
+    v = np.array(data.draw(st.lists(vector, min_size=len(g), max_size=len(g))))
+    conjugated = group.batch_multiply(group.batch_multiply(g, group.batch_exp(v)), group.batch_inverse(g))
+    rotated = (group.batch_adjoint(g) @ v[..., None])[..., 0]
+    assert np.allclose(group.batch_log(conjugated), rotated, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("s", [0.0, 1e-16, 1e-15, 1e-12, 5e-10, 2e-9, 1e-6])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_su2_batch_log_branch_rule(s, sign):
