@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .consistencize import consistencize_abelian, consistencize_riemannian
+from .consistencize import _check_solver_options, consistencize_abelian, consistencize_riemannian
 from .errors import ParseError
 from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
@@ -96,6 +96,7 @@ def cmd_check(args) -> int:
 
 def cmd_consistencize(args) -> int:
     A = load_matrix(args.matrix, fmt=args.format)
+    _check_solver_options(args.max_iter, args.tol)  # also for abelian, which ignores them: bad values are input errors
     if args.method == "abelian":
         result = consistencize_abelian(A)
     else:

@@ -12,19 +12,18 @@ exponential/logarithm coordinates on the Lie algebra, and Haar sampling for
 the compact groups.  Everything is a pure function of its inputs; random
 sampling draws from an explicit ``numpy.random.Generator``.
 
-The element methods check their inputs on every call.  Whole batches of
-elements go through the array forms instead: :meth:`Group.to_array` stacks
-already-checked elements into a carrier array -- shape ``(...,)`` float for
-rplus and u1, ``(...,)`` int64 for zmod, ``(..., 4)`` float for su2 -- and
-the ``batch_*`` kernels apply the group law elementwise over the leading
-axes, with broadcasting, without checking again.  ``batch_haar_sample``
-draws a whole carrier array of i.i.d. Haar elements; ``haar_sample`` is
-that kernel for one element.  Each kernel uses the
-formula and operation order of its element method: u1 and zmod results are
-bit-identical, su2 and rplus results agree to within an ulp or two (the
-element methods renormalize their inputs, and numpy's transcendental
-functions may round differently from ``math``).  ``batch_adjoint`` has no
-element form: it gives the matrices of conjugation in log coordinates,
+Each group writes its law once, as array kernels: :meth:`Group.to_array`
+stacks already-checked elements into a carrier array -- shape ``(...,)``
+float for rplus and u1, ``(...,)`` int64 for zmod, ``(..., 4)`` float for
+su2 -- and the ``batch_*`` kernels apply the law elementwise over the
+leading axes, with broadcasting, and never check their inputs.  The element
+methods (``multiply``, ``inverse``, ``distance``, ``exp_coords``,
+``log_coords``, ``haar_sample``) are those kernels on one element: they
+check each input with the group's :meth:`Group.check`, run the kernel on a
+carrier array of length one, and return the plain value.  A call costs a
+few microseconds of numpy overhead, so code that handles many elements
+builds carrier arrays and calls the kernels itself.  ``batch_adjoint`` has
+no element form: it gives the matrices of conjugation in log coordinates,
 which the Gauss-Newton consistencizer needs.
 """
 
@@ -68,10 +67,11 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 class Group:
     """Group operations on raw carrier values.
 
-    Subclasses fix the carrier and implement the abstract methods.  All of
-    them renormalize their outputs so the carrier invariants (positivity,
-    canonical angle branch, unit quaternion norm, reduced residue) hold
-    after every operation.
+    Subclasses fix the carrier, the validator :meth:`check` and the
+    ``batch_*`` kernels.  The kernels keep the carrier invariants
+    (positivity, canonical angle branch, unit quaternion norm, reduced
+    residue) on their outputs; the element methods here are the kernels on
+    one checked element.
     """
 
     tag: str
@@ -85,27 +85,34 @@ class Group:
         raise NotImplementedError
 
     def multiply(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
+        return self._element(self.batch_multiply(self._carrier(a), self._carrier(b)))
 
     def inverse(self, a: Element) -> Element:
-        raise NotImplementedError
+        return self._element(self.batch_inverse(self._carrier(a)))
 
     def distance(self, a: Element, b: Element) -> float:
         """Bi-invariant metric: d(gx, gy) = d(xg, yg) = d(x, y)."""
-        raise NotImplementedError
+        return float(self.batch_distance(self._carrier(a), self._carrier(b))[0])
 
     def exp_coords(self, v: Sequence[float]) -> Element:
         """Exponential of a Lie-algebra coordinate vector of length ``dim``."""
-        raise NotImplementedError
+        return self._element(self.batch_exp(self._coords(v)[None]))
 
     def log_coords(self, g: Element) -> np.ndarray:
         """Principal logarithm as a coordinate vector; inverse of exp_coords
         near the identity.  Raises :class:`LogBranchError` at the cut locus."""
-        raise NotImplementedError
+        return self.batch_log(self._carrier(g))[0]
 
     def haar_sample(self, rng: np.random.Generator) -> Element:
         """One Haar draw: :meth:`batch_haar_sample` of a single element."""
-        return self.from_array(self.batch_haar_sample(rng, (1,)))[0]
+        return self._element(self.batch_haar_sample(rng, (1,)))
+
+    def _carrier(self, a: Element) -> np.ndarray:
+        """One element, checked, as a carrier array of length one."""
+        return self.to_array([self.check(a)])
+
+    def _element(self, arr: np.ndarray) -> Element:
+        return self.from_array(arr)[0]
 
     def element_to_obj(self, a: Element):
         """JSON-ready representation of an element."""
@@ -197,26 +204,9 @@ class PositiveReals(Group):
             raise GroupMismatchError(f"group mismatch: {a!r} is not a positive real")
         return x
 
-    def multiply(self, a, b):
-        p = self.check(a) * self.check(b)
-        if p <= 0.0 or not math.isfinite(p):
-            raise ValueError(f"positive-real product left (0, inf): {a!r} * {b!r}")
-        return p
-
-    def inverse(self, a):
-        return 1.0 / self.check(a)
-
-    def distance(self, a, b):
-        return abs(math.log(self.check(a) / self.check(b)))
-
-    def exp_coords(self, v):
-        return math.exp(self._coords(v)[0])
-
-    def log_coords(self, g):
-        return np.array([math.log(self.check(g))])
-
     def batch_multiply(self, a, b):
-        p = a * b
+        with np.errstate(over="ignore"):  # an overflow to inf is raised on below
+            p = a * b
         if not np.all((p > 0.0) & np.isfinite(p)):
             raise ValueError("positive-real product left (0, inf)")
         return p
@@ -247,21 +237,6 @@ class CircleGroup(Group):
 
     def check(self, a):
         return wrap_angle(_as_real(self.tag, a))
-
-    def multiply(self, a, b):
-        return wrap_angle(self.check(a) + self.check(b))
-
-    def inverse(self, a):
-        return wrap_angle(-self.check(a))
-
-    def distance(self, a, b):
-        return abs(wrap_angle(self.check(a) - self.check(b)))
-
-    def exp_coords(self, v):
-        return wrap_angle(self._coords(v)[0])
-
-    def log_coords(self, g):
-        return np.array([self.check(g)])
 
     def batch_multiply(self, a, b):
         return wrap_angles(a + b)
@@ -298,11 +273,6 @@ class UnitQuaternions(Group):
     compact = True
     identity = (1.0, 0.0, 0.0, 0.0)
 
-    @staticmethod
-    def _normalize(q):
-        n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-        return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
-
     def check(self, a):
         if isinstance(a, np.ndarray):
             a = tuple(a.tolist())
@@ -317,56 +287,11 @@ class UnitQuaternions(Group):
         n2 = sum(c * c for c in q)
         if abs(n2 - 1.0) > 1e-6:
             raise GroupMismatchError(f"group mismatch: quaternion norm {math.sqrt(n2):.6g} != 1")
-        return self._normalize(q)
-
-    def multiply(self, a, b):
-        w1, x1, y1, z1 = self.check(a)
-        w2, x2, y2, z2 = self.check(b)
-        q = (
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-        return self._normalize(q)
-
-    def inverse(self, a):
-        w, x, y, z = self.check(a)
-        return (w, -x, -y, -z)
-
-    def distance(self, a, b):
-        qa = self.check(a)
-        qb = self.check(b)
-        # 2*atan2(|a-b|, |a+b|) equals arccos(<a,b>) but stays accurate at
-        # both ends of [0, pi].
-        dm = math.sqrt(sum((qa[i] - qb[i]) ** 2 for i in range(4)))
-        dp = math.sqrt(sum((qa[i] + qb[i]) ** 2 for i in range(4)))
-        return 2.0 * math.atan2(dm, dp)
-
-    def exp_coords(self, v):
-        vx, vy, vz = self._coords(v)
-        phi = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if phi < 1e-8:
-            k = 1.0 - phi * phi / 6.0
-        else:
-            k = math.sin(phi) / phi
-        return self._normalize((math.cos(phi), k * vx, k * vy, k * vz))
-
-    def log_coords(self, g):
-        w, x, y, z = self.check(g)
-        s = math.sqrt(x * x + y * y + z * z)
-        if s < 1e-15:
-            if w > 0.0:
-                return np.zeros(3)
-            raise LogBranchError("log branch singularity: antipodal to identity")
-        if w < 0.0 and s < 1e-9:
-            raise LogBranchError("log branch singularity: within 1e-9 of the cut locus")
-        phi = math.atan2(s, w)
-        k = phi / s
-        return np.array([k * x, k * y, k * z])
+        n = math.sqrt(n2)
+        return tuple(c / n for c in q)
 
     # The kernels below spell out every sum term by term: a numpy reduction
-    # over the last axis would add in another order than the element methods.
+    # over the last axis would add in another order and move result bits.
 
     @staticmethod
     def _batch_normalize(w, x, y, z):
@@ -471,25 +396,6 @@ class CyclicGroup(Group):
         if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
             raise GroupMismatchError(f"group mismatch: {a!r} is not a {self.tag} residue")
         return int(a) % self.m
-
-    def multiply(self, a, b):
-        return (self.check(a) + self.check(b)) % self.m
-
-    def inverse(self, a):
-        return (-self.check(a)) % self.m
-
-    def distance(self, a, b):
-        k = abs(self.check(a) - self.check(b)) % self.m
-        return TAU * min(k, self.m - k) / self.m
-
-    def exp_coords(self, v):
-        self._coords(v)
-        return 0
-
-    def log_coords(self, g):
-        if self.check(g) != 0:
-            raise LogBranchError("log branch singularity: finite group has no continuous log away from the identity")
-        return np.zeros(0)
 
     def batch_multiply(self, a, b):
         return (a + b) % self.m

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonCompactGroupError
 from .groups import Group, as_generator
 from .pcmatrix import COVARIANT, Indicator, _batched_indicator, _holonomies, _pairs
-from .simplicial import EdgeField, SimplicialComplex2, _plaquettes, _step_column
+from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps, _plaquettes
 
 _MC_BLOCK = 1024  # samples per generator; part of what (seed, N) reproduces
 _TRIAD_STEP = 256  # triads scored at once per block of random matrices
@@ -100,8 +100,7 @@ def sample_field(K: SimplicialComplex2, group: Group, rng) -> EdgeField:
     """
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    draw = group.batch_haar_sample(as_generator(rng), (len(K.edges),))
-    return EdgeField._of_checked(group, dict(zip(K.edges, group.from_array(draw))))
+    return _array_field(K, group, group.batch_haar_sample(as_generator(rng), (len(K.edges),)))
 
 
 def _character(group: Group) -> Callable[[np.ndarray], np.ndarray]:
@@ -144,18 +143,9 @@ def _make_scorer(
         loop = tuple(int(v) for v in loop)
         if len(loop) < 2 or loop[0] != loop[-1]:
             raise ValueError(f"wilson loop must close up, got {loop}")
-        steps = [(_step_column(K, v, w), v > w) for v, w in zip(loop, loop[1:])]
+        cols, against = _path_steps(K, loop)
         chi = _character(group)
-        e = group.to_array([group.identity])
-
-        def wilson(X):
-            acc = e  # path holonomy: each step multiplies on the left
-            for c, reversed_step in steps:
-                h = group.batch_inverse(X[:, c]) if reversed_step else X[:, c]
-                acc = group.batch_multiply(h, acc)
-            return chi(acc)
-
-        return width, wilson
+        return width, lambda X: chi(_path_product(group, X[:, cols], against))
 
     if not K.triangles:
         raise ValueError(f"observable {obs.tag} needs at least one triangle")

@@ -160,14 +160,19 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
     return _from_upper_array(group, n, upper, variance)
 
 
-def _from_upper_array(group: Group, n: int, upper: np.ndarray, variance: str) -> PCMatrix:
+def _from_upper_array(
+    group: Group, n: int, upper: np.ndarray, variance: str, gaps: Sequence[tuple[int, int]] = ()
+) -> PCMatrix:
     """The matrix whose strict upper triangle, row-major, is the carrier
-    array ``upper``: identity diagonal, inverses below, nothing re-checked."""
+    array ``upper``: identity diagonal, inverses below, nothing re-checked.
+    Each pair (i, j), i < j, in ``gaps`` is absent in both orientations."""
     grid = [[group.identity] * n for _ in range(n)]
     pairs = zip(*(idx.tolist() for idx in _pairs(n)))
     for (i, j), a, b in zip(pairs, group.from_array(upper), group.from_array(group.batch_inverse(upper))):
         grid[i][j] = a
         grid[j][i] = b
+    for i, j in gaps:
+        grid[i][j] = grid[j][i] = None
     return PCMatrix._of_checked(group, grid, variance)
 
 
@@ -432,9 +437,9 @@ def _gauge_matrix(group: Group, lam: np.ndarray, variance: str) -> PCMatrix:
 
 def normalize_gauge(group: Group, lam: Sequence[Element]) -> tuple[Element, ...]:
     """Left-translate so the first component is the identity."""
-    lam = [group.check(v) for v in lam]
-    shift = group.inverse(lam[0])
-    return (group.identity,) + tuple(group.multiply(shift, v) for v in lam[1:])
+    lam = group.to_array([group.check(v) for v in lam])
+    shift = group.batch_inverse(lam[0])
+    return (group.identity,) + tuple(group.from_array(group.batch_multiply(shift, lam[1:])))
 
 
 def gauge_extract(A: PCMatrix, tol: float = 1e-9) -> tuple[Element, ...]:
@@ -464,24 +469,18 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
     a bi-invariant distance are unchanged.  Gaps are preserved.
     """
     G = A.group
-    mu = [G.check(v) for v in mu]
+    mu = G.to_array([G.check(v) for v in mu])
     if len(mu) != A.n:
         raise ValueError(f"gauge length {len(mu)} does not match matrix size {A.n}")
-    inv = [G.inverse(v) for v in mu]
-    grid = [[None] * A.n for _ in range(A.n)]
-    for i in range(A.n):
-        grid[i][i] = G.identity
-        for j in range(i + 1, A.n):
-            a = A.entry(i, j)
-            if a is None:
-                continue
-            if A.variance == CONTRAVARIANT:
-                v = G.multiply(G.multiply(mu[j], a), inv[i])
-            else:
-                v = G.multiply(G.multiply(inv[i], a), mu[j])
-            grid[i][j] = v
-            grid[j][i] = G.inverse(v)
-    return PCMatrix(G, grid, A.variance)
+    I, J = _pairs(A.n)
+    a = _entry_array(A)[I, J]  # gaps read as the identity and are put back below
+    inv = G.batch_inverse(mu)
+    if A.variance == CONTRAVARIANT:
+        upper = G.batch_multiply(G.batch_multiply(mu[J], a), inv[I])
+    else:
+        upper = G.batch_multiply(G.batch_multiply(inv[I], a), mu[J])
+    gaps = [(i, j) for i, j in A.gaps() if i < j]
+    return _from_upper_array(G, A.n, upper, A.variance, gaps)
 
 
 def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PCMatrix:

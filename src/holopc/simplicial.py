@@ -221,13 +221,11 @@ def identity_field(K: SimplicialComplex2, group: Group) -> EdgeField:
 def field_from_gauge(K: SimplicialComplex2, group: Group, lam: Sequence[Element]) -> EdgeField:
     """The flat field h_ij = lam_j * lam_i^-1; every triangle has identity
     curvature and the induced matrix is contravariant-consistent."""
-    lam = [group.check(v) for v in lam]
+    lam = group.to_array([group.check(v) for v in lam])
     if len(lam) != K.vertices:
         raise ValueError(f"gauge length {len(lam)} does not match {K.vertices} vertices")
-    return EdgeField(
-        group,
-        {(i, j): group.multiply(lam[j], group.inverse(lam[i])) for (i, j) in K.edges},
-    )
+    I, J = _edge_ends(K)
+    return _array_field(K, group, group.batch_multiply(lam[J], group.batch_inverse(lam)[I]))
 
 
 def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> Element:
@@ -236,12 +234,10 @@ def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> E
     Empty and single-vertex paths give the identity; concatenation
     satisfies Hol(p * q) = Hol(q) * Hol(p).
     """
+    cols, against = _path_steps(K, path)
     G = F.group
-    acc = G.identity
-    for v, w in zip(path, path[1:]):
-        _step_column(K, v, w)
-        acc = G.multiply(F.value(v, w), acc)
-    return acc
+    H = G.to_array([F.value(*K.edges[c]) for c in cols])
+    return G.from_array(_path_product(G, H[None], against))[0]
 
 
 def _step_column(K: SimplicialComplex2, v: int, w: int) -> int:
@@ -253,9 +249,38 @@ def _step_column(K: SimplicialComplex2, v: int, w: int) -> int:
     return c
 
 
+def _path_steps(K: SimplicialComplex2, path: Sequence[int]) -> tuple[list[int], list[bool]]:
+    """Columns in ``K.edges`` of the edges a vertex path steps over, and
+    whether each step runs against its edge's stored orientation i < j."""
+    steps = list(zip(path, path[1:]))
+    return [_step_column(K, v, w) for v, w in steps], [v > w for v, w in steps]
+
+
+def _path_product(G: Group, H: np.ndarray, against: Sequence[bool]) -> np.ndarray:
+    """Holonomies of a batch of paths from the stored carriers H, shape
+    (B, L, ...), of the edges of their L steps: each step multiplies on the
+    left, inverted where it runs against its edge.  Shape (B, ...), or the
+    broadcastable identity (1, ...) when L = 0."""
+    acc = G.to_array([G.identity])
+    for s, inverted in enumerate(against):
+        h = H[:, s]
+        acc = G.batch_multiply(G.batch_inverse(h) if inverted else h, acc)
+    return acc
+
+
+def _edge_ends(K: SimplicialComplex2) -> np.ndarray:
+    """The vertices (i, j) of ``K.edges`` as two index arrays."""
+    return np.array(K.edges, dtype=np.intp).reshape(-1, 2).T
+
+
 def _field_array(K: SimplicialComplex2, F: EdgeField) -> np.ndarray:
     """The field's stored carriers h_ij, i < j, over ``K.edges``: shape (E, ...)."""
     return F.group.to_array([F.value(i, j) for i, j in K.edges])
+
+
+def _array_field(K: SimplicialComplex2, G: Group, X: np.ndarray) -> EdgeField:
+    """The field with carriers X over ``K.edges``, which are not checked again."""
+    return EdgeField._of_checked(G, dict(zip(K.edges, G.from_array(X))))
 
 
 def _plaquettes(K: SimplicialComplex2, G: Group, X: np.ndarray) -> np.ndarray:
@@ -272,16 +297,24 @@ def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, .
     """Holonomy from the base to every vertex along the breadth-first tree.
 
     g[base] is the identity and g[child] = h(parent->child) * g[parent];
-    values on non-tree edges never enter.
+    values on non-tree edges never enter.  Each level of the tree is one
+    batched product.
     """
     if not K.is_connected:
         raise ValueError("disconnected complex: no gauge paths reach every vertex")
     G = F.group
-    g: dict[int, Element] = {}
-    # the parent map is filled in breadth-first order, so parents come first
-    for v, parent in K._parents.items():
-        g[v] = G.identity if parent is None else G.multiply(F.value(parent, v), g[parent])
-    return tuple(g[v] for v in range(K.vertices))
+    X = _field_array(K, F)
+    oriented = np.stack((X, G.batch_inverse(X)))  # [0, c] runs along edge c, [1, c] against it
+    g = G.to_array([G.identity] * K.vertices)
+    level = [K.base]
+    while True:
+        steps = [(p, c) for p in level for c in K.neighbors(p) if K._parents[c] == p]
+        if not steps:
+            return tuple(G.from_array(g))
+        parent, child = np.array(steps, dtype=np.intp).T
+        h = oriented[(parent > child).astype(np.intp), [_step_column(K, p, c) for p, c in steps]]
+        g[child] = G.batch_multiply(h, g[parent])
+        level = child.tolist()
 
 
 def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
@@ -374,13 +407,8 @@ def gauge_transform_field(
     unchanged.
     """
     G = F.group
-    mu = [G.check(v) for v in mu]
+    mu = G.to_array([G.check(v) for v in mu])
     if len(mu) != K.vertices:
         raise ValueError(f"gauge length {len(mu)} does not match {K.vertices} vertices")
-    return EdgeField(
-        G,
-        {
-            (i, j): G.multiply(G.multiply(mu[j], F.value(i, j)), G.inverse(mu[i]))
-            for (i, j) in K.edges
-        },
-    )
+    I, J = _edge_ends(K)
+    return _array_field(K, G, G.batch_multiply(G.batch_multiply(mu[J], _field_array(K, F)), G.batch_inverse(mu)[I]))

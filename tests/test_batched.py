@@ -1,12 +1,18 @@
-"""Batched group kernels and array triad sweeps against their scalar forms.
+"""Group kernels against representation oracles, and array triad sweeps
+against their scalar forms.
 
-The kernels must reproduce the element methods: bit for bit on u1 and
-zmod, within 1e-15 (relative above 1) on su2 and rplus.  The scalar triad
-loops that the sweeps replaced live on here as the oracle for
-``is_consistent``, ``ii_indicator``, ``ii3_matrix`` and ``validate``, and
-the scalar ``plaquette`` as the oracle for ``global_ii``.
+Each group law is written once, as batched kernels, and the element
+methods are those kernels on one element, so both are checked against an
+independent model of the group: float arithmetic for rplus, unit complex
+numbers exp(i theta) for u1 (with the bit-exact ``wrap_angle`` rule),
+2 x 2 complex SU(2) matrices under ``np.matmul`` and ``expm`` for su2, and
+Python-int arithmetic mod m for zmod.  The scalar triad loops that the
+sweeps replaced live on here as the oracle for ``is_consistent``,
+``ii_indicator``, ``ii3_matrix`` and ``validate``, and the scalar
+``plaquette`` as the oracle for ``global_ii``.
 """
 
+import cmath
 import itertools
 import math
 
@@ -14,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian, lsq_gradient, lsq_objective
 from holopc.errors import LogBranchError
-from holopc.groups import RPLUS, SU2, U1, CircleGroup, wrap_angle, wrap_angles, zmod
+from holopc.groups import RPLUS, SU2, TAU, U1, CircleGroup, CyclicGroup, wrap_angle, wrap_angles, zmod
 from holopc.pcmatrix import (
     _TRIAD_BLOCK,
     ALGEBRA_TOL,
@@ -53,7 +60,7 @@ angles = st.one_of(
 )
 quaternions = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4).filter(
     lambda v: sum(c * c for c in v) > 1e-6
-).map(lambda v: SU2._normalize(tuple(v)))
+).map(lambda v: SU2.check(tuple(c / math.sqrt(sum(c * c for c in v)) for c in v)))
 special_quaternions = st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)])
 ELEMENTS = {
     "rplus": st.floats(-30.0, 30.0).map(math.exp),
@@ -77,17 +84,6 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def assert_matches(group, batched, scalar):
-    """Batched results against a list of scalar results."""
-    batched = np.asarray(batched)
-    scalar = np.asarray(scalar, dtype=batched.dtype).reshape(batched.shape)
-    if group in EXACT:
-        assert batched.dtype == scalar.dtype
-        assert batched.tobytes() == scalar.tobytes()
-    else:
-        assert np.all(np.abs(batched - scalar) <= 1e-15 * np.maximum(1.0, np.abs(scalar)))
-
-
 # --- kernels against element methods --------------------------------------------
 
 
@@ -109,17 +105,118 @@ def test_wrap_angles_ties_go_to_plus_pi():
     assert got[-2] == got[-1] == math.pi
 
 
+# --- the models the group laws are checked against --------------------------------
+
+# SU(2) in the defining representation: w + x i + y j + z k -> w 1 + x E_i +
+# y E_j + z E_k, with E_i E_j = E_k as for the quaternion units
+E_I = np.array([[1j, 0], [0, -1j]])
+E_J = np.array([[0, 1], [-1, 0]], dtype=complex)
+E_K = np.array([[0, 1j], [1j, 0]])
+
+
+def su2_matrix(q):
+    w, x, y, z = q
+    return w * np.eye(2) + x * E_I + y * E_J + z * E_K
+
+
+def algebra_matrix(v):
+    """su(2) matrix of log coordinates v: exp(v) is ``expm`` of it."""
+    return v[0] * E_I + v[1] * E_J + v[2] * E_K
+
+
+def assert_law(group, a, b, prod, inv, dist):
+    """Products a*b, inverses of a and distances d(a, b) against the model."""
+    for x, y, p, i, d in zip(a, b, prod, inv, dist, strict=True):
+        if group is RPLUS:
+            assert p == x * y
+            assert i == 1.0 / x
+            assert d == pytest.approx(abs(math.log(x / y)), rel=1e-15, abs=1e-15)
+        elif group is U1:
+            ex, ey = cmath.exp(1j * x), cmath.exp(1j * y)
+            assert bits(p) == bits(wrap_angle(x + y))
+            assert bits(i) == bits(wrap_angle(-x))
+            assert bits(d) == bits(abs(wrap_angle(x - y)))
+            assert abs(cmath.exp(1j * p) - ex * ey) <= 4e-15
+            assert abs(cmath.exp(1j * i) - ex.conjugate()) <= 4e-15
+            assert d == pytest.approx(abs(cmath.phase(ex * ey.conjugate())), abs=4e-15)
+        elif group is SU2:
+            X, Y = su2_matrix(x), su2_matrix(y)
+            assert np.abs(su2_matrix(p) - X @ Y).max() <= 1e-15
+            assert np.abs(su2_matrix(i) - X.conj().T).max() <= 1e-15  # the method re-checks x, which may renormalize it by an ulp
+            dot = np.trace(X.conj().T @ Y).real / 2.0  # the real inner product of the quaternions
+            assert 0.0 <= d <= math.pi
+            assert abs(math.cos(d) - dot) <= 1e-15
+            assert d == pytest.approx(math.acos(min(1.0, max(-1.0, dot))), abs=2e-8)  # acos is ill-conditioned at the ends
+        else:
+            m = group.m
+            k = (x - y) % m
+            assert (p, i) == ((x + y) % m, (-x) % m)
+            assert bits(d) == bits(TAU * min(k, m - k) / m)
+
+
+def law_results(group, a, b):
+    """(products, inverses, distances) from the kernels and from the element methods."""
+    A, B = group.to_array(a), group.to_array(b)
+    kernels = (
+        group.from_array(group.batch_multiply(A, B)),
+        group.from_array(group.batch_inverse(A)),
+        group.batch_distance(A, B).tolist(),
+    )
+    methods = (
+        [group.multiply(x, y) for x, y in zip(a, b)],
+        [group.inverse(x) for x in a],
+        [group.distance(x, y) for x, y in zip(a, b)],
+    )
+    return kernels, methods
+
+
+def log_is_cut(group, g) -> bool:
+    """Whether the principal log is refused: su2 at or within 1e-9 of -1,
+    a finite group away from the identity."""
+    if group is SU2:
+        w, s = g[0], math.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
+        return (s < 1e-15 and w <= 0.0) or (w < 0.0 and s < 1e-9)
+    return isinstance(group, CyclicGroup) and g != 0
+
+
+def assert_exp(group, v, g):
+    """g = exp(v) against the model."""
+    if group is RPLUS:
+        assert g == pytest.approx(math.exp(v[0]), rel=1e-15)
+    elif group is U1:
+        assert bits(g) == bits(wrap_angle(v[0]))
+        # wrapping subtracts multiples of the float TAU, 2.4e-16 short of 2 pi
+        assert abs(cmath.exp(1j * g) - cmath.exp(1j * v[0])) <= 4e-15 * (1.0 + abs(v[0]) / TAU)
+    elif group is SU2:
+        assert np.abs(su2_matrix(g) - expm(algebra_matrix(v))).max() <= 1e-14
+    else:
+        assert g == 0
+
+
+def assert_log(group, g, v):
+    """v = log(g) against the model: exp(v) = g on the principal branch."""
+    assert np.shape(v) == (group.dim,)
+    if group is RPLUS:
+        assert v[0] == pytest.approx(math.log(g), rel=1e-15, abs=1e-15)
+    elif group is U1:
+        assert bits(v) == bits([g])
+    elif group is SU2:
+        assert np.linalg.norm(v) <= math.pi + 1e-15
+        assert np.abs(expm(algebra_matrix(v)) - su2_matrix(g)).max() <= 1e-14
+
+
+# --- kernels and element methods against the models --------------------------------
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
 @PROPERTY
 @given(data=st.data())
 def test_batched_group_law_matches_elements(group, data):
     a = data.draw(elements(group))
     b = data.draw(st.lists(ELEMENTS[group.tag], min_size=len(a), max_size=len(a)))
-    A, B = group.to_array(a), group.to_array(b)
-    assert group.from_array(A) == a
-    assert_matches(group, group.batch_inverse(A), [group.inverse(x) for x in a])
-    assert_matches(group, group.batch_distance(A, B), [group.distance(x, y) for x, y in zip(a, b)])
-    assert_matches(group, group.batch_multiply(A, B), [group.multiply(x, y) for x, y in zip(a, b)])
+    assert group.from_array(group.to_array(a)) == a
+    for prod, inv, dist in law_results(group, a, b):
+        assert_law(group, a, b, prod, inv, dist)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
@@ -128,15 +225,24 @@ def test_batched_group_law_matches_elements(group, data):
 def test_batched_exp_log_match_elements(group, data):
     vs = data.draw(st.lists(COORDS[group.tag], min_size=1, max_size=8))
     V = np.array(vs, dtype=float).reshape(len(vs), group.dim)
-    assert_matches(group, group.batch_exp(V), [group.exp_coords(v) for v in vs])
+    for v, g, h in zip(V, group.from_array(group.batch_exp(V)), [group.exp_coords(v) for v in vs], strict=True):
+        assert_exp(group, v, g)
+        assert_exp(group, v, h)
+
     g = data.draw(elements(group))
-    try:
-        scalar = [group.log_coords(x) for x in g]
-    except LogBranchError:
+    cut = [log_is_cut(group, x) for x in g]
+    if any(cut):
         with pytest.raises(LogBranchError):
             group.batch_log(group.to_array(g))
-        return
-    assert_matches(group, group.batch_log(group.to_array(g)), scalar)
+    else:
+        for x, v in zip(g, group.batch_log(group.to_array(g))):
+            assert_log(group, x, v)
+    for x, refused in zip(g, cut):
+        if refused:
+            with pytest.raises(LogBranchError):
+                group.log_coords(x)
+        else:
+            assert_log(group, x, group.log_coords(x))
 
 
 @pytest.mark.parametrize("group", [RPLUS, U1, SU2], ids=lambda g: g.tag)
@@ -157,15 +263,18 @@ def test_batch_adjoint_is_conjugation_in_log_coordinates(group, data):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_su2_batch_log_branch_rule(s, sign):
     q = SU2.check((sign * math.sqrt(1.0 - s * s), s, 0.0, 0.0))
-    try:
-        expected = SU2.log_coords(q)
-    except LogBranchError:
+    batch = SU2.to_array([SU2.identity, q])
+    if sign < 0.0 and s < 1e-9:  # at or within 1e-9 of the cut locus -1
         with pytest.raises(LogBranchError):
-            SU2.batch_log(SU2.to_array([SU2.identity, q]))
+            SU2.batch_log(batch)
+        with pytest.raises(LogBranchError):
+            SU2.log_coords(q)
         return
-    got = SU2.batch_log(SU2.to_array([SU2.identity, q]))
+    expected = [math.atan2(q[1], q[0]), 0.0, 0.0]  # a rotation about the x axis
+    got = SU2.batch_log(batch)
     assert np.all(got[0] == 0.0)
     assert np.allclose(got[1], expected, rtol=1e-15, atol=1e-15)
+    assert np.allclose(SU2.log_coords(q), expected, rtol=1e-15, atol=1e-15)
 
 
 def test_zmod_kernels_stay_exact_at_the_order_limit():
@@ -173,10 +282,8 @@ def test_zmod_kernels_stay_exact_at_the_order_limit():
     z = zmod(m)
     a = [m - 1, m - 2, 1, 0]
     b = [m - 1, 3, m - 1, 0]
-    A, B = z.to_array(a), z.to_array(b)
-    assert z.from_array(z.batch_multiply(A, B)) == [z.multiply(x, y) for x, y in zip(a, b)]
-    assert z.from_array(z.batch_inverse(A)) == [z.inverse(x) for x in a]
-    assert bits(z.batch_distance(A, B)) == bits([z.distance(x, y) for x, y in zip(a, b)])
+    for prod, inv, dist in law_results(z, a, b):
+        assert_law(z, a, b, prod, inv, dist)
 
 
 # --- the scalar triad loops, kept as the oracle -------------------------------------

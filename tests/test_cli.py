@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holopc.cli import main
-from holopc.groups import SU2, U1, UnitQuaternions
+from holopc.groups import SU2, U1, CircleGroup, CyclicGroup, Group, PositiveReals, UnitQuaternions, wrap_angle
 from holopc.pcmatrix import default_indicator, from_upper_triangle, random_pc_matrix
 from holopc.serialize import complex_to_obj, field_to_obj, save_matrix, save_obj
 from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
@@ -217,23 +217,110 @@ def test_holonomy_curvatures_match_global_ii(tmp_path, capsys):
         assert abs(c["in_value"] - ind(triangle_curvature(K, F, c["triangle"]))) < 1e-12
 
 
-def test_holonomy_checks_each_field_value_once(tmp_path, capsys, monkeypatch):
-    # parsing checks each edge value; the matrix, the curvatures and
-    # global_ii run on the batched kernels and call no element method
+# --- no CLI path runs the element group law ----------------------------------------
+
+ELEMENT_LAW = ("multiply", "inverse", "distance", "log_coords", "exp_coords")
+GROUP_CLASSES = (PositiveReals, CircleGroup, UnitQuaternions, CyclicGroup)
+
+
+def _matrix_file(tmp_path, A):
+    path = tmp_path / "m.json"
+    save_matrix(A, path)
+    return str(path)
+
+
+def _complex_file(tmp_path, K):
+    path = tmp_path / "k.json"
+    save_obj(complex_to_obj(K), path)
+    return str(path)
+
+
+def _u1_winding_matrix():
+    # full-circle gauges: the principal-branch projection misses a winding,
+    # so consistencize_abelian falls back to Gauss-Newton
+    rng = np.random.default_rng(0)
+    lam = rng.uniform(-math.pi, math.pi, 5)
+    return from_upper_triangle(
+        U1, [wrap_angle(lam[j] - lam[i] + 0.5 * rng.normal()) for i in range(5) for j in range(i + 1, 5)]
+    )
+
+
+def _holonomy_files(tmp_path):
     K = grid_complex(3)
     rng = np.random.default_rng(86)
-    F = EdgeField(SU2, {e: SU2.haar_sample(rng) for e in K.edges})
-    cpath, fpath = tmp_path / "k.json", tmp_path / "f.json"
-    save_obj(complex_to_obj(K), cpath)
-    save_obj(field_to_obj(F), fpath)
+    fpath = tmp_path / "f.json"
+    save_obj(field_to_obj(EdgeField(SU2, {e: SU2.haar_sample(rng) for e in K.edges})), fpath)
+    return [_complex_file(tmp_path, K), str(fpath)]
+
+
+MONTECARLO = ["montecarlo", "-N", "1500", "--seed", "4"]
+
+# (argv from a tmp_path, carrier checks the call makes): each value read from
+# a file is checked once, and nothing after parsing checks again
+CLI_CALLS = {
+    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9),
+    "check-u1": (lambda t: ["check", _matrix_file(t, random_pc_matrix(U1, 5, rng=87))], 25),
+    "check-su2": (lambda t: ["check", _matrix_file(t, random_pc_matrix(SU2, 6, rng=88))], 36),
+    "consistencize-abelian-rplus": (
+        lambda t: ["consistencize", write_csv(t, "m.csv", "1,2,8\n0.5,1,2\n0.125,0.5,1\n"), "--method", "abelian"],
+        9,
+    ),
+    "consistencize-abelian-u1-winding": (
+        lambda t: ["consistencize", _matrix_file(t, _u1_winding_matrix()), "--method", "abelian"],
+        25,
+    ),
+    "consistencize-riemannian-su2": (
+        lambda t: ["consistencize", _matrix_file(t, random_pc_matrix(SU2, 5, rng=89)), "--method", "riemannian"],
+        25,
+    ),
+    "holonomy-su2": (lambda t: ["holonomy", *_holonomy_files(t)], len(grid_complex(3).edges)),
+    "montecarlo-mean-curvature-su2": (
+        lambda t: [*MONTECARLO, "--complex", _complex_file(t, full_simplex(3)), "--group", "su2"],
+        0,
+    ),
+    "montecarlo-sup-curvature-u1": (
+        lambda t: [
+            *MONTECARLO, "--complex", _complex_file(t, full_simplex(3)), "--group", "u1",
+            "--observable", "sup_curvature_In",
+        ],
+        0,
+    ),
+    "montecarlo-wilson-su2": (
+        lambda t: [
+            *MONTECARLO, "--complex", _complex_file(t, full_simplex(3)), "--group", "su2",
+            "--observable", "wilson_character", "--loop", "0", "2", "1", "3", "0",
+        ],
+        0,
+    ),
+    "montecarlo-random-pc-u1": (lambda t: [*MONTECARLO, "--random-pc", "4", "--group", "u1"], 0),
+}
+
+
+def test_group_law_is_defined_once_on_group():
+    for cls in GROUP_CLASSES:
+        assert not set(ELEMENT_LAW) & set(vars(cls)), cls
+
+
+@pytest.mark.parametrize("name", CLI_CALLS)
+def test_cli_calls_no_element_group_law(name, tmp_path, capsys, monkeypatch):
+    build, checks = CLI_CALLS[name]
+    argv = build(tmp_path)
     calls = collections.Counter()
-    for name in ("check", "multiply", "inverse", "distance"):
-        method = getattr(UnitQuaternions, name)
-        counted = lambda self, *a, _name=name, _method=method: calls.update([_name]) or _method(self, *a)  # noqa: E731
-        monkeypatch.setattr(UnitQuaternions, name, counted)
-    code, _, _ = run(capsys, ["holonomy", str(cpath), str(fpath)])
-    assert code == 0
-    assert dict(calls) == {"check": len(K.edges)}
+
+    def count(owner, method_name):
+        method = getattr(owner, method_name)
+        counted = lambda self, *a, _method=method: calls.update([method_name]) or _method(self, *a)  # noqa: E731
+        monkeypatch.setattr(owner, method_name, counted)
+
+    for method_name in ELEMENT_LAW:
+        count(Group, method_name)
+    for cls in GROUP_CLASSES:
+        count(cls, "check")
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 1)
+    assert dict(calls) == ({"check": checks} if checks else {})
+    if name == "consistencize-abelian-u1-winding":
+        assert json.loads(out)["iterations"] > 0  # the Gauss-Newton refinement was returned
 
 
 # --- montecarlo ----------------------------------------------------------------------

@@ -161,12 +161,19 @@ def test_zero_max_iter_and_tol_stay_valid():
 
 
 @pytest.mark.parametrize(
-    "flags, named", [(["--max-iter", "-3"], "--max-iter"), (["--tol", "nan"], "--tol"), (["--tol", "-1"], "--tol")]
+    "flags, named",
+    [
+        (["--method", "riemannian", "--max-iter", "-3"], "--max-iter"),
+        (["--method", "riemannian", "--tol", "nan"], "--tol"),
+        (["--method", "riemannian", "--tol", "-1"], "--tol"),
+        (["--method", "abelian", "--max-iter", "-3", "--tol", "nan"], "--max-iter"),
+        (["--method", "abelian", "--tol", "nan"], "--tol"),
+    ],
 )
 def test_cli_rejects_bad_solver_options(tmp_path, capsys, flags, named):
     path = tmp_path / "q.json"
-    save_matrix(noisy_matrix(SU2, 5, 0.2, 902), path)
-    code = main(["consistencize", str(path), "--method", "riemannian", *flags])
+    save_matrix(noisy_matrix(U1, 5, 0.2, 902), path)  # a matrix both methods accept
+    code = main(["consistencize", str(path), *flags])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

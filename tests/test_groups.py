@@ -227,6 +227,13 @@ def test_group_mismatch_errors():
         zmod(5).multiply(1, 0.5)
 
 
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_rplus_product_leaving_the_positive_reals_raises(x):
+    # overflow to inf and underflow to 0 both leave the carrier
+    with pytest.raises(ValueError, match=r"left \(0, inf\)"):
+        RPLUS.multiply(x, x)
+
+
 def test_u1_canonical_branch():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi

@@ -368,6 +368,15 @@ def test_gauge_transform_identity_and_length():
         gauge_transform(A, (0.0,) * 3)
 
 
+def test_gauge_transform_keeps_gaps():
+    grid = [list(row) for row in random_pc_matrix(U1, 4, rng=19).entries]
+    grid[0][2] = grid[2][0] = None
+    A = PCMatrix(U1, grid)
+    B = gauge_transform(A, (0.5, -1.0, 2.0, 0.25))
+    assert B.gaps() == A.gaps() == [(0, 2), (2, 0)]
+    assert validate(B) == []
+
+
 def test_gauge_transform_preserves_validity_and_abelian_indicator():
     rng = np.random.default_rng(17)
     for variance in (COVARIANT, CONTRAVARIANT):
