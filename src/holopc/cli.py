@@ -11,7 +11,6 @@ and 2 for invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -29,17 +28,17 @@ from .pcmatrix import (
 from .serialize import (
     complex_from_obj,
     field_from_obj,
+    json_text,
     load_json,
     load_matrix,
     matrix_to_obj,
     save_matrix,
-    save_obj,
 )
 from .simplicial import _triangle_scores, holonomy_pc_matrix
 
 
 def _print_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json_text(report)
     print(text)
     if out:
         with open(out, "w") as fh:
@@ -117,8 +116,7 @@ def cmd_consistencize(args) -> int:
     if args.out:
         save_matrix(result.matrix, args.out)
         report["out"] = args.out
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    _print_report(report, None)
     return 0
 
 
@@ -172,7 +170,7 @@ def cmd_montecarlo(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             report["histogram_csv"] = args.out
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print_report(report, None)
             return 0
         _print_report(report, args.out)
         return 0

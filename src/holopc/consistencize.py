@@ -100,7 +100,7 @@ def _gauge_array(G: Group, lam) -> np.ndarray:
     checked; an ndarray is taken to be a carrier array already."""
     if isinstance(lam, np.ndarray):
         return lam
-    return G.to_array([G.check(v) for v in lam])
+    return G.batch_check(lam)
 
 
 def residual_between(A: PCMatrix, C: PCMatrix) -> float:

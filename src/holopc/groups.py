@@ -22,7 +22,9 @@ methods (``multiply``, ``inverse``, ``distance``, ``exp_coords``,
 check each input with the group's :meth:`Group.check`, run the kernel on a
 carrier array of length one, and return the plain value.  A call costs a
 few microseconds of numpy overhead, so code that handles many elements
-builds carrier arrays and calls the kernels itself.  ``batch_adjoint`` has
+builds carrier arrays and calls the kernels itself; :meth:`Group.batch_check`
+checks a whole sequence of raw values into a carrier array, bit for bit as
+``check`` would one at a time.  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
 which the Gauss-Newton consistencizer needs.
 """
@@ -122,9 +124,23 @@ class Group:
         """JSON-ready representation of an element that already passed :meth:`check`."""
         return a
 
+    def unwrap_obj(self, obj):
+        """The unchecked carrier value inside the representation written by
+        :meth:`element_to_obj`; raises :class:`GroupMismatchError` on another shape."""
+        return obj
+
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
-        raise NotImplementedError
+        return self.check(self.unwrap_obj(obj))
+
+    def batch_check(self, values) -> np.ndarray:
+        """Carrier array of the sequence ``values``, each canonicalized as
+        :meth:`check` does, bit for bit.  On a bad value raise what
+        :meth:`check` raises on the first one.  Here it is the loop over
+        :meth:`check`; a group whose check is arithmetic on the carrier
+        runs it on the whole array instead and falls back to the loop only
+        to name the bad value."""
+        return self.to_array([self.check(v) for v in values])
 
     # -- array forms: carrier arrays of checked elements, never checked again --
 
@@ -223,9 +239,6 @@ class PositiveReals(Group):
     def batch_log(self, g):
         return np.log(g)[..., None]
 
-    def element_from_obj(self, obj):
-        return self.check(obj)
-
 
 class CircleGroup(Group):
     """U(1) stored as an angle on the canonical branch (-pi, pi]."""
@@ -259,10 +272,10 @@ class CircleGroup(Group):
     def checked_to_obj(self, a):
         return {"theta": a}
 
-    def element_from_obj(self, obj):
+    def unwrap_obj(self, obj):
         if not isinstance(obj, dict) or "theta" not in obj:
             raise GroupMismatchError(f"group mismatch: {obj!r} is not a u1 element")
-        return self.check(obj["theta"])
+        return obj["theta"]
 
 
 class UnitQuaternions(Group):
@@ -289,6 +302,22 @@ class UnitQuaternions(Group):
             raise GroupMismatchError(f"group mismatch: quaternion norm {math.sqrt(n2):.6g} != 1")
         n = math.sqrt(n2)
         return tuple(c / n for c in q)
+
+    def batch_check(self, values):
+        # check's arithmetic on an (N, 4) float array, in the same order; any
+        # value that is not four real numbers, or fails a test, goes to the loop
+        try:
+            q = np.array(values)
+        except (TypeError, ValueError, OverflowError):
+            q = None
+        if q is not None and q.dtype.kind in "fiu" and q.ndim == 2 and q.shape[1] == 4:
+            q = q.astype(float, copy=False)
+            w, x, y, z = q.T
+            with np.errstate(over="ignore"):  # a huge component fails the norm test below
+                n2 = w * w + x * x + y * y + z * z
+            if np.all(np.abs(n2 - 1.0) <= 1e-6):  # false on nan and inf: the finite test too
+                return q / np.sqrt(n2)[:, None]
+        return super().batch_check(values)
 
     # The kernels below spell out every sum term by term: a numpy reduction
     # over the last axis would add in another order and move result bits.
@@ -366,10 +395,10 @@ class UnitQuaternions(Group):
     def checked_to_obj(self, a):
         return {"q": list(a)}
 
-    def element_from_obj(self, obj):
+    def unwrap_obj(self, obj):
         if not isinstance(obj, dict) or "q" not in obj:
             raise GroupMismatchError(f"group mismatch: {obj!r} is not an su2 element")
-        return self.check(obj["q"])
+        return obj["q"]
 
 
 MAX_CYCLIC_ORDER = 2**62  # residue sums a + b stay below 2**63, inside int64
@@ -417,9 +446,6 @@ class CyclicGroup(Group):
 
     def batch_haar_sample(self, rng, shape):
         return rng.integers(self.m, size=shape)
-
-    def element_from_obj(self, obj):
-        return self.check(obj)
 
 
 RPLUS = PositiveReals()

@@ -156,7 +156,7 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
     n = round((1 + (1 + 8 * m) ** 0.5) / 2)
     if n < 2 or n * (n - 1) // 2 != m:
         raise ValueError(f"{m} values do not fill a strict upper triangle with n >= 2")
-    upper = group.to_array([group.check(v) for v in values])
+    upper = group.batch_check(values)
     return _from_upper_array(group, n, upper, variance)
 
 
@@ -437,7 +437,9 @@ def _gauge_matrix(group: Group, lam: np.ndarray, variance: str) -> PCMatrix:
 
 def normalize_gauge(group: Group, lam: Sequence[Element]) -> tuple[Element, ...]:
     """Left-translate so the first component is the identity."""
-    lam = group.to_array([group.check(v) for v in lam])
+    lam = group.batch_check(lam)
+    if len(lam) == 0:
+        raise ValueError("normalize_gauge needs at least one gauge component, got none")
     shift = group.batch_inverse(lam[0])
     return (group.identity,) + tuple(group.from_array(group.batch_multiply(shift, lam[1:])))
 
@@ -469,7 +471,7 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
     a bi-invariant distance are unchanged.  Gaps are preserved.
     """
     G = A.group
-    mu = G.to_array([G.check(v) for v in mu])
+    mu = G.batch_check(mu)
     if len(mu) != A.n:
         raise ValueError(f"gauge length {len(mu)} does not match matrix size {A.n}")
     I, J = _pairs(A.n)

@@ -221,7 +221,7 @@ def identity_field(K: SimplicialComplex2, group: Group) -> EdgeField:
 def field_from_gauge(K: SimplicialComplex2, group: Group, lam: Sequence[Element]) -> EdgeField:
     """The flat field h_ij = lam_j * lam_i^-1; every triangle has identity
     curvature and the induced matrix is contravariant-consistent."""
-    lam = group.to_array([group.check(v) for v in lam])
+    lam = group.batch_check(lam)
     if len(lam) != K.vertices:
         raise ValueError(f"gauge length {len(lam)} does not match {K.vertices} vertices")
     I, J = _edge_ends(K)
@@ -407,7 +407,7 @@ def gauge_transform_field(
     unchanged.
     """
     G = F.group
-    mu = G.to_array([G.check(v) for v in mu])
+    mu = G.batch_check(mu)
     if len(mu) != K.vertices:
         raise ValueError(f"gauge length {len(mu)} does not match {K.vertices} vertices")
     I, J = _edge_ends(K)

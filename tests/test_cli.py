@@ -255,27 +255,32 @@ def _holonomy_files(tmp_path):
 
 MONTECARLO = ["montecarlo", "-N", "1500", "--seed", "4"]
 
-# (argv from a tmp_path, carrier checks the call makes): each value read from
-# a file is checked once, and nothing after parsing checks again
+# (argv from a tmp_path, element check calls, values parsed through batch_check):
+# each JSON document goes through one batch_check, which runs su2 as arrays and
+# the other groups as a loop over check; nothing after parsing checks again
 CLI_CALLS = {
-    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9),
-    "check-u1": (lambda t: ["check", _matrix_file(t, random_pc_matrix(U1, 5, rng=87))], 25),
-    "check-su2": (lambda t: ["check", _matrix_file(t, random_pc_matrix(SU2, 6, rng=88))], 36),
+    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9, 0),
+    "check-u1": (lambda t: ["check", _matrix_file(t, random_pc_matrix(U1, 5, rng=87))], 25, 25),
+    "check-su2": (lambda t: ["check", _matrix_file(t, random_pc_matrix(SU2, 6, rng=88))], 0, 36),
     "consistencize-abelian-rplus": (
         lambda t: ["consistencize", write_csv(t, "m.csv", "1,2,8\n0.5,1,2\n0.125,0.5,1\n"), "--method", "abelian"],
         9,
+        0,
     ),
     "consistencize-abelian-u1-winding": (
         lambda t: ["consistencize", _matrix_file(t, _u1_winding_matrix()), "--method", "abelian"],
         25,
+        25,
     ),
     "consistencize-riemannian-su2": (
         lambda t: ["consistencize", _matrix_file(t, random_pc_matrix(SU2, 5, rng=89)), "--method", "riemannian"],
+        0,
         25,
     ),
-    "holonomy-su2": (lambda t: ["holonomy", *_holonomy_files(t)], len(grid_complex(3).edges)),
+    "holonomy-su2": (lambda t: ["holonomy", *_holonomy_files(t)], 0, len(grid_complex(3).edges)),
     "montecarlo-mean-curvature-su2": (
         lambda t: [*MONTECARLO, "--complex", _complex_file(t, full_simplex(3)), "--group", "su2"],
+        0,
         0,
     ),
     "montecarlo-sup-curvature-u1": (
@@ -284,6 +289,7 @@ CLI_CALLS = {
             "--observable", "sup_curvature_In",
         ],
         0,
+        0,
     ),
     "montecarlo-wilson-su2": (
         lambda t: [
@@ -291,8 +297,9 @@ CLI_CALLS = {
             "--observable", "wilson_character", "--loop", "0", "2", "1", "3", "0",
         ],
         0,
+        0,
     ),
-    "montecarlo-random-pc-u1": (lambda t: [*MONTECARLO, "--random-pc", "4", "--group", "u1"], 0),
+    "montecarlo-random-pc-u1": (lambda t: [*MONTECARLO, "--random-pc", "4", "--group", "u1"], 0, 0),
 }
 
 
@@ -303,7 +310,7 @@ def test_group_law_is_defined_once_on_group():
 
 @pytest.mark.parametrize("name", CLI_CALLS)
 def test_cli_calls_no_element_group_law(name, tmp_path, capsys, monkeypatch):
-    build, checks = CLI_CALLS[name]
+    build, checks, parsed = CLI_CALLS[name]
     argv = build(tmp_path)
     calls = collections.Counter()
 
@@ -316,9 +323,16 @@ def test_cli_calls_no_element_group_law(name, tmp_path, capsys, monkeypatch):
         count(Group, method_name)
     for cls in GROUP_CLASSES:
         count(cls, "check")
+    for owner in (Group, UnitQuaternions):  # the classes that define batch_check
+        method = owner.batch_check
+        counted = lambda self, values, _m=method: (  # noqa: E731
+            calls.update(batch_check=1, batch_checked=len(values)) or _m(self, values)
+        )
+        monkeypatch.setattr(owner, "batch_check", counted)
     code, out, _ = run(capsys, argv)
     assert code in (0, 1)
-    assert dict(calls) == ({"check": checks} if checks else {})
+    expected = {"check": checks, "batch_check": 1 if parsed else 0, "batch_checked": parsed}
+    assert dict(calls) == {k: v for k, v in expected.items() if v}
     if name == "consistencize-abelian-u1-winding":
         assert json.loads(out)["iterations"] > 0  # the Gauss-Newton refinement was returned
 

@@ -165,10 +165,22 @@ def test_haar_requires_compact():
         RPLUS.haar_sample(np.random.default_rng(0))
 
 
+def _haar_distances(group, seed: int, n: int) -> np.ndarray:
+    """d(1, g) for n Haar draws from default_rng(seed), drawn and scored as
+    arrays.  The first 1,000 must equal the element methods on the same
+    stream: exactly for u1, within 1e-14 (a few ulps of pi) for su2, whose
+    element path renormalizes each draw in ``check``."""
+    draws = group.batch_haar_sample(np.random.default_rng(seed), (n,))
+    values = group.batch_distance(group.to_array([group.identity]), draws)
+    rng = np.random.default_rng(seed)
+    elements = [group.distance(group.identity, group.haar_sample(rng)) for _ in range(1000)]
+    np.testing.assert_allclose(elements, values[:1000], rtol=0, atol=0 if group is U1 else 1e-14)
+    return values
+
+
 def test_u1_haar_mean_distance():
     # E|theta| for theta uniform on (-pi, pi] is pi/2.
-    rng = np.random.default_rng(101)
-    vals = [U1.distance(U1.identity, U1.haar_sample(rng)) for _ in range(100_000)]
+    vals = _haar_distances(U1, 101, 100_000)
     assert np.mean(vals) == pytest.approx(math.pi / 2, abs=0.02)
 
 
@@ -177,8 +189,7 @@ def test_su2_haar_mean_distance_matches_quadrature():
     oracle, err = integrate.quad(lambda p: p * (2 / math.pi) * math.sin(p) ** 2, 0, math.pi)
     assert err < 1e-10
     assert oracle == pytest.approx(math.pi / 2, abs=1e-10)
-    rng = np.random.default_rng(102)
-    vals = [SU2.distance(SU2.identity, SU2.haar_sample(rng)) for _ in range(100_000)]
+    vals = _haar_distances(SU2, 102, 100_000)
     assert np.mean(vals) == pytest.approx(oracle, abs=0.02)
 
 

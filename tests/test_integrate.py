@@ -65,16 +65,24 @@ def test_u1_plaquette_is_uniform():
 
 @pytest.mark.parametrize("group", [U1, SU2, zmod(5)], ids=lambda g: g.tag)
 def test_haar_product_closure(group):
-    # the plaquette of a fresh field has the law of a single Haar draw
-    n = 10_000
-    plaq = np.array(
-        [
-            group.distance(group.identity, plaquette(TRIANGLE, sample_field(TRIANGLE, group, sample_rng(13, k)), (0, 1, 2)))
-            for k in range(n)
-        ]
-    )
+    # the plaquette of a fresh field has the law of a single Haar draw; both
+    # are drawn and scored as arrays, and the first 1,000 of each must match
+    # the element methods on the same streams (exactly for u1 and zmod,
+    # within 1e-14, a few ulps of pi, for su2, whose element path renormalizes)
+    n, one = 10_000, group.to_array([group.identity])
+    tol = 1e-14 if group is SU2 else 0
+    X = np.stack([group.batch_haar_sample(sample_rng(13, k), (3,)) for k in range(n)])  # sample_field's draws
+    h01, h02, h12 = X[:, 0], X[:, 1], X[:, 2]  # TRIANGLE.edges order
+    plaq = group.batch_distance(one, group.batch_multiply(group.batch_multiply(group.batch_inverse(h02), h12), h01))
+    elements = [
+        group.distance(group.identity, plaquette(TRIANGLE, sample_field(TRIANGLE, group, sample_rng(13, k)), (0, 1, 2)))
+        for k in range(1000)
+    ]
+    np.testing.assert_allclose(elements, plaq[:1000], rtol=0, atol=tol)
+    single = group.batch_distance(one, group.batch_haar_sample(np.random.default_rng(14), (n,)))
     rng = np.random.default_rng(14)
-    single = np.array([group.distance(group.identity, group.haar_sample(rng)) for _ in range(n)])
+    elements = [group.distance(group.identity, group.haar_sample(rng)) for _ in range(1000)]
+    np.testing.assert_allclose(elements, single[:1000], rtol=0, atol=tol)
     stat = stats.ks_2samp(plaq, single).statistic
     assert stat < KS_1PCT * math.sqrt(2.0 / n)
 

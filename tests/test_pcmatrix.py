@@ -342,6 +342,13 @@ def test_gauge_extract_round_trip():
                 assert group.distance(a, b) < 1e-10
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+def test_normalize_gauge_needs_a_component(group):
+    with pytest.raises(ValueError, match="at least one gauge component"):
+        normalize_gauge(group, [])
+    assert normalize_gauge(group, [group.identity]) == (group.identity,)
+
+
 def test_gauge_extract_refuses_inconsistent():
     A = from_upper_triangle(RPLUS, [2.0, 4.0, 4.0])
     with pytest.raises(InconsistentMatrixError) as err:

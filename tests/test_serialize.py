@@ -1,14 +1,20 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopc.errors import ParseError
-from holopc.groups import RPLUS, SU2, U1, CircleGroup, zmod
+from holopc.groups import RPLUS, SU2, U1, CircleGroup, Group, zmod
 from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
 from holopc.serialize import (
     complex_from_obj,
     complex_to_obj,
     field_from_obj,
     field_to_obj,
+    json_text,
     load_json,
     load_matrix,
     matrix_from_csv,
@@ -18,6 +24,10 @@ from holopc.serialize import (
     save_matrix,
 )
 from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field
+
+Z7 = zmod(7)
+GROUPS = [RPLUS, U1, SU2, Z7]
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def test_matrix_json_round_trip():
@@ -33,16 +43,17 @@ def test_matrix_json_round_trip():
 def test_documents_check_each_value_once(monkeypatch):
     A = random_pc_matrix(U1, 5, rng=71)
     F = EdgeField(U1, {(0, 1): 0.3, (1, 2): -2.0, (0, 2): 3.1})
-    checked = []
-    check = CircleGroup.check
+    checked, batches = [], []
+    check, batch_check = CircleGroup.check, Group.batch_check
     monkeypatch.setattr(CircleGroup, "check", lambda self, a: checked.append(a) or check(self, a))
+    monkeypatch.setattr(Group, "batch_check", lambda self, vs: batches.append(len(vs)) or batch_check(self, vs))
     obj, fobj = matrix_to_obj(A), field_to_obj(F)
-    assert checked == []  # stored carriers are written as they are
+    assert checked == [] and batches == []  # stored carriers are written as they are
     assert matrix_from_obj(obj) == A
-    assert len(checked) == 25
-    del checked[:]
+    assert len(checked) == 25 and batches == [25]  # one batch per document
+    del checked[:], batches[:]
     assert field_from_obj(fobj).items() == F.items()
-    assert len(checked) == 3
+    assert len(checked) == 3 and batches == [3]
 
 
 def test_matrix_json_preserves_gaps():
@@ -129,3 +140,216 @@ def test_field_errors():
     obj["group"] = "unknown"
     with pytest.raises(ParseError):
         field_from_obj(obj)
+
+
+def test_document_sizes_must_be_integers():
+    bad = [
+        (matrix_from_obj, {"group": "u1", "n": 2.9, "entries": [None] * 4}, "'n'"),
+        (matrix_from_obj, {"group": "u1", "n": True, "entries": [None]}, "'n'"),
+        (matrix_from_obj, {"group": "u1", "n": "2", "entries": [None] * 4}, "'n'"),
+        (complex_from_obj, {"vertices": 3.5, "edges": [[0, 1]]}, "'vertices'"),
+        (complex_from_obj, {"vertices": True}, "'vertices'"),
+        (complex_from_obj, {"vertices": math.inf}, "'vertices'"),
+        (complex_from_obj, {"vertices": 3, "base": 1.7}, "'base'"),
+        (complex_from_obj, {"vertices": 3, "base": False}, "'base'"),
+    ]
+    for parse, doc, key in bad:
+        with pytest.raises(ParseError, match=f"{key} must be an integer, got {doc[key.strip(chr(39))]!r}"):
+            parse(doc)
+    assert matrix_from_obj({"group": "u1", "n": 2, "entries": [None] * 4}).n == 2
+    assert matrix_from_obj({"group": "u1", "n": 2.0, "entries": [None] * 4}).n == 2
+    K = complex_from_obj({"vertices": 3.0, "edges": [[0, 1]], "base": np.int64(2)})
+    assert (K.vertices, K.base) == (3, 2)
+
+
+# --- the writer against json.dumps ------------------------------------------------
+
+SPECIAL_TEXT = ['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9", "\u6f22\u5b57", "\U0001f600", "\u2028", "\ud800"]
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    json_floats,
+    json_floats.map(np.float64),
+    st.text(),
+    st.sampled_from(SPECIAL_TEXT),
+)
+json_keys = st.one_of(st.text(), st.sampled_from(SPECIAL_TEXT))
+scalar_keys = st.one_of(st.integers(-(2**70), 2**70), json_floats, st.booleans())
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=6),
+        st.lists(kids, max_size=6).map(tuple),
+        st.dictionaries(json_keys, kids, max_size=6),
+        st.dictionaries(scalar_keys, kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@PROPERTY
+@given(json_trees)
+def test_json_text_is_json_dumps(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(3), {"a": [1.0, np.int64(2)]}, {1, 2}, b"x", [object()], {(1, 2): 0}, {"a": 1, 2: 3}, {None: 1, 0: 2}],
+    ids=["np-int64", "nested-np-int64", "set", "bytes", "object", "tuple-key", "str-and-int-keys", "none-and-int-keys"],
+)
+def test_json_text_raises_what_json_raises(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        json_text(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_reports_are_written_by_json_text(tmp_path):
+    A = random_pc_matrix(SU2, 4, rng=72)
+    save_matrix(A, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text() == json.dumps(matrix_to_obj(A), indent=2, sort_keys=True) + "\n"
+
+
+# --- batch_check against the check loop, and document errors -------------------------
+
+
+def _checks(group, v) -> bool:
+    try:
+        group.check(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _unit_times(vs):
+    v, stretch = vs
+    n = math.sqrt(sum(c * c for c in v))
+    return [c / n * stretch for c in v]
+
+
+# raw quaternions around the unit sphere, out to the 1e-6 norm tolerance and past it
+near_unit = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: sum(c * c for c in v) > 1e-3),
+    st.floats(1.0 - 5.1e-7, 1.0 + 5.1e-7),
+).map(_unit_times)
+VALID = {
+    "rplus": st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 2**60)),
+    "u1": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60)),
+    "su2": st.one_of(
+        near_unit,
+        near_unit.map(tuple),
+        near_unit.map(np.array),
+        st.sampled_from([[1, 0, 0, 0], (0, 0, -1, 0), [0.0, -0.0, 1, 0], [True, 0, 0, 0], ["1", "0", "0", "0"]]),
+    ).filter(lambda v: _checks(SU2, v)),
+    "zmod:7": st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**62), 2**62).map(np.int64)),
+}
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_batch_check_is_the_check_loop(group, data):
+    values = data.draw(st.lists(VALID[group.tag], max_size=12))
+    got, expected = group.batch_check(values), group.to_array([group.check(v) for v in values])
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
+
+
+# element documents that element_from_obj refuses: wrong length or type, nan, a
+# norm 2e-6 off, a bool, the wrapper of another group
+BAD = {
+    "rplus": [-1.0, 0.0, math.nan, True, "x", [1.0], {"theta": 0.1}],
+    "u1": [{"theta": math.nan}, {"theta": True}, {"theta": "x"}, {"theta": [0.1, 0.2]}, 0.5, {"q": [1, 0, 0, 0]}],
+    "su2": [
+        {"q": [1.0, 0.0, 0.0]},
+        {"q": "x"},
+        {"q": "1000"},
+        {"q": [math.nan, 0.0, 0.0, 0.0]},
+        {"q": [math.sqrt(1.0 + 2e-6), 0.0, 0.0, 0.0]},
+        {"q": True},
+        {"q": [1.0, 0.0, 0.0, "x"]},
+        {"q": [[1.0], 0.0, 0.0, 0.0]},
+        [1.0, 0.0, 0.0, 0.0],
+        {"theta": 0.1},
+    ],
+    "zmod:7": [1.5, "x", True, [1], {"theta": 1}],
+}
+
+
+def _refusal(group, obj) -> str:
+    with pytest.raises(ValueError) as err:
+        group.element_from_obj(obj)
+    return str(err.value)
+
+
+def _field(group, K, rng):
+    if group.compact:
+        return EdgeField(group, {e: group.haar_sample(rng) for e in K.edges})
+    return EdgeField(group, {e: math.exp(rng.normal()) for e in K.edges})
+
+
+def _spoil(data, doc, slots, bad, later):
+    """Put ``bad`` in a drawn slot of ``doc`` and ``later``, unless None, in
+    the same or a later slot; return the slot of the first bad element."""
+    p = data.draw(st.integers(0, len(slots) - 1))
+    doc[slots[p]] = bad
+    if later is not None:
+        doc[slots[data.draw(st.integers(p, len(slots) - 1))]] = later
+    return slots[p]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_bad_element_is_named_as_element_by_element(group, data):
+    # the error is the one-element parse's on the first bad element
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(2, 5))
+    if group.compact:
+        A = random_pc_matrix(group, n, rng)
+    else:
+        A = from_upper_triangle(group, list(np.exp(rng.normal(size=n * (n - 1) // 2))))
+    bad, later = data.draw(st.sampled_from(BAD[group.tag])), data.draw(st.sampled_from([None] + BAD[group.tag]))
+    obj = matrix_to_obj(A)
+    i = _spoil(data, obj["entries"], range(n * n), bad, later)
+    with pytest.raises(ParseError) as err:
+        matrix_from_obj(obj)
+    assert str(err.value) == f"bad matrix document: {_refusal(group, obj['entries'][i])}"
+    fobj = field_to_obj(_field(group, full_simplex(n - 1), rng))
+    key = _spoil(data, fobj["values"], list(fobj["values"]), bad, later)
+    with pytest.raises(ParseError) as err:
+        field_from_obj(fobj)
+    assert str(err.value) == f"bad element on edge {key}: {_refusal(group, fobj['values'][key])}"
+
+
+def test_bad_key_and_bad_element_in_document_order():
+    K = full_simplex(2)
+    values = field_to_obj(identity_field(K, SU2))["values"]  # keys 0-1, 0-2, 1-2
+    bad_value = dict(values, **{"0-2": {"q": [2.0, 0.0, 0.0, 0.0]}})
+    with pytest.raises(ParseError, match="bad element on edge 0-2"):
+        field_from_obj({"group": "su2", "values": {**bad_value, "x": values["1-2"]}})
+    with pytest.raises(ParseError, match="bad edge key 'x'"):
+        field_from_obj({"group": "su2", "values": {"x": values["0-1"], **bad_value}})
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_documents_parse_as_element_by_element(group):
+    rng = np.random.default_rng(73)
+    K = grid_complex(2)
+    fobj = field_to_obj(_field(group, K, rng))
+    F = field_from_obj(fobj)
+    assert F.items() == [(e, group.element_from_obj(fobj["values"][f"{e[0]}-{e[1]}"])) for e in K.edges]
+    obj = matrix_to_obj(from_upper_triangle(group, [v for _, v in F.items()][:6]))
+    obj["entries"][1] = obj["entries"][4] = None
+    A = matrix_from_obj(obj)
+    expected = [None if v is None else group.element_from_obj(v) for v in obj["entries"]]
+    assert [e for row in A.entries for e in row] == expected
