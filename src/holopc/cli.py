@@ -31,7 +31,6 @@ from .serialize import (
     json_text,
     load_json,
     load_matrix,
-    matrix_to_obj,
     save_matrix,
 )
 from .simplicial import _triangle_scores, holonomy_pc_matrix
@@ -106,7 +105,7 @@ def cmd_consistencize(args) -> int:
         "n": A.n,
         "method": args.method,
         "lambda": [G.checked_to_obj(v) for v in result.lam],
-        "matrix": matrix_to_obj(result.matrix),
+        "matrix": result.matrix,
         "residual": result.residual,
         "ii_before": result.ii_before,
         "ii_after": result.ii_after,
@@ -135,7 +134,7 @@ def cmd_holonomy(args) -> int:
     report = {
         "group": F.group.tag,
         "vertices": K.vertices,
-        "matrix": matrix_to_obj(A),
+        "matrix": A,
         "curvatures": curvatures,
         "global_ii": value,
         "worst_triangle": list(worst) if worst else None,

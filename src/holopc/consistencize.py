@@ -239,7 +239,7 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
     _require_ready(A)
     G = A.group
     n = A.n
-    lam = G.to_array([G.identity] + [A.entry(0, j) for j in range(1, n)])
+    lam = np.concatenate((G.to_array([G.identity]), _entry_array(A)[0, 1:]))
     f = lsq_objective(A, lam)
     ad, half = _linearize(A, lam)
 

@@ -81,6 +81,7 @@ class Group:
     compact: bool
     identity: Element
     dtype = float  # carrier array dtype
+    obj_key: str | None = None  # an element's JSON form: the bare carrier, or {obj_key: carrier}
 
     def check(self, a: Element) -> Element:
         """Return the canonicalized element, or raise :class:`GroupMismatchError`."""
@@ -121,13 +122,22 @@ class Group:
         return self.checked_to_obj(self.check(a))
 
     def checked_to_obj(self, a: Element):
-        """JSON-ready representation of an element that already passed :meth:`check`."""
-        return a
+        """JSON-ready representation of an element that already passed
+        :meth:`check`: the carrier itself, or ``{obj_key: carrier}`` with a
+        quaternion as a list.  This is the one place that decides an
+        element's JSON shape; the report writer fills a template of it."""
+        if self.obj_key is None:
+            return a
+        return {self.obj_key: list(a) if isinstance(a, tuple) else a}
 
     def unwrap_obj(self, obj):
         """The unchecked carrier value inside the representation written by
         :meth:`element_to_obj`; raises :class:`GroupMismatchError` on another shape."""
-        return obj
+        if self.obj_key is None:
+            return obj
+        if not isinstance(obj, dict) or self.obj_key not in obj:
+            raise GroupMismatchError(f"group mismatch: {obj!r} is not a {self.tag} element")
+        return obj[self.obj_key]
 
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
@@ -200,7 +210,10 @@ class Group:
 def _as_real(tag: str, a) -> float:
     if isinstance(a, bool) or not isinstance(a, (int, float, np.integer, np.floating)):
         raise GroupMismatchError(f"group mismatch: {a!r} is not a {tag} element")
-    x = float(a)
+    try:
+        x = float(a)
+    except OverflowError:  # an int beyond the float range
+        raise GroupMismatchError(f"group mismatch: {tag} element {a!r} is too large for a float") from None
     if not math.isfinite(x):
         raise GroupMismatchError(f"group mismatch: non-finite {tag} element {a!r}")
     return x
@@ -247,6 +260,7 @@ class CircleGroup(Group):
     dim = 1
     compact = True
     identity = 0.0
+    obj_key = "theta"
 
     def check(self, a):
         return wrap_angle(_as_real(self.tag, a))
@@ -269,14 +283,6 @@ class CircleGroup(Group):
     def batch_haar_sample(self, rng, shape):
         return wrap_angles(rng.uniform(-math.pi, math.pi, size=shape))
 
-    def checked_to_obj(self, a):
-        return {"theta": a}
-
-    def unwrap_obj(self, obj):
-        if not isinstance(obj, dict) or "theta" not in obj:
-            raise GroupMismatchError(f"group mismatch: {obj!r} is not a u1 element")
-        return obj["theta"]
-
 
 class UnitQuaternions(Group):
     """SU(2) realized as unit quaternions (w, x, y, z)."""
@@ -285,6 +291,7 @@ class UnitQuaternions(Group):
     dim = 3
     compact = True
     identity = (1.0, 0.0, 0.0, 0.0)
+    obj_key = "q"
 
     def check(self, a):
         if isinstance(a, np.ndarray):
@@ -293,7 +300,7 @@ class UnitQuaternions(Group):
             raise GroupMismatchError(f"group mismatch: {a!r} is not a quaternion")
         try:
             q = tuple(float(c) for c in a)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GroupMismatchError(f"group mismatch: {a!r} is not a quaternion") from exc
         if not all(math.isfinite(c) for c in q):
             raise GroupMismatchError(f"group mismatch: non-finite quaternion {a!r}")
@@ -391,14 +398,6 @@ class UnitQuaternions(Group):
             if not small.any():
                 return v / n[..., None]
             v[small] = rng.normal(size=(int(small.sum()), 4))
-
-    def checked_to_obj(self, a):
-        return {"q": list(a)}
-
-    def unwrap_obj(self, obj):
-        if not isinstance(obj, dict) or "q" not in obj:
-            raise GroupMismatchError(f"group mismatch: {obj!r} is not an su2 element")
-        return obj["q"]
 
 
 MAX_CYCLIC_ORDER = 2**62  # residue sums a + b stay below 2**63, inside int64

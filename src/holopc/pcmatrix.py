@@ -5,6 +5,16 @@ the reciprocity law a[j][i] = a[i][j]^-1.  Entries may be absent ("gaps")
 when the matrix is assembled from an incomplete comparison graph; the gap
 pattern is symmetric and the diagonal is never gapped.
 
+A :class:`PCMatrix` stores the carrier array of its present entries in
+row-major order and, when some entry is a gap, their flat positions
+``i * n + j``.  The holonomy matrix of a field on ``grid_complex(20)`` is
+2,921 carriers and positions instead of a 441 x 441 grid of which 191,560
+cells are gaps.  Every constructor fills these arrays directly; the grid of
+plain elements, ``entries``, is built only when something reads it.
+Matrices that break the axioms (a gap without its mirror, a wrong
+reciprocal or diagonal) are stored as given, so :func:`validate` can name
+the violation.
+
 The module provides validation, the two consistency notions (covariant
 a_ij * a_jk = a_ik and contravariant a_jk * a_ij = a_ik), triad holonomy,
 the classical triad indicator ii3 with its chain variant, the group-valued
@@ -46,36 +56,53 @@ Indicator = Callable[[Element], float]
 
 
 class PCMatrix:
-    """Immutable n x n grid of optional group elements.
+    """Immutable n x n matrix of optional group elements.
 
-    ``entries`` is any nested sequence; ``None`` marks a gap.  Carrier
-    values are canonicalized through the group on construction, once: the
-    triad sweeps work on a carrier array of the checked entries and never
-    check them again.
+    The matrix is stored as the carrier array of its present entries, in
+    row-major order, and their flat positions ``i * n + j`` (``None`` when
+    no entry is a gap), so a sparse comparison graph costs memory for its
+    edges only.  The public constructor takes any nested sequence of rows
+    with ``None`` marking a gap and checks the present values once, with
+    one ``group.batch_check``; the triad sweeps and solvers work on the
+    carrier array and never check it again.  ``entries``, the grid of plain
+    elements, is a read-only view built on first access.
     """
 
-    __slots__ = ("group", "n", "variance", "entries", "_array")
+    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_array")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
-        self._set(group, [[None if e is None else group.check(e) for e in row] for row in entries], variance)
+        rows = [list(r) for r in entries]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("entries must form a square grid with n >= 2")
+        flat = [e for r in rows for e in r]
+        pos = [p for p, e in enumerate(flat) if e is not None]
+        self._set(group, n, group.batch_check([flat[p] for p in pos]), np.array(pos, dtype=np.intp), variance)
 
     @classmethod
-    def _of_checked(cls, group: Group, rows, variance: str) -> PCMatrix:
-        """Wrap a grid of elements that already passed ``group.check``."""
+    def _of_checked(cls, group: Group, n: int, carriers: np.ndarray, positions, variance: str) -> PCMatrix:
+        """Wrap a carrier array of entries that already passed ``group.check``
+        and their sorted flat positions (``None``: all n * n of them)."""
         A = cls.__new__(cls)
-        A._set(group, rows, variance)
+        A._set(group, n, carriers, positions, variance)
         return A
 
-    def _set(self, group, rows, variance) -> None:
+    def _set(self, group, n, carriers, positions, variance) -> None:
         if variance not in (COVARIANT, CONTRAVARIANT):
             raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
-        grid = tuple(tuple(r) for r in rows)
-        if len(grid) < 2 or any(len(r) != len(grid) for r in grid):
+        if n < 2:
             raise ValueError("entries must form a square grid with n >= 2")
+        if positions is not None and len(positions) == n * n:
+            positions = None
+        for arr in (carriers, positions):
+            if arr is not None:
+                arr.flags.writeable = False
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "n", len(grid))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_carriers", carriers)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):
@@ -83,40 +110,50 @@ class PCMatrix:
 
     def __reduce__(self):
         # copy and pickle rebuild from the canonical carriers, unchecked
-        return (type(self)._of_checked, (self.group, self.entries, self.variance))
+        return (type(self)._of_checked, (self.group, self.n, self._carriers, self._positions, self.variance))
+
+    @property
+    def entries(self) -> tuple[tuple[Element | None, ...], ...]:
+        """The n x n grid of plain elements, ``None`` at the gaps."""
+        if self._grid is None:
+            n, values = self.n, self.group.from_array(self._carriers)
+            if self._positions is None:
+                flat = values
+            else:
+                flat = [None] * (n * n)
+                for p, v in zip(self._positions.tolist(), values):
+                    flat[p] = v
+            object.__setattr__(self, "_grid", tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+        return self._grid
 
     def entry(self, i: int, j: int) -> Element | None:
         return self.entries[i][j]
 
     @property
     def gap_free(self) -> bool:
-        return all(e is not None for row in self.entries for e in row)
+        return self._positions is None
 
     def gaps(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.entries[i][j] is None
-        ]
+        """The absent positions (i, j), row-major."""
+        return [divmod(p, self.n) for p in np.flatnonzero(_gap_mask(self)).tolist()]
 
     def triads(self):
         """All index triples i < j < k."""
         return itertools.combinations(range(self.n), 3)
 
+    def _key(self) -> tuple:
+        # plain values, so that -0.0 and 0.0 compare and hash alike
+        pos = None if self._positions is None else tuple(self._positions.tolist())
+        return (self.group, self.variance, self.n, pos, tuple(self._carriers.ravel().tolist()))
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PCMatrix)
-            and other.group == self.group
-            and other.variance == self.variance
-            and other.entries == self.entries
-        )
+        return isinstance(other, PCMatrix) and other._key() == self._key()
 
     def __hash__(self):
-        return hash((self.group, self.variance, self.entries))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        gaps = sum(1 for row in self.entries for e in row if e is None)
+        gaps = self.n * self.n - len(self._carriers)
         extra = f", gaps={gaps}" if gaps else ""
         return f"PCMatrix({self.group.tag}, n={self.n}, {self.variance}{extra})"
 
@@ -131,19 +168,37 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _entry_array(A: PCMatrix) -> np.ndarray:
     """The entries as one read-only carrier array of shape (n, n, ...),
-    gaps filled with the identity; built once per matrix."""
+    gaps filled with the identity: the stored carriers reshaped, or for a
+    gapped matrix built once."""
     if A._array is None:
-        e = A.group.identity
-        M = A.group.to_array([e if v is None else v for row in A.entries for v in row])
-        M = M.reshape((A.n, A.n) + M.shape[1:])
-        M.flags.writeable = False
+        n, C = A.n, A._carriers
+        if A._positions is None:
+            M = C.reshape((n, n) + C.shape[1:])
+        else:
+            M = _identities(A.group, n * n)
+            M[A._positions] = C
+            M = M.reshape((n, n) + C.shape[1:])
+            M.flags.writeable = False
         object.__setattr__(A, "_array", M)
     return A._array
 
 
+def _gap_mask(A: PCMatrix) -> np.ndarray:
+    """An (n, n) bool array, True at the gaps."""
+    gap = np.zeros(A.n * A.n, dtype=bool)
+    if A._positions is not None:
+        gap[:] = True
+        gap[A._positions] = False
+    return gap.reshape(A.n, A.n)
+
+
+def _identities(group: Group, count: int) -> np.ndarray:
+    """A carrier array of ``count`` identities."""
+    return np.repeat(group.to_array([group.identity]), count, axis=0)
+
+
 def identity_matrix(group: Group, n: int, variance: str = COVARIANT) -> PCMatrix:
-    e = group.identity
-    return PCMatrix(group, [[e] * n for _ in range(n)], variance)
+    return PCMatrix._of_checked(group, n, _identities(group, n * n), None, variance)
 
 
 def from_upper_triangle(group: Group, values: Sequence[Element], variance: str = COVARIANT) -> PCMatrix:
@@ -161,19 +216,24 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
 
 
 def _from_upper_array(
-    group: Group, n: int, upper: np.ndarray, variance: str, gaps: Sequence[tuple[int, int]] = ()
+    group: Group, n: int, upper: np.ndarray, variance: str, gap: np.ndarray | None = None
 ) -> PCMatrix:
     """The matrix whose strict upper triangle, row-major, is the carrier
     array ``upper``: identity diagonal, inverses below, nothing re-checked.
-    Each pair (i, j), i < j, in ``gaps`` is absent in both orientations."""
-    grid = [[group.identity] * n for _ in range(n)]
-    pairs = zip(*(idx.tolist() for idx in _pairs(n)))
-    for (i, j), a, b in zip(pairs, group.from_array(upper), group.from_array(group.batch_inverse(upper))):
-        grid[i][j] = a
-        grid[j][i] = b
-    for i, j in gaps:
-        grid[i][j] = grid[j][i] = None
-    return PCMatrix._of_checked(group, grid, variance)
+    Where the bool array ``gap`` over the same pairs is True, the pair is
+    absent in both orientations."""
+    I, J = _pairs(n)
+    tail = upper.shape[1:]
+    M = _identities(group, n * n).reshape((n, n) + tail)
+    M[I, J] = upper
+    M[J, I] = group.batch_inverse(upper)
+    M = M.reshape((n * n,) + tail)
+    if gap is None or not gap.any():
+        return PCMatrix._of_checked(group, n, M, None, variance)
+    keep = np.ones((n, n), dtype=bool)
+    keep[I[gap], J[gap]] = keep[J[gap], I[gap]] = False
+    pos = np.flatnonzero(keep)
+    return PCMatrix._of_checked(group, n, M[pos], pos, variance)
 
 
 def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
@@ -185,7 +245,7 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     """
     G = A.group
     M = _entry_array(A)
-    gap = np.array([[v is None for v in row] for row in A.entries])
+    gap = _gap_mask(A)
     d = np.arange(A.n)
     bad_diag = gap[d, d] | (G.batch_distance(M[d, d], G.to_array([G.identity])) > ALGEBRA_TOL)
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
@@ -206,7 +266,11 @@ def dualize(A: PCMatrix) -> PCMatrix:
     contravariant-consistent ones and back.
     """
     flipped = CONTRAVARIANT if A.variance == COVARIANT else COVARIANT
-    return PCMatrix._of_checked(A.group, zip(*A.entries), flipped)
+    n = A.n
+    pos = np.arange(n * n) if A._positions is None else A._positions
+    moved = (pos % n) * n + pos // n  # (i, j) goes to (j, i)
+    order = np.argsort(moved)
+    return PCMatrix._of_checked(A.group, n, A._carriers[order], moved[order], flipped)
 
 
 def _require_gap_free(A: PCMatrix, message: str) -> None:
@@ -351,12 +415,13 @@ def ii_n_chain(A: PCMatrix) -> float:
     consecutive entries a_i,i+1 * ... * a_j-1,j, as 1 - min(r, 1/r)."""
     _require_rplus(A, "chain inconsistency")
     _require_gap_free(A, "chain inconsistency undefined with gaps")
+    a = _entry_array(A).tolist()
     worst = 1.0
     for i in range(A.n):
         prod = 1.0
         for j in range(i + 1, A.n):
-            prod *= A.entry(j - 1, j)
-            r = A.entry(i, j) / prod
+            prod *= a[j - 1][j]
+            r = a[i][j] / prod
             worst = min(worst, r, 1.0 / r)
     return 1.0 - worst
 
@@ -459,7 +524,7 @@ def gauge_extract(A: PCMatrix, tol: float = 1e-9) -> tuple[Element, ...]:
             f"no gauge vector exists: worst triad {chk.worst_triad} has defect {chk.worst_defect:.3g}",
             witness=chk.worst_triad,
         )
-    return (A.group.identity,) + tuple(A.entry(0, j) for j in range(1, A.n))
+    return (A.group.identity,) + A.entries[0][1:]
 
 
 def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
@@ -481,8 +546,7 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
         upper = G.batch_multiply(G.batch_multiply(mu[J], a), inv[I])
     else:
         upper = G.batch_multiply(G.batch_multiply(inv[I], a), mu[J])
-    gaps = [(i, j) for i, j in A.gaps() if i < j]
-    return _from_upper_array(G, A.n, upper, A.variance, gaps)
+    return _from_upper_array(G, A.n, upper, A.variance, _gap_mask(A)[I, J])
 
 
 def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PCMatrix:

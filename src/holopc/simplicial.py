@@ -14,6 +14,7 @@ transformations.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import MissingEdgeError
 from .groups import Element, Group
-from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _batched_indicator, _holonomies
+from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _batched_indicator, _holonomies, _identities
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -49,7 +50,7 @@ class SimplicialComplex2:
             raise ValueError(f"base vertex {base} out of range")
         edge_set: set[Edge] = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = _cell("edge", e, 2)
             if i == j or not (0 <= i < vertices and 0 <= j < vertices):
                 raise ValueError(f"bad edge ({i},{j})")
             key = (min(i, j), max(i, j))
@@ -58,7 +59,7 @@ class SimplicialComplex2:
             edge_set.add(key)
         tri_set: set[Triangle] = set()
         for t in triangles:
-            i, j, k = sorted(int(v) for v in t)
+            i, j, k = sorted(_cell("triangle", t, 3))
             if len({i, j, k}) != 3:
                 raise ValueError(f"degenerate triangle {tuple(t)}")
             if (i, j, k) in tri_set:
@@ -130,6 +131,30 @@ class SimplicialComplex2:
             f"SimplicialComplex2(V={self.vertices}, E={len(self.edges)}, "
             f"T={len(self.triangles)}, base={self.base})"
         )
+
+
+def _as_integer(value) -> int | None:
+    """``value`` as an int when it is an int or a float with an integral
+    value; None for a bool, a fractional or non-finite number or anything
+    else."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _cell(kind: str, cell: Sequence[int], size: int) -> list[int]:
+    """The vertices of an edge or triangle as ints, by the rule of
+    :func:`_as_integer`; a wrong count or a bad vertex names the cell."""
+    cell = list(cell)
+    vs = [v if type(v) is int else _as_integer(v) for v in cell]  # ints, the common case, skip the call
+    if len(vs) != size or None in vs:
+        raise ValueError(f"bad {kind} {cell}: expected {size} integer vertices")
+    return vs
 
 
 def full_simplex(n: int, base: int = 0) -> SimplicialComplex2:
@@ -324,21 +349,21 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
     tree gauge g, where gamma_v is the tree path base -> v with holonomy
     g_v.  The based loop's holonomy is g_j^-1 * h_ij * g_i, so the
     conjugations telescope and the entry is the edge holonomy h_ij itself,
-    which is what is stored: the field's carriers above the diagonal and
-    their batched inverses below it, none checked again.
+    which is what is stored: the identity on the diagonal, the field's
+    carriers above it and their batched inverses below it, none checked
+    again, put in row-major order by one sort of their positions.
     """
     if not K.is_connected:
         raise ValueError("disconnected complex: holonomy matrix needs gauge paths")
     G = F.group
     n = K.vertices
-    grid: list[list[Element | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = G.identity
+    I, J = _edge_ends(K)
     X = _field_array(K, F)
-    for (i, j), a, b in zip(K.edges, G.from_array(X), G.from_array(G.batch_inverse(X))):
-        grid[i][j] = a
-        grid[j][i] = b
-    return PCMatrix._of_checked(G, grid, CONTRAVARIANT)
+    d = np.arange(n)
+    pos = np.concatenate((d * (n + 1), I * n + J, J * n + I))
+    carriers = np.concatenate((_identities(G, n), X, G.batch_inverse(X)))
+    order = np.argsort(pos)
+    return PCMatrix._of_checked(G, n, carriers[order], pos[order], CONTRAVARIANT)
 
 
 def _as_triangle(K: SimplicialComplex2, t: Sequence[int]) -> Triangle:

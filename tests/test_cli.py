@@ -7,7 +7,7 @@ import pytest
 
 from holopc.cli import main
 from holopc.groups import SU2, U1, CircleGroup, CyclicGroup, Group, PositiveReals, UnitQuaternions, wrap_angle
-from holopc.pcmatrix import default_indicator, from_upper_triangle, random_pc_matrix
+from holopc.pcmatrix import PCMatrix, default_indicator, from_upper_triangle, random_pc_matrix
 from holopc.serialize import complex_to_obj, field_to_obj, save_matrix, save_obj
 from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
 
@@ -256,16 +256,17 @@ def _holonomy_files(tmp_path):
 MONTECARLO = ["montecarlo", "-N", "1500", "--seed", "4"]
 
 # (argv from a tmp_path, element check calls, values parsed through batch_check):
-# each JSON document goes through one batch_check, which runs su2 as arrays and
-# the other groups as a loop over check; nothing after parsing checks again
+# each JSON or CSV document goes through one batch_check, which runs su2 as
+# arrays and the other groups as a loop over check; nothing after parsing
+# checks again
 CLI_CALLS = {
-    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9, 0),
+    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9, 9),
     "check-u1": (lambda t: ["check", _matrix_file(t, random_pc_matrix(U1, 5, rng=87))], 25, 25),
     "check-su2": (lambda t: ["check", _matrix_file(t, random_pc_matrix(SU2, 6, rng=88))], 0, 36),
     "consistencize-abelian-rplus": (
         lambda t: ["consistencize", write_csv(t, "m.csv", "1,2,8\n0.5,1,2\n0.125,0.5,1\n"), "--method", "abelian"],
         9,
-        0,
+        9,
     ),
     "consistencize-abelian-u1-winding": (
         lambda t: ["consistencize", _matrix_file(t, _u1_winding_matrix()), "--method", "abelian"],
@@ -335,6 +336,32 @@ def test_cli_calls_no_element_group_law(name, tmp_path, capsys, monkeypatch):
     assert dict(calls) == {k: v for k, v in expected.items() if v}
     if name == "consistencize-abelian-u1-winding":
         assert json.loads(out)["iterations"] > 0  # the Gauss-Newton refinement was returned
+
+
+# element objects (checked_to_obj) each report builds: one per gauge component
+# of a consistencize report and one per element template of a written matrix,
+# never one per matrix entry
+REPORT_OBJECTS = {
+    "check-u1": 0,
+    "check-su2": 0,
+    "consistencize-abelian-u1-winding": 5 + 1,
+    "consistencize-riemannian-su2": 5 + 1,
+    "holonomy-su2": 1,
+}
+
+
+@pytest.mark.parametrize("name", REPORT_OBJECTS)
+def test_cli_reports_build_no_entry_grid(name, tmp_path, capsys, monkeypatch):
+    argv = CLI_CALLS[name][0](tmp_path)
+    calls = collections.Counter()
+    grid = PCMatrix.entries.fget
+    monkeypatch.setattr(PCMatrix, "entries", property(lambda A: calls.update(["entries"]) or grid(A)))
+    to_obj = Group.checked_to_obj
+    monkeypatch.setattr(Group, "checked_to_obj", lambda G, a: calls.update(["checked_to_obj"]) or to_obj(G, a))
+    code, _, _ = run(capsys, argv)
+    assert code in (0, 1)
+    assert calls["entries"] == 0
+    assert calls["checked_to_obj"] == REPORT_OBJECTS[name]
 
 
 # --- montecarlo ----------------------------------------------------------------------

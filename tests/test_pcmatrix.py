@@ -90,6 +90,49 @@ def test_matrix_copies_and_pickles():
                 B.n = 5
 
 
+GAP_PATTERNS = {
+    "none": lambda i, j: False,
+    "symmetric": lambda i, j: {i, j} == {0, 2},
+    "asymmetric": lambda i, j: (i, j) in ((1, 3), (3, 0)),
+    "diagonal-only": lambda i, j: i != j,
+    "diagonal-gap": lambda i, j: i == j == 1,
+    "all": lambda i, j: True,
+}
+
+
+@pytest.mark.parametrize("pattern", GAP_PATTERNS)
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+def test_stored_carriers_behave_as_the_grid(group, pattern):
+    rng = np.random.default_rng(20)
+    gap = GAP_PATTERNS[pattern]
+    values = [random_gauge(group, 4, rng) for _ in range(4)]
+    grid = tuple(tuple(None if gap(i, j) else group.check(values[i][j]) for j in range(4)) for i in range(4))
+    A = PCMatrix(group, grid)
+    assert A.entries == grid
+    assert [[A.entry(i, j) for j in range(4)] for i in range(4)] == [list(row) for row in grid]
+    holes = [(i, j) for i in range(4) for j in range(4) if grid[i][j] is None]
+    assert A.gaps() == holes and A.gap_free == (not holes)
+    assert repr(A) == f"PCMatrix({group.tag}, n=4, covariant" + (f", gaps={len(holes)})" if holes else ")")
+    assert dualize(A).entries == tuple(zip(*grid)) and dualize(dualize(A)) == A
+    assert validate(A) == validate(PCMatrix(group, [list(row) for row in grid]))
+    for B in (PCMatrix(group, grid), copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert B == A and hash(B) == hash(A)
+        assert (B.entries, B.gaps(), B.gap_free, repr(B)) == (A.entries, A.gaps(), A.gap_free, repr(A))
+    assert A != PCMatrix(group, grid, variance=CONTRAVARIANT)
+    moved = [list(row) for row in grid]
+    moved[0][1], moved[1][0] = None, moved[0][1]  # the same values, one gap moved
+    if moved != [list(row) for row in grid]:
+        assert A != PCMatrix(group, moved)
+    with pytest.raises(AttributeError):
+        A.entries = grid
+
+
+def test_signed_zeros_compare_and_hash_alike():
+    A = PCMatrix(U1, [[0.0, -0.0], [0.0, 0.0]])
+    B = PCMatrix(U1, [[0.0, 0.0], [-0.0, 0.0]])
+    assert A == B and hash(A) == hash(B)
+
+
 # --- duality -----------------------------------------------------------------
 
 

@@ -1,14 +1,25 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopc.errors import ParseError
+from holopc.cli import main
+from holopc.consistencize import consistencize_abelian, consistencize_riemannian
+from holopc.errors import GroupMismatchError, ParseError
 from holopc.groups import RPLUS, SU2, U1, CircleGroup, Group, zmod
-from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
+from holopc.pcmatrix import (
+    CONTRAVARIANT,
+    COVARIANT,
+    PCMatrix,
+    from_upper_triangle,
+    gauge_transform,
+    random_pc_matrix,
+)
 from holopc.serialize import (
     complex_from_obj,
     complex_to_obj,
@@ -22,8 +33,9 @@ from holopc.serialize import (
     matrix_to_csv,
     matrix_to_obj,
     save_matrix,
+    save_obj,
 )
-from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field
+from holopc.simplicial import EdgeField, full_simplex, grid_complex, holonomy_pc_matrix, identity_field
 
 Z7 = zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
@@ -217,6 +229,130 @@ def test_reports_are_written_by_json_text(tmp_path):
     A = random_pc_matrix(SU2, 4, rng=72)
     save_matrix(A, tmp_path / "m.json")
     assert (tmp_path / "m.json").read_text() == json.dumps(matrix_to_obj(A), indent=2, sort_keys=True) + "\n"
+
+
+# --- matrices written from their carriers -----------------------------------------
+
+WRITER_GROUPS = [RPLUS, U1, SU2, Z7, zmod(2**62)]
+
+
+@st.composite
+def gapped_matrices(draw, group):
+    """A matrix of valid raw values with no gap, only the diagonal, or a
+    random gap pattern (not necessarily symmetric or reciprocal), in either
+    variance; sometimes made reciprocal by the identity gauge, which for
+    rplus turns a subnormal entry into an infinite inverse."""
+    n = draw(st.integers(2, 6))
+    values = VALID["zmod:7" if group.tag.startswith("zmod") else group.tag]
+    grid = [[draw(values) for _ in range(n)] for _ in range(n)]
+    pattern = draw(st.sampled_from(["none", "diagonal", "random"]))
+    for i, j in itertools.product(range(n), repeat=2):
+        if (pattern == "diagonal" and i != j) or (pattern == "random" and draw(st.booleans())):
+            grid[i][j] = None
+    A = PCMatrix(group, grid, draw(st.sampled_from([COVARIANT, CONTRAVARIANT])))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # 1 / 5e-324 overflows to inf
+            A = gauge_transform(A, [group.identity] * n)
+    return A
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("group", WRITER_GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_matrices_are_written_as_their_documents(group, data):
+    A = data.draw(gapped_matrices(group))
+    doc = matrix_to_obj(A)
+    assert json_text(A) == _dumps(doc)
+    assert json_text({"matrix": A, "n": 1}) == _dumps({"matrix": doc, "n": 1})
+    assert json_text([[A], {"x": (A,)}]) == _dumps([[doc], {"x": [doc]}])
+
+
+@pytest.mark.parametrize("group", WRITER_GROUPS, ids=lambda g: g.tag)
+def test_reports_write_matrices_as_their_documents(group, tmp_path, capsys):
+    rng = np.random.default_rng(74)
+    for K in (grid_complex(2), full_simplex(3)):  # gapped and gap-free
+        F = _field(group, K, rng)
+        save_obj(complex_to_obj(K), tmp_path / "k.json")
+        save_obj(field_to_obj(F), tmp_path / "f.json")
+        assert main(["holonomy", str(tmp_path / "k.json"), str(tmp_path / "f.json")]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        F = field_from_obj(load_json(tmp_path / "f.json"))  # as the CLI reads it
+        report["matrix"] = matrix_to_obj(holonomy_pc_matrix(K, F))
+        assert out == _dumps(report) + "\n"
+
+    A = random_pc_matrix(group, 5, rng) if group.compact else from_upper_triangle(RPLUS, rng.lognormal(size=10))
+    save_matrix(A, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_text() == _dumps(matrix_to_obj(A)) + "\n"
+    method = "abelian" if group.tag in ("rplus", "u1") else "riemannian"
+    assert main(["consistencize", str(tmp_path / "a.json"), "--method", method, "--out", str(tmp_path / "c.json")]) == 0
+    out = capsys.readouterr().out
+    A = load_matrix(tmp_path / "a.json")  # su2 carriers are normalized again when read
+    C = (consistencize_abelian(A) if method == "abelian" else consistencize_riemannian(A)).matrix
+    report = json.loads(out)
+    report["matrix"] = matrix_to_obj(C)
+    assert out == _dumps(report) + "\n"
+    assert (tmp_path / "c.json").read_text() == _dumps(matrix_to_obj(C)) + "\n"
+
+
+# --- sizes beyond the float range and non-integral cells --------------------------
+
+HUGE = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize(
+    "group, element",
+    [(RPLUS, HUGE), (U1, {"theta": HUGE}), (SU2, {"q": [HUGE, 0, 0, 0]}), (SU2, {"q": [1.0, 0, HUGE, 0]})],
+    ids=["rplus", "u1", "su2-w", "su2-y"],
+)
+def test_huge_integers_are_group_mismatches(group, element, tmp_path, capsys):
+    with pytest.raises(GroupMismatchError):
+        group.element_from_obj(element)
+    one = group.checked_to_obj(group.identity)
+    with pytest.raises(ParseError, match="bad matrix document: group mismatch"):
+        matrix_from_obj({"group": group.tag, "n": 2, "entries": [one, element, one, one]})
+    with pytest.raises(ParseError, match="bad element on edge 0-2: group mismatch"):
+        field_from_obj({"group": group.tag, "values": {"0-1": one, "0-2": element}})
+
+    doc = {"group": group.tag, "n": 2, "entries": [one, element, one, one]}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    save_obj(complex_to_obj(full_simplex(2)), tmp_path / "k.json")
+    field = {"group": group.tag, "values": {"0-1": one, "0-2": element, "1-2": one}}
+    (tmp_path / "f.json").write_text(json.dumps(field))
+    for argv in (["check", str(tmp_path / "m.json")], ["holonomy", str(tmp_path / "k.json"), str(tmp_path / "f.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "group mismatch" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, cell",
+    [
+        ({"vertices": 3, "edges": [[0, 1.5], [0, 2]]}, "edge [0, 1.5]"),
+        ({"vertices": 3, "edges": [[0, True], [0, 2]]}, "edge [0, True]"),
+        ({"vertices": 3, "edges": [["0", 1]]}, "edge ['0', 1]"),
+        ({"vertices": 3, "edges": [[0, math.inf]]}, "edge [0, inf]"),
+        ({"vertices": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2]"),
+        ({"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2.5]]}, "triangle [0, 1, 2.5]"),
+        ({"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, False]]}, "triangle [0, 1, False]"),
+    ],
+)
+def test_cell_vertices_must_be_integers(doc, cell, tmp_path, capsys):
+    with pytest.raises(ParseError, match=re.escape(f"bad complex document: bad {cell}")):
+        complex_from_obj(doc)
+    (tmp_path / "k.json").write_text(json.dumps(doc))
+    save_obj(field_to_obj(identity_field(full_simplex(2), U1)), tmp_path / "f.json")
+    assert main(["holonomy", str(tmp_path / "k.json"), str(tmp_path / "f.json")]) == 2
+    assert f"bad {cell}" in capsys.readouterr().err
+
+
+def test_integral_float_vertices_are_accepted():
+    K = complex_from_obj({"vertices": 3, "edges": [[0, 1.0], [np.int64(0), 2]], "triangles": []})
+    assert K.edges == ((0, 1), (0, 2)) and all(type(v) is int for e in K.edges for v in e)
 
 
 # --- batch_check against the check loop, and document errors -------------------------
