@@ -18,13 +18,7 @@ from .consistencize import _check_solver_options, consistencize_abelian, consist
 from .errors import ParseError
 from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
-from .pcmatrix import (
-    ii3_matrix,
-    ii_indicator,
-    ii_n_chain,
-    is_consistent,
-    validate,
-)
+from .pcmatrix import _require_nonnegative, ii3_matrix, ii_n_chain, is_consistent, validate
 from .serialize import (
     complex_from_obj,
     field_from_obj,
@@ -51,6 +45,8 @@ def _fail(message: str) -> int:
 
 def cmd_check(args) -> int:
     A = load_matrix(args.matrix, fmt=args.format)
+    _require_nonnegative("tol", args.tol)  # checked on every matrix: bad values are input errors
+    _require_nonnegative("epsilon", args.epsilon)
     if args.group and A.group.tag != args.group:
         return _fail(f"matrix group is {A.group.tag}, not {args.group}")
     violations = validate(A)
@@ -75,17 +71,18 @@ def cmd_check(args) -> int:
         _print_report(report, args.out)
         return 2
     if A.gap_free:
+        # one sweep: the consistency defect is the default indicator ii_In
         chk = is_consistent(A, tol=args.tol)
-        value, triad = ii_indicator(A)
+        triad = list(chk.worst_triad) if chk.worst_triad else None
         report["consistent"] = chk.consistent
-        report["witness"] = None if chk.consistent else list(chk.worst_triad)
-        report["ii_In"] = value
-        report["worst_triad"] = list(triad) if triad else None
+        report["witness"] = None if chk.consistent else triad
+        report["ii_In"] = chk.worst_defect
+        report["worst_triad"] = triad
         if A.group.tag == "rplus":
             report["ii3"] = ii3_matrix(A)[0]
             report["ii_n"] = ii_n_chain(A)
         # epsilon is on the ii3 scale; compare via 1 - exp(-ii_In) < epsilon
-        report["within_epsilon"] = bool(1.0 - math.exp(-value) < args.epsilon)
+        report["within_epsilon"] = bool(1.0 - math.exp(-chk.worst_defect) < args.epsilon)
         _print_report(report, args.out)
         return 0 if chk.consistent else 1
     _print_report(report, args.out)
@@ -193,8 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a matrix file and score its inconsistency")
     p.add_argument("matrix", help="matrix file (JSON, or CSV for positive reals)")
     p.add_argument("--group", help="expected group tag")
-    p.add_argument("--tol", type=float, default=1e-9, help="consistency tolerance")
-    p.add_argument("--epsilon", type=float, default=1.0 / 3.0, help="neighborhood size on the ii3 scale")
+    p.add_argument(
+        "--tol", type=float, default=1e-9, help="consistency tolerance on the worst triad defect ii_In (>= 0)"
+    )
+    p.add_argument(
+        "--epsilon",
+        type=float,
+        default=1.0 / 3.0,
+        help="neighborhood size on the ii3 scale (>= 0): within_epsilon holds when 1 - exp(-ii_In) < epsilon",
+    )
     p.add_argument("--format", choices=("json", "csv"), help="override format inference")
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_check)

@@ -44,6 +44,7 @@ from .pcmatrix import (
     _gauge_matrix,
     _gauge_upper,
     _pairs,
+    _require_nonnegative,
     ii_indicator,
 )
 
@@ -219,8 +220,7 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
 def _check_solver_options(max_iter: int, tol: float) -> None:
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter (--max-iter) must be a nonnegative integer, got {max_iter!r}")
-    if not tol >= 0.0:  # also rejects nan
-        raise ValueError(f"tol (--tol) must be a nonnegative number, got {tol!r}")
+    _require_nonnegative("tol", tol)
 
 
 def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
@@ -294,6 +294,5 @@ def epsilon_membership(A: PCMatrix, epsilon: float, indicator: Indicator | None 
     These sets are nested in epsilon and form a neighborhood base of the
     consistent matrices.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _require_nonnegative("epsilon", epsilon)
     return ii_indicator(A, indicator)[0] < epsilon

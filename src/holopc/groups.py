@@ -2,7 +2,7 @@
 
 Single elements are plain Python values, one carrier per group:
 
-* positive reals ``"rplus"``  -- strictly positive finite floats,
+* positive reals ``"rplus"``  -- finite floats above 2**-1024, whose inverses are finite,
 * circle group ``"u1"``       -- angles in (-pi, pi],
 * unit quaternions ``"su2"``  -- 4-tuples (w, x, y, z) of unit norm,
 * cyclic groups ``"zmod:m"``  -- integer residues modulo m.
@@ -219,6 +219,9 @@ def _as_real(tag: str, a) -> float:
     return x
 
 
+_RPLUS_FLOOR = 2.0**-1024  # 1 / 2**-1024 overflows; the inverse of every larger positive float is finite
+
+
 class PositiveReals(Group):
     """Multiplicative group of strictly positive reals."""
 
@@ -231,6 +234,10 @@ class PositiveReals(Group):
         x = _as_real(self.tag, a)
         if x <= 0.0:
             raise GroupMismatchError(f"group mismatch: {a!r} is not a positive real")
+        if x <= _RPLUS_FLOOR:
+            raise GroupMismatchError(
+                f"group mismatch: rplus element {a!r} is not above 2**-1024 = {_RPLUS_FLOOR!r}, so its inverse overflows"
+            )
         return x
 
     def batch_multiply(self, a, b):
@@ -244,7 +251,11 @@ class PositiveReals(Group):
         return 1.0 / a
 
     def batch_distance(self, a, b):
-        return np.abs(np.log(a / b))
+        with np.errstate(over="ignore", divide="ignore"):  # a ratio that leaves (0, inf) is raised on below
+            d = np.abs(np.log(a / b))
+        if not np.isfinite(d).all():
+            raise ValueError("positive-real ratio left (0, inf)")
+        return d
 
     def batch_exp(self, v):
         return np.exp(v[..., 0])
@@ -332,7 +343,10 @@ class UnitQuaternions(Group):
     @staticmethod
     def _batch_normalize(w, x, y, z):
         n = np.sqrt(w * w + x * x + y * y + z * z)
-        return np.stack((w / n, x / n, y / n, z / n), axis=-1)
+        out = np.empty(n.shape + (4,))
+        for c, v in enumerate((w, x, y, z)):
+            np.divide(v, n, out=out[..., c])
+        return out
 
     def to_array(self, elements):
         return np.array(elements, dtype=float).reshape(-1, 4)
@@ -341,8 +355,8 @@ class UnitQuaternions(Group):
         return [tuple(q) for q in arr.tolist()]
 
     def batch_multiply(self, a, b):
-        w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-        w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+        w1, x1, y1, z1 = (a[..., c] for c in range(4))
+        w2, x2, y2, z2 = (b[..., c] for c in range(4))
         return self._batch_normalize(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -354,10 +368,7 @@ class UnitQuaternions(Group):
         return a * _CONJUGATE
 
     def batch_distance(self, a, b):
-        dm, dp = a - b, a + b
-        dm = np.sqrt(dm[..., 0] ** 2 + dm[..., 1] ** 2 + dm[..., 2] ** 2 + dm[..., 3] ** 2)
-        dp = np.sqrt(dp[..., 0] ** 2 + dp[..., 1] ** 2 + dp[..., 2] ** 2 + dp[..., 3] ** 2)
-        return 2.0 * np.arctan2(dm, dp)
+        return 2.0 * np.arctan2(_norms(a - b), _norms(a + b))
 
     def batch_exp(self, v):
         vx, vy, vz = np.moveaxis(v, -1, 0)
@@ -398,6 +409,15 @@ class UnitQuaternions(Group):
             if not small.any():
                 return v / n[..., None]
             v[small] = rng.normal(size=(int(small.sum()), 4))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of length 4, the squares summed
+    term by term in component order."""
+    s = v[..., 0] ** 2
+    for c in (1, 2, 3):
+        s += v[..., c] ** 2
+    return np.sqrt(s)
 
 
 MAX_CYCLIC_ORDER = 2**62  # residue sums a + b stay below 2**63, inside int64

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import NonCompactGroupError
 from .groups import Group, as_generator
-from .pcmatrix import COVARIANT, Indicator, _batched_indicator, _holonomies, _pairs
-from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps, _plaquettes
+from .pcmatrix import CONTRAVARIANT, COVARIANT, Indicator, _loop_scorer, _pairs
+from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps, _triangle_edges
 
 _MC_BLOCK = 1024  # samples per generator; part of what (seed, N) reproduces
 _TRIAD_STEP = 256  # triads scored at once per block of random matrices
@@ -127,7 +127,7 @@ def _make_scorer(
     if obs.tag == "ii3_of_random_matrix":
         if obs.n is None or obs.n < 2:
             raise ValueError("ii3_of_random_matrix needs a matrix size n >= 2")
-        return obs.n * (obs.n - 1) // 2, _matrix_scorer(group, obs.n, _batched_indicator(group, indicator))
+        return obs.n * (obs.n - 1) // 2, _matrix_scorer(obs.n, _loop_scorer(group, COVARIANT, indicator))
 
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
@@ -149,19 +149,20 @@ def _make_scorer(
 
     if not K.triangles:
         raise ValueError(f"observable {obs.tag} needs at least one triangle")
-    In = _batched_indicator(group, indicator)
+    score = _loop_scorer(group, CONTRAVARIANT, indicator)
 
     def curvatures(X):  # In of the plaquettes, shape (B, T)
-        return In(_plaquettes(K, group, X))
+        return score(*_triangle_edges(K, X))
 
     if obs.tag == "mean_curvature_In":
         return width, lambda X: curvatures(X).mean(axis=1)
     return width, lambda X: curvatures(X).max(axis=1)
 
 
-def _matrix_scorer(group: Group, n: int, In) -> Callable[[np.ndarray], np.ndarray]:
+def _matrix_scorer(n: int, loop_score) -> Callable[[np.ndarray], np.ndarray]:
     """Worst In(triad holonomy) of covariant matrices given by their strict
-    upper triangles, row-major: the value ``ii_indicator`` gives each matrix."""
+    upper triangles, row-major: the value ``ii_indicator`` gives each
+    matrix.  ``loop_score`` is the covariant ``_loop_scorer``."""
     I, J = _pairs(n)
     rank = np.zeros((n, n), dtype=np.intp)
     rank[I, J] = np.arange(len(I))
@@ -174,8 +175,8 @@ def _matrix_scorer(group: Group, n: int, In) -> Callable[[np.ndarray], np.ndarra
         worst = np.full(len(U), -np.inf)
         for lo in range(0, len(tri), _TRIAD_STEP):
             t = slice(lo, lo + _TRIAD_STEP)
-            hol = _holonomies(group, COVARIANT, U[:, ij[t]], U[:, ik[t]], U[:, jk[t]])
-            np.maximum(worst, In(hol).max(axis=1), out=worst)
+            v = loop_score(U[:, ij[t]], U[:, ik[t]], U[:, jk[t]])
+            np.maximum(worst, v.max(axis=1), out=worst)
         return worst
 
     return score

@@ -24,11 +24,22 @@ a_ij = lam_i^-1 * lam_j of consistent matrices together with its converse.
 ``is_consistent``, ``ii_indicator`` and ``ii3_matrix`` are one array sweep
 over the C(n,3) triads i < j < k.  The sweep walks the triads in
 lexicographic order in consecutive blocks of ``_TRIAD_BLOCK`` triads, which
-bounds its temporaries, gathers (a_ij, a_ik, a_jk) for a whole block as
-carrier arrays and scores them with the group's batched kernels.  The
-reported triad is the lexicographically first one that attains the
-maximum: ``argmax`` picks the first maximum inside a block, and a later
-block replaces the best only when it scores strictly higher.
+bounds its temporaries, gathers (a_ij, a_ik, a_jk) for a whole block from
+the stored carriers by flat position ``i * n + j`` and scores them with the
+group's batched kernels.  The reported triad is the lexicographically first
+one that attains the maximum: ``argmax`` picks the first maximum inside a
+block, and a later block replaces the best only when it scores strictly
+higher.
+
+Every loop with the default indicator is scored as a defect.  The triad
+holonomy is h = x z y^-1 (covariant) or y^-1 z x (contravariant) for
+(x, y, z) = (a_ij, a_ik, a_jk), and the distance is bi-invariant, so
+d(1, h^-1) = d(xz, y) or d(zx, y): Koczkodaj's triad defect, read in any
+group, at one product and one distance per triad.  The consistency defect
+of ``is_consistent`` and the default ``ii_indicator`` are therefore the same
+number, and ``_loop_scorer`` is the one kernel behind both, the
+consistencizer's ``ii_before``/``ii_after``, the plaquette scores of
+``simplicial`` and the Monte Carlo observables.
 """
 
 from __future__ import annotations
@@ -317,13 +328,14 @@ def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
     """The lexicographically first triad of maximal score, with its score.
 
     ``score(x, y, z)`` maps the carrier arrays of a block's entries
-    (a_ij, a_ik, a_jk) to one float per triad.  Matrices with n < 3 have no
-    triads and give (0.0, None).
+    (a_ij, a_ik, a_jk) of a gap-free matrix to one float per triad.
+    Matrices with n < 3 have no triads and give (0.0, None).
     """
-    M = _entry_array(A)
+    C, n = A._carriers, A.n  # gap-free: entry (i, j) is carrier i * n + j
     best_val, best_triad = 0.0, None
-    for i, j, k in _triad_blocks(A.n):
-        v = score(M[i, j], M[i, k], M[j, k])
+    for i, j, k in _triad_blocks(n):
+        row = i * n
+        v = score(C.take(row + j, axis=0), C.take(row + k, axis=0), C.take(j * n + k, axis=0))
         b = int(np.argmax(v))
         if best_triad is None or v[b] > best_val:
             best_val, best_triad = float(v[b]), (int(i[b]), int(j[b]), int(k[b]))
@@ -340,20 +352,44 @@ class ConsistencyCheck:
         return self.consistent
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    """Refuse a negative or nan option; the message names its flag too."""
+    if not value >= 0.0:  # also rejects nan
+        raise ValueError(f"{name} (--{name}) must be a nonnegative number, got {value!r}")
+
+
 def is_consistent(A: PCMatrix, tol: float = 1e-9) -> ConsistencyCheck:
     """Test the consistency law recorded on the matrix.
 
     Covariant matrices must satisfy a_ij * a_jk = a_ik for every triad,
     contravariant ones a_jk * a_ij = a_ik; the defect is the group distance
-    between the two sides, and the worst triad is reported as witness.
+    between the two sides, and the worst triad is reported as witness.  By
+    bi-invariance the defect is the default indicator of the triad
+    holonomy, so ``worst_defect`` and ``worst_triad`` are what
+    ``ii_indicator(A)`` returns.  ``tol`` must be a nonnegative number.
     """
+    _require_nonnegative("tol", tol)
     _require_gap_free(A, "consistency undefined with gaps")
-    G = A.group
-    if A.variance == COVARIANT:
-        worst_defect, worst = _triad_sweep(A, lambda x, y, z: G.batch_distance(G.batch_multiply(x, z), y))
-    else:
-        worst_defect, worst = _triad_sweep(A, lambda x, y, z: G.batch_distance(G.batch_multiply(z, x), y))
+    worst_defect, worst = _triad_sweep(A, _loop_scorer(A.group, A.variance, None))
     return ConsistencyCheck(worst_defect <= tol, worst, worst_defect)
+
+
+def _loop_scorer(G: Group, variance: str, indicator: Indicator | None) -> Callable[..., np.ndarray]:
+    """The score of triad loops: ``score(x, y, z)`` maps carrier arrays
+    (x, y, z) = (a_ij, a_ik, a_jk) to In of their holonomies, one float per
+    loop.
+
+    With the default indicator it is the defect d(xz, y) (covariant) or
+    d(zx, y) (contravariant), which equals d(1, h^-1) of the holonomy h by
+    bi-invariance; a supplied indicator is checked here, once, and called
+    on each holonomy.
+    """
+    if indicator is None:
+        if variance == CONTRAVARIANT:
+            return lambda x, y, z: G.batch_distance(G.batch_multiply(z, x), y)
+        return lambda x, y, z: G.batch_distance(G.batch_multiply(x, z), y)
+    In = _batched_indicator(G, indicator)
+    return lambda x, y, z: In(_holonomies(G, variance, x, y, z))
 
 
 def _holonomies(G: Group, variance: str, x, y, z) -> np.ndarray:
@@ -448,26 +484,23 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
 
     With the default metric indicator this is the group-valued
     generalization of ii3: on positive-real matrices the two are linked by
-    ii3 = 1 - exp(-ii_In) triad by triad.  The default indicator is applied
-    to whole blocks of holonomies; a supplied one, to each holonomy.
+    ii3 = 1 - exp(-ii_In) triad by triad.  By bi-invariance the default
+    In(h) = d(1, h^-1) is the triad defect d(xz, y) (covariant) or d(zx, y)
+    (contravariant), so it equals ``is_consistent(A).worst_defect`` and is
+    scored on whole blocks; a supplied indicator sees each holonomy.
     """
     _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
-    G = A.group
-    In = _batched_indicator(G, indicator)
-    return _triad_sweep(A, lambda x, y, z: In(_holonomies(G, A.variance, x, y, z)))
+    return _triad_sweep(A, _loop_scorer(A.group, A.variance, indicator))
 
 
 def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The indicator as a map from a carrier array to one float per element.
-
-    None is the default d(1, g^-1) on whole arrays; a supplied indicator is
-    checked once and called on each element.
+    """The indicator as a map from a carrier array to one float per
+    element: checked once, then called on each element.  None is
+    :func:`default_indicator`, the holonomy form d(1, g^-1) that
+    :func:`_loop_scorer` computes as a defect on whole arrays instead.
     """
-    e = group.to_array([group.identity])
-    if indicator is None:
-        return lambda g: group.batch_distance(e, group.batch_inverse(g))
     ind = _checked_indicator(group, indicator)
-    tail = e.shape[1:]  # the carrier's own axes
+    tail = group.to_array([group.identity]).shape[1:]  # the carrier's own axes
 
     def apply(g):
         lead = g.shape[: g.ndim - len(tail)]

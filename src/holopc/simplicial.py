@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MissingEdgeError
 from .groups import Element, Group
-from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _batched_indicator, _holonomies, _identities
+from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _identities, _loop_scorer
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -105,7 +105,7 @@ class SimplicialComplex2:
         return (min(i, j), max(i, j)) in self._col
 
     def has_triangle(self, t: Sequence[int]) -> bool:
-        return tuple(sorted(int(v) for v in t)) in self._tri_set
+        return _triangle_key(t) in self._tri_set
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
@@ -145,6 +145,13 @@ def _as_integer(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _triangle_key(t: Sequence[int]) -> Triangle | None:
+    """The vertices of ``t`` as sorted ints by the rule of
+    :func:`_as_integer`, or None when one of them is not an integer."""
+    vs = [_as_integer(v) for v in t]
+    return None if None in vs else tuple(sorted(vs))
 
 
 def _cell(kind: str, cell: Sequence[int], size: int) -> list[int]:
@@ -308,14 +315,18 @@ def _array_field(K: SimplicialComplex2, G: Group, X: np.ndarray) -> EdgeField:
     return EdgeField._of_checked(G, dict(zip(K.edges, G.from_array(X))))
 
 
-def _plaquettes(K: SimplicialComplex2, G: Group, X: np.ndarray) -> np.ndarray:
-    """Plaquettes h_ki * h_jk * h_ij of every triangle, in ``K.triangles``
-    order, for carrier arrays X of shape (B, E, ...): shape (B, T, ...).
+def _triangle_edges(K: SimplicialComplex2, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The carriers (h_ij, h_ik, h_jk) of every triangle's edges, in
+    ``K.triangles`` order, for carrier arrays X of shape (B, E, ...): three
+    arrays of shape (B, T, ...).
 
-    They are the triad holonomies of the field's contravariant matrix.
+    They are the triad entries (a_ij, a_ik, a_jk) of the field's
+    contravariant matrix, whose triad holonomies are the plaquettes
+    h_ki * h_jk * h_ij, so ``_loop_scorer(G, CONTRAVARIANT, indicator)``
+    scores them.
     """
     ij, ik, jk = K._tri_cols.T
-    return _holonomies(G, CONTRAVARIANT, X[:, ij], X[:, ik], X[:, jk])
+    return X.take(ij, axis=1), X.take(ik, axis=1), X.take(jk, axis=1)
 
 
 def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, ...]:
@@ -367,7 +378,7 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
 
 
 def _as_triangle(K: SimplicialComplex2, t: Sequence[int]) -> Triangle:
-    tri = tuple(sorted(int(v) for v in t))
+    tri = _triangle_key(t)
     if tri not in K._tri_set:
         raise ValueError(f"unknown triangle {tuple(t)}")
     return tri
@@ -403,9 +414,11 @@ def global_ii(
 
     The indicator sees the plaquette; basing only conjugates it, which a
     bi-invariant indicator cannot see.  All plaquettes are scored in one
-    sweep of the triad-holonomy kernel (the default indicator on the whole
-    array, a supplied one element by element); ties go to the first
-    triangle.  Complexes without triangles score 0 with no triangle.
+    sweep of the triad loop scorer: the default indicator as the defect
+    d(h_jk h_ij, h_ik) on the whole array, which equals d(1, p^-1) of the
+    plaquette p by bi-invariance, a supplied one on each plaquette; ties go
+    to the first triangle.  Complexes without triangles score 0 with no
+    triangle.
     """
     return _triangle_scores(K, F, indicator)[1:]
 
@@ -415,10 +428,10 @@ def _triangle_scores(
 ) -> tuple[np.ndarray, float, Triangle | None]:
     """In of every plaquette, in ``K.triangles`` order, with the first
     maximum and its triangle; (0.0, None) when there are no triangles."""
-    In = _batched_indicator(F.group, indicator)  # checks a supplied indicator
+    score = _loop_scorer(F.group, CONTRAVARIANT, indicator)  # checks a supplied indicator
     if not K.triangles:
         return np.zeros(0), 0.0, None
-    curv = In(_plaquettes(K, F.group, _field_array(K, F)[None]))[0]
+    curv = score(*_triangle_edges(K, _field_array(K, F)[None]))[0]
     t = int(np.argmax(curv))
     return curv, float(curv[t]), K.triangles[t]
 

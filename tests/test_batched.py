@@ -9,7 +9,10 @@ numbers exp(i theta) for u1 (with the bit-exact ``wrap_angle`` rule),
 Python-int arithmetic mod m for zmod.  The scalar triad loops that the
 sweeps replaced live on here as the oracle for ``is_consistent``,
 ``ii_indicator``, ``ii3_matrix`` and ``validate``, and the scalar
-``plaquette`` as the oracle for ``global_ii``.
+``plaquette`` as the oracle for ``global_ii``.  The loop scorer, which reads
+the default indicator of a holonomy as the triad defect d(xz, y) or
+d(zx, y), is checked against the holonomy form d(1, h^-1), and the
+indicators against gauge transformations.
 """
 
 import cmath
@@ -31,18 +34,32 @@ from holopc.pcmatrix import (
     CONTRAVARIANT,
     COVARIANT,
     PCMatrix,
+    _batched_indicator,
+    _holonomies,
+    _loop_scorer,
     default_indicator,
     from_gauge_vector,
     from_upper_triangle,
+    gauge_transform,
     identity_matrix,
     ii3,
     ii3_matrix,
     ii_indicator,
     is_consistent,
     random_pc_matrix,
+    triad_holonomy,
     validate,
 )
-from holopc.simplicial import EdgeField, full_simplex, global_ii, grid_complex, identity_field, plaquette
+from holopc.simplicial import (
+    EdgeField,
+    _triangle_edges,
+    full_simplex,
+    gauge_transform_field,
+    global_ii,
+    grid_complex,
+    identity_field,
+    plaquette,
+)
 
 Z7 = zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
@@ -549,3 +566,93 @@ def test_global_ii_without_triangles_still_checks_the_indicator(group):
     assert global_ii(K, F, scaled_distance(group)) == (0.0, None)
     with pytest.raises(ValueError, match="not an indicator map"):
         global_ii(K, F, lambda g: 1.0)
+
+
+# --- the loop defect is the default indicator of the holonomy -------------------------
+
+
+def carrier_array(group, data, lead):
+    """A carrier array of drawn elements with leading shape ``lead``."""
+    size = math.prod(lead)
+    X = group.to_array(data.draw(st.lists(ELEMENTS[group.tag], min_size=size, max_size=size)))
+    return X.reshape(lead + X.shape[1:])
+
+
+def assert_same_scores(group, got, want):
+    assert got.shape == want.shape
+    if isinstance(group, CyclicGroup):
+        assert got.tolist() == want.tolist()  # exact
+    else:
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_loop_defect_is_the_holonomy_indicator(group, variance, data):
+    lead = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+    x, y, z = (carrier_array(group, data, lead) for _ in range(3))
+    got = _loop_scorer(group, variance, None)(x, y, z)
+    want = _batched_indicator(group, None)(_holonomies(group, variance, x, y, z))
+    assert_same_scores(group, got, want)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_plaquette_defect_is_the_plaquette_indicator(group, data):
+    K = data.draw(st.sampled_from(FIELD_COMPLEXES))
+    B = data.draw(st.integers(1, 3))
+    X = carrier_array(group, data, (B, len(K.edges)))
+    edges = _triangle_edges(K, X)
+    got = _loop_scorer(group, CONTRAVARIANT, None)(*edges)
+    assert_same_scores(group, got, _batched_indicator(group, None)(_holonomies(group, CONTRAVARIANT, *edges)))
+    ind = default_indicator(group)
+    for b in range(B):  # against the scalar plaquette h_ki * h_jk * h_ij
+        F = EdgeField(group, dict(zip(K.edges, group.from_array(X[b]))))
+        want = np.array([ind(plaquette(K, F, t)) for t in K.triangles])
+        assert_same_scores(group, got[b], want)
+
+
+# --- gauge invariance of the indicators --------------------------------------------------
+
+
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_ii_indicator_is_gauge_invariant(group, variance, data):
+    n = data.draw(st.integers(3, 7))
+    m = n * (n - 1) // 2
+    A = from_upper_triangle(group, data.draw(st.lists(ELEMENTS[group.tag], min_size=m, max_size=m)), variance)
+    mu = data.draw(st.lists(ELEMENTS[group.tag], min_size=n, max_size=n))
+    B = gauge_transform(A, mu)
+    value, triad = ii_indicator(A)
+    moved, moved_triad = ii_indicator(B)
+    ind = default_indicator(group)
+    if isinstance(group, CyclicGroup):
+        assert (moved, moved_triad) == (value, triad)
+    else:  # a near tie may move the argmax by rounding, never the value
+        assert moved == pytest.approx(value, abs=1e-12)
+        assert ind(triad_holonomy(B, *triad)) == pytest.approx(value, abs=1e-12)
+        assert ind(triad_holonomy(A, *moved_triad)) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_global_ii_is_gauge_invariant(group, data):
+    K = data.draw(st.sampled_from(FIELD_COMPLEXES))
+    values = data.draw(st.lists(ELEMENTS[group.tag], min_size=len(K.edges), max_size=len(K.edges)))
+    F = EdgeField(group, dict(zip(K.edges, values)))
+    mu = data.draw(st.lists(ELEMENTS[group.tag], min_size=K.vertices, max_size=K.vertices))
+    Fg = gauge_transform_field(K, F, mu)
+    value, tri = global_ii(K, F)
+    moved, moved_tri = global_ii(K, Fg)
+    if isinstance(group, CyclicGroup):
+        assert (moved, moved_tri) == (value, tri)
+    else:
+        ind = default_indicator(group)
+        assert moved == pytest.approx(value, abs=1e-12)
+        assert ind(plaquette(K, Fg, tri)) == pytest.approx(value, abs=1e-12)

@@ -6,9 +6,28 @@ import numpy as np
 import pytest
 
 from holopc.cli import main
-from holopc.groups import SU2, U1, CircleGroup, CyclicGroup, Group, PositiveReals, UnitQuaternions, wrap_angle
-from holopc.pcmatrix import PCMatrix, default_indicator, from_upper_triangle, random_pc_matrix
-from holopc.serialize import complex_to_obj, field_to_obj, save_matrix, save_obj
+from holopc.groups import (
+    RPLUS,
+    SU2,
+    U1,
+    CircleGroup,
+    CyclicGroup,
+    Group,
+    PositiveReals,
+    UnitQuaternions,
+    wrap_angle,
+    zmod,
+)
+from holopc.pcmatrix import (
+    _TRIAD_BLOCK,
+    PCMatrix,
+    default_indicator,
+    from_upper_triangle,
+    ii_indicator,
+    is_consistent,
+    random_pc_matrix,
+)
+from holopc.serialize import complex_to_obj, field_to_obj, load_matrix, save_matrix, save_obj
 from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
 
 
@@ -85,6 +104,84 @@ def test_check_group_mismatch_flag(tmp_path, capsys):
     code, _, err = run(capsys, ["check", str(path), "--group", "su2"])
     assert code == 2
     assert "u1" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-1e-300", "-inf"])
+@pytest.mark.parametrize("matrix", ["1,2,4\n0.5,1,4\n0.25,0.25,1\n", "1,2\n0.4,1\n"], ids=["valid", "invalid"])
+def test_check_refuses_negative_and_nan_options(flag, value, matrix, tmp_path, capsys):
+    path = write_csv(tmp_path, "m.csv", matrix)
+    code, out, err = run(capsys, ["check", path, f"{flag}={value}"])
+    name = flag[2:]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} ({flag}) must be a nonnegative number, got ")
+
+
+def test_check_accepts_zero_and_infinite_options(tmp_path, capsys):
+    path = write_csv(tmp_path, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")
+    code, out, _ = run(capsys, ["check", path, "--tol", "inf", "--epsilon", "0"])
+    report = json.loads(out)
+    assert code == 0 and report["consistent"] is True and report["within_epsilon"] is False
+    code, out, _ = run(capsys, ["check", path, "--tol", "0", "--epsilon", "inf"])
+    report = json.loads(out)
+    assert code == 1 and report["consistent"] is False and report["within_epsilon"] is True
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_is_consistent_refuses_negative_and_nan_tol(tol):
+    with pytest.raises(ValueError, match=r"tol \(--tol\) must be a nonnegative number"):
+        is_consistent(from_upper_triangle(U1, [0.1, 0.2, 0.3]), tol)
+
+
+def test_check_is_one_triad_sweep(tmp_path, capsys, monkeypatch):
+    # the consistency defect is the indicator: one su2 product per block of
+    # triads, and the witness is the worst triad
+    calls = collections.Counter()
+    multiply = UnitQuaternions.batch_multiply
+    monkeypatch.setattr(
+        UnitQuaternions, "batch_multiply", lambda G, a, b: calls.update(["batch_multiply"]) or multiply(G, a, b)
+    )
+    path = _matrix_file(tmp_path, random_pc_matrix(SU2, 30, rng=90))
+    calls.clear()
+    code, out, _ = run(capsys, ["check", path])
+    report = json.loads(out)
+    assert code == 1 and report["consistent"] is False
+    assert calls["batch_multiply"] == math.ceil(math.comb(30, 3) / _TRIAD_BLOCK)
+    assert report["witness"] == report["worst_triad"]
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, SU2, zmod(7)], ids=lambda g: g.tag)
+def test_check_witness_is_worst_triad(group, tmp_path, capsys):
+    rng = np.random.default_rng(91)
+    for n in (3, 4, 8):
+        if group.compact:
+            A = random_pc_matrix(group, n, rng)
+        else:
+            A = from_upper_triangle(group, list(np.exp(rng.normal(size=n * (n - 1) // 2))))
+        path = _matrix_file(tmp_path, A)
+        code, out, _ = run(capsys, ["check", path])
+        report = json.loads(out)
+        B = load_matrix(path)  # su2 carriers are normalized again when read
+        chk = is_consistent(B)
+        assert code == (0 if chk.consistent else 1)
+        assert report["worst_triad"] == list(chk.worst_triad)
+        assert report["witness"] == (None if chk.consistent else report["worst_triad"])
+        assert report["ii_In"] == chk.worst_defect == ii_indicator(B)[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,1e200,1e-100\n1e-200,1,1e200\n1e100,1e-200,1\n", "positive-real product left (0, inf)"),
+        ("1,1e150,1e-300\n1e-150,1,1e150\n1e300,1e-150,1\n", "positive-real ratio left (0, inf)"),
+        ("1,1e300\n1e300,1\n", "positive-real ratio left (0, inf)"),
+    ],
+    ids=["product", "defect-ratio", "reciprocity-ratio"],
+)
+def test_check_rplus_beyond_the_float_range_exits_2(text, message, tmp_path, capsys):
+    # no numpy warning (pytest turns it into an error) and no traceback
+    code, out, err = run(capsys, ["check", write_csv(tmp_path, "m.csv", text)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_check_parse_error_reports_location(tmp_path, capsys):

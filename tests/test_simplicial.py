@@ -273,6 +273,20 @@ def test_unknown_triangle_rejected():
         triangle_curvature(TRIANGLE, F, (0, 1, 3))
 
 
+def test_triangle_lookups_read_integer_vertices():
+    # vertices follow the rule of complex construction: integral floats and
+    # numpy integers are vertices, fractions and bools are not
+    F = EdgeField(U1, {(0, 1): 0.3, (1, 2): 0.5, (0, 2): 0.1})
+    for t in [(0, 1, 2), (2.0, 0, 1), (np.int64(1), 0.0, 2)]:
+        assert TRIANGLE.has_triangle(t)
+        assert plaquette(TRIANGLE, F, t) == plaquette(TRIANGLE, F, (0, 1, 2))
+    for t in [(0, 1, 2.7), (0, 1.9, 2.2), (True, 0, 2), (0, 1), (0, 1, 2, 3), ("0", 1, 2)]:
+        assert not TRIANGLE.has_triangle(t)
+        for lookup in (plaquette, triangle_curvature):
+            with pytest.raises(ValueError, match="unknown triangle"):
+                lookup(TRIANGLE, F, t)
+
+
 # --- global indicator ---------------------------------------------------------------------
 
 
