@@ -20,6 +20,7 @@ from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
 from .pcmatrix import _require_nonnegative, ii3_matrix, ii_n_chain, is_consistent, validate
 from .serialize import (
+    Records,
     complex_from_obj,
     field_from_obj,
     json_text,
@@ -124,15 +125,11 @@ def cmd_holonomy(args) -> int:
     # loop at the base vertex adds, so the plaquette scores each triangle;
     # global_ii is the first maximum of the same scores
     scores, value, worst = _triangle_scores(K, F, None)
-    curvatures = [
-        {"triangle": list(t), "in_value": v}
-        for t, v in zip(K.triangles, scores.tolist())
-    ]
     report = {
         "group": F.group.tag,
         "vertices": K.vertices,
         "matrix": A,
-        "curvatures": curvatures,
+        "curvatures": Records(in_value=scores, triangle=K._tri_array),
         "global_ii": value,
         "worst_triangle": list(worst) if worst else None,
     }

@@ -171,6 +171,10 @@ class Group:
     def batch_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def batch_defect(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The defect d(ab, c) of a triad loop: one product and one distance."""
+        return self.batch_distance(self.batch_multiply(a, b), c)
+
     def batch_exp(self, v: np.ndarray) -> np.ndarray:
         """Exponential of coordinate vectors stacked along the last axis (length ``dim``)."""
         raise NotImplementedError
@@ -256,6 +260,11 @@ class PositiveReals(Group):
         if not np.isfinite(d).all():
             raise ValueError("positive-real ratio left (0, inf)")
         return d
+
+    def batch_defect(self, a, b, c):
+        # |log a - log c + log b|: a sum of logs, where the product ab or the
+        # ratio ab / c could leave the float range
+        return np.abs(np.log(a) - np.log(c) + np.log(b))
 
     def batch_exp(self, v):
         return np.exp(v[..., 0])

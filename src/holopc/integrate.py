@@ -100,7 +100,7 @@ def sample_field(K: SimplicialComplex2, group: Group, rng) -> EdgeField:
     """
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
-    return _array_field(K, group, group.batch_haar_sample(as_generator(rng), (len(K.edges),)))
+    return _array_field(K, group, group.batch_haar_sample(as_generator(rng), (len(K._edge_array),)))
 
 
 def _character(group: Group) -> Callable[[np.ndarray], np.ndarray]:
@@ -131,14 +131,14 @@ def _make_scorer(
 
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
-    width = len(K.edges)
+    width = len(K._edge_array)
 
     if obs.tag == "wilson_character":
         loop = obs.loop
         if loop is None:
-            if not K.triangles:
+            if not len(K._tri_array):
                 raise ValueError("wilson_character on a complex without triangles needs an explicit loop")
-            i, j, k = K.triangles[0]
+            i, j, k = K._tri_array[0].tolist()
             loop = (i, j, k, i)
         loop = tuple(int(v) for v in loop)
         if len(loop) < 2 or loop[0] != loop[-1]:
@@ -147,7 +147,7 @@ def _make_scorer(
         chi = _character(group)
         return width, lambda X: chi(_path_product(group, X[:, cols], against))
 
-    if not K.triangles:
+    if not len(K._tri_array):
         raise ValueError(f"observable {obs.tag} needs at least one triangle")
     score = _loop_scorer(group, CONTRAVARIANT, indicator)
 

@@ -386,8 +386,8 @@ def _loop_scorer(G: Group, variance: str, indicator: Indicator | None) -> Callab
     """
     if indicator is None:
         if variance == CONTRAVARIANT:
-            return lambda x, y, z: G.batch_distance(G.batch_multiply(z, x), y)
-        return lambda x, y, z: G.batch_distance(G.batch_multiply(x, z), y)
+            return lambda x, y, z: G.batch_defect(z, x, y)
+        return lambda x, y, z: G.batch_defect(x, z, y)
     In = _batched_indicator(G, indicator)
     return lambda x, y, z: In(_holonomies(G, variance, x, y, z))
 
@@ -439,27 +439,25 @@ def ii3_matrix(A: PCMatrix) -> tuple[float, Triad | None]:
     _require_rplus(A, "ii3")
     _require_gap_free(A, "ii3 undefined with gaps")
 
-    def score(x, y, z):
-        r = y / (x * z)  # the formula of ii3, on whole blocks
-        return 1.0 - np.minimum(r, 1.0 / r)
-
-    return _triad_sweep(A, score)
+    G = A.group
+    # 1 - min(r, 1/r) for r = y / (xz) is 1 - exp(-|log r|), and |log r| is
+    # the defect, a sum of logs that no product can push out of range
+    return _triad_sweep(A, lambda x, y, z: -np.expm1(-G.batch_defect(x, z, y)))
 
 
 def ii_n_chain(A: PCMatrix) -> float:
     """Chain inconsistency: worst mismatch between a_ij and the product of
-    consecutive entries a_i,i+1 * ... * a_j-1,j, as 1 - min(r, 1/r)."""
+    consecutive entries a_i,i+1 * ... * a_j-1,j, as 1 - min(r, 1/r).
+
+    In logs the product is a difference S_j - S_i of prefix sums of
+    log a_k,k+1, so the worst |log r| is one array expression and no
+    product leaves the float range."""
     _require_rplus(A, "chain inconsistency")
     _require_gap_free(A, "chain inconsistency undefined with gaps")
-    a = _entry_array(A).tolist()
-    worst = 1.0
-    for i in range(A.n):
-        prod = 1.0
-        for j in range(i + 1, A.n):
-            prod *= a[j - 1][j]
-            r = a[i][j] / prod
-            worst = min(worst, r, 1.0 / r)
-    return 1.0 - worst
+    L = np.log(_entry_array(A))
+    S = np.concatenate(([0.0], np.cumsum(np.diagonal(L, 1))))
+    I, J = _pairs(A.n)
+    return float(-np.expm1(-np.max(np.abs(L[I, J] - (S[J] - S[I])))))
 
 
 def default_indicator(group: Group) -> Indicator:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +134,8 @@ def matrix_from_csv(text: str) -> PCMatrix:
 def complex_to_obj(K: SimplicialComplex2) -> dict:
     return {
         "vertices": K.vertices,
-        "edges": [list(e) for e in K.edges],
-        "triangles": [list(t) for t in K.triangles],
+        "edges": K._edge_array.tolist(),
+        "triangles": K._tri_array.tolist(),
         "base": K.base,
     }
 
@@ -176,8 +177,8 @@ def field_from_obj(obj) -> EdgeField:
     if not isinstance(raw, dict):
         raise ParseError("field values must map 'i-j' keys to elements")
     try:
-        edges = [_edge_key(key) for key in raw]
-        elements = group.from_array(group.batch_check([group.unwrap_obj(v) for v in raw.values()]))
+        ends = _edge_keys(list(raw))
+        carriers = group.batch_check([group.unwrap_obj(v) for v in raw.values()])
     except ValueError:
         for key, v in raw.items():  # name the first bad key or element in document order
             _edge_key(key)
@@ -187,9 +188,21 @@ def field_from_obj(obj) -> EdgeField:
                 raise ParseError(f"bad element on edge {key}: {exc}") from exc
         raise
     try:
-        return EdgeField._of_checked(group, dict(zip(edges, elements)))
+        return EdgeField._of_checked(group, ends, carriers)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _edge_keys(keys: list) -> np.ndarray:
+    """The ``'i-j'`` keys as an (E, 2) int64 array, each read as
+    :func:`_edge_key` reads it: in one ``int`` pass over the joined keys
+    when each is a string with one ``-``, else key by key."""
+    if set(map(type, keys)) <= {str} and set(map(str.count, keys, repeat("-"))) <= {1}:
+        try:
+            return np.array(list(map(int, "-".join(keys).split("-"))), dtype=np.int64).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            pass  # a bad or huge vertex: the loop names its key
+    return np.array([_edge_key(key) for key in keys], dtype=np.int64).reshape(-1, 2)
 
 
 def _edge_key(key) -> tuple[int, int]:
@@ -197,7 +210,12 @@ def _edge_key(key) -> tuple[int, int]:
         i, j = (int(p) for p in str(key).split("-"))
     except ValueError:
         raise ParseError(f"bad edge key {key!r}; expected 'i-j'") from None
+    if not (_INT64_MIN <= i <= _INT64_MAX and _INT64_MIN <= j <= _INT64_MAX):
+        raise ParseError(f"bad edge key {key!r}; vertices must fit in 64 bits") from None
     return i, j
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _integer(obj: dict, key: str, default=None) -> int:
@@ -251,12 +269,25 @@ def save_obj(obj, path: str | Path) -> None:
 _escape = json.encoder.encode_basestring_ascii
 
 
+class Records:
+    """A list of records ``{name: column[r]}`` over parallel numpy columns
+    of floats or integers, one value per record (shape (R,)) or one row of
+    values (shape (R, k)), which :func:`json_text` writes as that list of
+    dicts without building it: one record template with a ``%r`` slot per
+    value, filled from the columns' ``tolist``."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns: np.ndarray):
+        self.columns = columns
+
+
 def json_text(obj) -> str:
     """``obj`` as JSON text: byte for byte ``json.dumps(obj, indent=2,
     sort_keys=True)``, and the same ``TypeError`` on a value ``json``
-    cannot write (a numpy integer, say).  Tuples are written as lists, and
-    a :class:`PCMatrix` as its document :func:`matrix_to_obj`, straight
-    from its carriers."""
+    cannot write (a numpy integer, say).  Tuples are written as lists, a
+    :class:`PCMatrix` as its document :func:`matrix_to_obj`, straight
+    from its carriers, and a :class:`Records` as its list of dicts."""
     return _json_value(obj, "\n")
 
 
@@ -288,6 +319,8 @@ def _json_value(o, pad: str) -> str:
         fields = {k: _json_value(v, inner) for k, v in _matrix_header(o).items()}
         fields["entries"] = _json_entries(o, inner)
         return _join("{", [_escape(k) + ": " + text for k, text in sorted(fields.items())], "}", pad, inner)
+    if isinstance(o, Records):
+        return _json_records(o, pad)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -298,10 +331,7 @@ def _json_entries(A: PCMatrix, pad: str) -> str:
     inner = pad + "  "
     template = _element_template(A.group, inner)
     C = A._carriers
-    rows = C.reshape(len(C), -1).tolist()
-    if not np.all(np.isfinite(C)):  # the inverse of a subnormal rplus carrier is inf
-        rows = [[x if math.isfinite(x) else _Literal(_json_float(x)) for x in r] for r in rows]
-    items = [template % tuple(r) for r in rows]
+    items = [template % tuple(r) for r in _json_scalars(C.reshape(len(C), -1))]
     if A._positions is not None:
         # references to one "null": gap runs built as text raised peak RSS over repeated reports
         gapped = ["null"] * (A.n * A.n)
@@ -311,21 +341,51 @@ def _json_entries(A: PCMatrix, pad: str) -> str:
     return _join("[", items, "]", pad, inner)
 
 
+def _json_records(R: Records, pad: str) -> str:
+    """The list of a :class:`Records`: each record through one template of
+    its dict, slots in sorted key order, filled with ``%r`` on its values."""
+    names = sorted(R.columns)
+    columns = [R.columns[k] for k in names]
+    if not len(columns[0]):
+        return "[]"
+    inner = pad + "  "
+    template = _template({k: _SLOT if c.ndim == 1 else [_SLOT] * c.shape[1] for k, c in zip(names, columns)}, inner)
+    slots = []  # one list of values per slot, in template order
+    for c in columns:
+        slots.extend(_json_scalars(c.reshape(len(c), -1).T))
+    items = [template % values for values in zip(*slots)]
+    return _join("[", items, "]", pad, inner)
+
+
+def _json_scalars(C: np.ndarray) -> list[list]:
+    """``C.tolist()`` of a 2-D float or integer array, with each non-finite
+    float as the text ``json`` writes for it."""
+    rows = C.tolist()
+    if C.dtype.kind == "f" and not np.all(np.isfinite(C)):
+        rows = [[x if math.isfinite(x) else _Literal(_json_float(x)) for x in r] for r in rows]
+    return rows
+
+
 class _Literal(str):
     """Text that ``%r`` writes as it is."""
 
     __repr__ = str.__str__
 
 
-_SLOT = "\0"  # a carrier scalar, while an element template is written
+_SLOT = "\0"  # a value, while a template is written
 
 
 def _element_template(G: Group, pad: str) -> str:
     """The text of ``G.checked_to_obj`` of one element at indent ``pad``,
     with a ``%r`` slot for each carrier scalar."""
     e = G.identity
-    slots = tuple(_SLOT for _ in e) if isinstance(e, tuple) else _SLOT
-    return _json_value(G.checked_to_obj(slots), pad).replace(_escape(_SLOT), "%r")
+    return _template(G.checked_to_obj(tuple(_SLOT for _ in e) if isinstance(e, tuple) else _SLOT), pad)
+
+
+def _template(obj, pad: str) -> str:
+    """The text of ``obj`` at indent ``pad``, with a ``%r`` slot for each
+    string ``_SLOT`` in it."""
+    return _json_value(obj, pad).replace("%", "%%").replace(_escape(_SLOT), "%r")
 
 
 def _join(opening: str, items: list[str], closing: str, pad: str, inner: str) -> str:

@@ -6,6 +6,19 @@ every oriented edge, with reversal acting by inversion.  Path holonomy
 composes contravariantly: the product of a concatenated path is
 Hol(second) * Hol(first), so the last edge sits leftmost.
 
+Both are stored as arrays.  A complex keeps an (E, 2) array of its edges,
+sorted, with their keys ``i * V + j``, a (T, 3) array of its triangles,
+sorted, and the (T, 3) columns of each triangle's edges.  Its cells are
+checked in one numpy pass -- vertex range, self-edges, duplicate edges and
+triangles, degenerate triangles, and missing triangle edges by one
+``searchsorted`` of the edge keys -- whenever every cell is a list or
+tuple of plain ints, the form a JSON document gives.  Any other input goes
+through the per-cell loop, which names the first bad cell in document
+order.  A field keeps an (E, 2) array of its canonical edges, sorted, and
+the (E, ...) carrier array of their values, checked once; binding it to a
+complex is one ``searchsorted`` of the complex's edge keys, and no
+per-edge Python object is built on the way from a document to a report.
+
 From these come the spanning-tree gauge, the pairwise-comparison matrix of
 a field (with gaps where the comparison graph has no edge), per-triangle
 curvature, the global worst-triangle indicator, and vertex gauge
@@ -15,7 +28,8 @@ transformations.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +41,8 @@ from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _identities, _loop_sco
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
+MAX_VERTICES = 2**31  # edge keys i * V + j stay inside int64
+
 
 class SimplicialComplex2:
     """Vertices 0..V-1 with oriented edges and triangles.
@@ -34,7 +50,8 @@ class SimplicialComplex2:
     Stored edges have i < j and triangles i < j < k; every triangle's three
     edges must be present.  The base vertex anchors gauge paths; vertices
     outside its connected component are allowed but based constructions
-    reject them.
+    reject them.  ``edges`` and ``triangles`` are tuples built on first
+    access from the stored arrays.
     """
 
     def __init__(
@@ -46,60 +63,41 @@ class SimplicialComplex2:
     ):
         if vertices < 1:
             raise ValueError("complex needs at least one vertex")
+        if vertices > MAX_VERTICES:
+            raise ValueError(f"complex has {vertices} vertices; at most 2**31 are supported")
         if not 0 <= base < vertices:
             raise ValueError(f"base vertex {base} out of range")
-        edge_set: set[Edge] = set()
-        for e in edges:
-            i, j = _cell("edge", e, 2)
-            if i == j or not (0 <= i < vertices and 0 <= j < vertices):
-                raise ValueError(f"bad edge ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in edge_set:
-                raise ValueError(f"duplicate edge {key}")
-            edge_set.add(key)
-        tri_set: set[Triangle] = set()
-        for t in triangles:
-            i, j, k = sorted(_cell("triangle", t, 3))
-            if len({i, j, k}) != 3:
-                raise ValueError(f"degenerate triangle {tuple(t)}")
-            if (i, j, k) in tri_set:
-                raise ValueError(f"duplicate triangle ({i},{j},{k})")
-            for a, b in ((i, j), (i, k), (j, k)):
-                if (a, b) not in edge_set:
-                    raise ValueError(f"triangle ({i},{j},{k}) missing edge ({a},{b})")
-            tri_set.add((i, j, k))
-
+        cells = None
+        try:
+            edges = list(edges)
+            triangles = list(triangles)
+            if len(edges) + len(triangles) > _LOOP_CELLS:
+                cells = _cell_arrays(vertices, edges, triangles)
+        except TypeError:
+            pass  # something not iterable: the loop raises it, in document order
+        if cells is None:
+            cells = _checked_cells(vertices, edges, triangles)
         self.vertices = vertices
         self.base = base
-        self.edges: tuple[Edge, ...] = tuple(sorted(edge_set))
-        self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set))
-        self._col = {e: c for c, e in enumerate(self.edges)}  # edge -> column in K.edges
-        self._tri_set = tri_set
-        # columns (ij, ik, jk) of each triangle's edges, in K.triangles order
-        tri_cols = np.array(
-            [(self._col[(i, j)], self._col[(i, k)], self._col[(j, k)]) for i, j, k in self.triangles],
-            dtype=np.intp,
-        ).reshape(-1, 3)
-        tri_cols.flags.writeable = False
-        self._tri_cols = tri_cols
-        adj: dict[int, list[int]] = {v: [] for v in range(vertices)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        self._adj = {v: sorted(ns) for v, ns in adj.items()}
-        self._parents = self._bfs_parents()
+        self._edge_array, self._keys, self._tri_array, self._tri_cols = cells
+        self._nbrs, self._parents = _breadth_first(vertices, base, self._edge_array)
 
-    def _bfs_parents(self) -> dict[int, int | None]:
-        # breadth first from the base, neighbors in increasing order
-        parents: dict[int, int | None] = {self.base: None}
-        queue = deque([self.base])
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in parents:
-                    parents[w] = v
-                    queue.append(w)
-        return parents
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(tuple, self._edge_array.tolist()))
+
+    @cached_property
+    def triangles(self) -> tuple[Triangle, ...]:
+        return tuple(map(tuple, self._tri_array.tolist()))
+
+    @cached_property
+    def _col(self) -> dict[Edge, int]:
+        """Edge -> column in ``K.edges``, for the one-path lookups."""
+        return {e: c for c, e in enumerate(self.edges)}
+
+    @cached_property
+    def _tri_set(self) -> frozenset[Triangle]:
+        return frozenset(self.triangles)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self._col
@@ -108,7 +106,7 @@ class SimplicialComplex2:
         return _triangle_key(t) in self._tri_set
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
+        return self._nbrs[v]
 
     @property
     def is_connected(self) -> bool:
@@ -128,9 +126,112 @@ class SimplicialComplex2:
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex2(V={self.vertices}, E={len(self.edges)}, "
-            f"T={len(self.triangles)}, base={self.base})"
+            f"SimplicialComplex2(V={self.vertices}, E={len(self._edge_array)}, "
+            f"T={len(self._tri_array)}, base={self.base})"
         )
+
+
+_LOOP_CELLS = 16  # up to this many cells the loop is quicker than the numpy pass
+
+
+def _cell_arrays(vertices: int, edges: list, triangles: list):
+    """The stored arrays of a complex -- sorted edges, their keys
+    ``i * V + j``, sorted triangles and the columns of their edges --
+    checked in one numpy pass, or None unless every cell is a list or tuple
+    of plain ints of the right count and every check passes."""
+    V = vertices
+    arrays = []
+    for cells, size in ((edges, 2), (triangles, 3)):
+        if not set(map(type, cells)) <= {list, tuple} or not set(map(len, cells)) <= {size}:
+            return None
+        flat = list(chain.from_iterable(cells))
+        if not set(map(type, flat)) <= {int}:
+            return None
+        try:
+            arrays.append(np.array(flat, dtype=np.int64).reshape(-1, size))
+        except OverflowError:
+            return None
+    e, t = arrays
+    e.sort(axis=1)
+    lo, hi = e.T
+    if len(e) and not (lo.min() >= 0 and hi.max() < V and (lo < hi).all()):
+        return None  # a self-edge or a vertex out of range
+    keys = lo * V + hi
+    order = keys.argsort()
+    keys, e = keys[order], e[order]
+    if (keys[1:] == keys[:-1]).any():
+        return None  # a duplicate edge
+    t.sort(axis=1)
+    t = t[np.lexsort(t.T[::-1])]
+    i, j, k = t.T
+    if len(t) and not (i.min() >= 0 and k.max() < V and ((i < j) & (j < k)).all()):
+        return None  # a degenerate triangle or a vertex out of range
+    if (t[1:] == t[:-1]).all(axis=1).any():
+        return None  # a duplicate triangle
+    want = np.empty_like(t)
+    want[:, 0], want[:, 1], want[:, 2] = i * V + j, i * V + k, j * V + k
+    cols = keys.searchsorted(want)
+    if len(t) and (cols.max() >= len(keys) or (keys[cols] != want).any()):
+        return None  # a triangle edge is missing
+    return _frozen(e, keys, t, cols)
+
+
+def _checked_cells(vertices: int, edges, triangles):
+    """The stored arrays of :func:`_cell_arrays`, with the cells checked one
+    at a time: the first bad cell in document order, edges before
+    triangles, raises."""
+    edge_set: set[Edge] = set()
+    for e in edges:
+        i, j = _cell("edge", e, 2)
+        if i == j or not (0 <= i < vertices and 0 <= j < vertices):
+            raise ValueError(f"bad edge ({i},{j})")
+        key = (min(i, j), max(i, j))
+        if key in edge_set:
+            raise ValueError(f"duplicate edge {key}")
+        edge_set.add(key)
+    tri_set: set[Triangle] = set()
+    for t in triangles:
+        i, j, k = sorted(_cell("triangle", t, 3))
+        if len({i, j, k}) != 3:
+            raise ValueError(f"degenerate triangle {tuple(t)}")
+        if (i, j, k) in tri_set:
+            raise ValueError(f"duplicate triangle ({i},{j},{k})")
+        for a, b in ((i, j), (i, k), (j, k)):
+            if (a, b) not in edge_set:
+                raise ValueError(f"triangle ({i},{j},{k}) missing edge ({a},{b})")
+        tri_set.add((i, j, k))
+    E, T = sorted(edge_set), sorted(tri_set)
+    col = {e: c for c, e in enumerate(E)}
+    return _frozen(
+        np.array(E, dtype=np.int64).reshape(-1, 2),
+        np.array([i * vertices + j for i, j in E], dtype=np.int64),
+        np.array(T, dtype=np.int64).reshape(-1, 3),
+        np.array([(col[(i, j)], col[(i, k)], col[(j, k)]) for i, j, k in T], dtype=np.intp).reshape(-1, 3),
+    )
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _breadth_first(vertices: int, base: int, edges: np.ndarray) -> tuple[list[list[int]], dict[int, int | None]]:
+    """Each vertex's neighbors in increasing order, and the parents of the
+    breadth-first tree from the base, which visits neighbors in that order
+    (the base's parent is None; unreachable vertices are absent)."""
+    nbrs: list[list[int]] = [[] for _ in range(vertices)]
+    for i, j in edges.tolist():  # sorted edges: each list comes out sorted
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parents: dict[int, int | None] = {base: None}
+    queue = [base]
+    for v in queue:  # the queue grows while it is read
+        for w in nbrs[v]:
+            if w not in parents:
+                parents[w] = v
+                queue.append(w)
+    return nbrs, parents
 
 
 def _as_integer(value) -> int | None:
@@ -204,50 +305,123 @@ def grid_complex(m: int, base: int = 0) -> SimplicialComplex2:
 class EdgeField:
     """Assignment of a group element to every oriented edge.
 
-    Keys may be given in either orientation; they are stored canonically
-    with i < j and looked up with inversion on reversal.
+    Stored as a read-only (E, 2) array of canonical edges i < j, sorted,
+    and the read-only (E, ...) carrier array of their values h_ij, checked
+    once.  Keys may be given in either orientation: a reversed key's value
+    is inverted, with one ``batch_inverse`` over all of them.  Each vertex
+    of a key must be an integer by the rule of :func:`_as_integer`.
+    ``value``, ``items`` and ``edges`` read the arrays.
     """
 
     def __init__(self, group: Group, values: Mapping[Edge, Element]):
-        self._fill(group, values, group.check)
+        ends = _key_array(list(values))
+        self._set(group, *_canonical_edges(group, ends, group.batch_check(list(values.values()))))
 
     @classmethod
-    def _of_checked(cls, group: Group, values: Mapping[Edge, Element]) -> EdgeField:
-        """Wrap elements that already passed ``group.check``."""
+    def _of_checked(cls, group: Group, ends: np.ndarray, carriers: np.ndarray) -> EdgeField:
+        """The field with carriers that already passed ``group.check`` on the
+        edges ``ends``, an (E, 2) int array in either orientation."""
         F = cls.__new__(cls)
-        F._fill(group, values, lambda v: v)
+        F._set(group, *_canonical_edges(group, ends, carriers))
         return F
 
-    def _fill(self, group: Group, values: Mapping[Edge, Element], check) -> None:
+    def _set(self, group: Group, edges: np.ndarray, carriers: np.ndarray) -> None:
+        for arr in (edges, carriers):
+            arr.flags.writeable = False
         self.group = group
-        store: dict[Edge, Element] = {}
-        for (i, j), v in values.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-edge ({i},{j}) has no holonomy")
-            key = (i, j) if i < j else (j, i)
-            if key in store:
-                raise ValueError(f"duplicate value for edge {key}")
-            store[key] = check(v) if i < j else group.inverse(v)
-        self._values = store
+        self._edges = edges
+        self._carriers = carriers
 
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._values))
+        return tuple(map(tuple, self._edges.tolist()))
 
     def value(self, i: int, j: int) -> Element:
         """Holonomy of the oriented edge i -> j."""
-        key = (i, j) if i < j else (j, i)
-        if key not in self._values:
-            raise MissingEdgeError(min(i, j), max(i, j))
-        v = self._values[key]
+        a, b = (i, j) if i < j else (j, i)
+        row = np.flatnonzero((self._edges[:, 0] == a) & (self._edges[:, 1] == b))
+        if not len(row):
+            raise MissingEdgeError(a, b)
+        v = self.group.from_array(self._carriers[row])[0]
         return v if i < j else self.group.inverse(v)
 
-    def items(self):
-        return sorted(self._values.items())
+    def items(self) -> list[tuple[Edge, Element]]:
+        return list(zip(self.edges(), self.group.from_array(self._carriers)))
+
+
+def _key_array(keys: list) -> np.ndarray:
+    """The field keys as an (E, 2) int64 array; each key is a pair of
+    integers by the rule of :func:`_as_integer`, and the first bad key is
+    named."""
+    if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}:
+        flat = list(chain.from_iterable(keys))
+        if set(map(type, flat)) <= {int}:
+            try:
+                return np.array(flat, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                pass
+    pairs = []
+    for key in keys:
+        try:
+            vs = [_as_integer(v) for v in key]
+        except TypeError:
+            vs = []
+        if len(vs) != 2 or None in vs or not all(-(2**63) <= v < 2**63 for v in vs):
+            raise ValueError(f"bad edge key {key!r}: expected two integer vertices")
+        pairs.append(vs)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _canonical_edges(group: Group, ends: np.ndarray, carriers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (i, j) with their checked carriers, as canonical edges i < j,
+    sorted, and their carriers, a reversed edge's inverted.  The first
+    self-edge or repeated edge in the given order raises."""
+    i, j = ends.T
+    edges = np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))  # stable: a repeat follows its first occurrence
+    edges = edges[order]
+    repeat = np.zeros(len(ends), dtype=bool)
+    repeat[order[1:]] = np.all(edges[1:] == edges[:-1], axis=1)
+    bad = np.flatnonzero((i == j) | repeat)
+    if len(bad):
+        p = int(bad[0])
+        a, b = int(i[p]), int(j[p])
+        if a == b:
+            raise ValueError(f"self-edge ({a},{b}) has no holonomy")
+        raise ValueError(f"duplicate value for edge {(min(a, b), max(a, b))}")
+    reversed_ = i > j
+    if reversed_.any():
+        carriers = carriers.copy()
+        carriers[reversed_] = group.batch_inverse(carriers[reversed_])
+    return edges, carriers[order]
+
+
+def _array_field(K: SimplicialComplex2, G: Group, X: np.ndarray) -> EdgeField:
+    """The field with carriers X over ``K.edges``, which are not checked again."""
+    F = EdgeField.__new__(EdgeField)
+    F._set(G, K._edge_array, X)
+    return F
+
+
+def _edge_carriers(K: SimplicialComplex2, F: EdgeField, cols=slice(None)) -> np.ndarray:
+    """The field's carriers h_ij, i < j, over the edges ``K.edges[cols]``
+    (all of them by default), in that order: shape (len, ...).  The first
+    of those edges the field has no value on raises."""
+    if F._edges is K._edge_array or np.array_equal(F._edges, K._edge_array):
+        return F._carriers[cols]
+    V = K.vertices
+    inside = (F._edges[:, 0] >= 0) & (F._edges[:, 1] < V)  # no other edge is in K
+    keys = F._edges[inside, 0] * V + F._edges[inside, 1]  # sorted, as the edges are
+    want = K._keys[cols]
+    at = np.minimum(np.searchsorted(keys, want), max(len(keys) - 1, 0))
+    found = keys[at] == want if len(keys) else np.zeros(len(want), dtype=bool)
+    if not found.all():
+        i, j = K._edge_array[cols][int(np.argmin(found))].tolist()
+        raise MissingEdgeError(i, j)
+    return F._carriers[inside][at]
 
 
 def identity_field(K: SimplicialComplex2, group: Group) -> EdgeField:
-    return EdgeField(group, {e: group.identity for e in K.edges})
+    return _array_field(K, group, _identities(group, len(K._edge_array)))
 
 
 def field_from_gauge(K: SimplicialComplex2, group: Group, lam: Sequence[Element]) -> EdgeField:
@@ -256,7 +430,7 @@ def field_from_gauge(K: SimplicialComplex2, group: Group, lam: Sequence[Element]
     lam = group.batch_check(lam)
     if len(lam) != K.vertices:
         raise ValueError(f"gauge length {len(lam)} does not match {K.vertices} vertices")
-    I, J = _edge_ends(K)
+    I, J = K._edge_array.T
     return _array_field(K, group, group.batch_multiply(lam[J], group.batch_inverse(lam)[I]))
 
 
@@ -268,7 +442,7 @@ def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> E
     """
     cols, against = _path_steps(K, path)
     G = F.group
-    H = G.to_array([F.value(*K.edges[c]) for c in cols])
+    H = _edge_carriers(K, F, np.array(cols, dtype=np.intp))
     return G.from_array(_path_product(G, H[None], against))[0]
 
 
@@ -300,21 +474,6 @@ def _path_product(G: Group, H: np.ndarray, against: Sequence[bool]) -> np.ndarra
     return acc
 
 
-def _edge_ends(K: SimplicialComplex2) -> np.ndarray:
-    """The vertices (i, j) of ``K.edges`` as two index arrays."""
-    return np.array(K.edges, dtype=np.intp).reshape(-1, 2).T
-
-
-def _field_array(K: SimplicialComplex2, F: EdgeField) -> np.ndarray:
-    """The field's stored carriers h_ij, i < j, over ``K.edges``: shape (E, ...)."""
-    return F.group.to_array([F.value(i, j) for i, j in K.edges])
-
-
-def _array_field(K: SimplicialComplex2, G: Group, X: np.ndarray) -> EdgeField:
-    """The field with carriers X over ``K.edges``, which are not checked again."""
-    return EdgeField._of_checked(G, dict(zip(K.edges, G.from_array(X))))
-
-
 def _triangle_edges(K: SimplicialComplex2, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The carriers (h_ij, h_ik, h_jk) of every triangle's edges, in
     ``K.triangles`` order, for carrier arrays X of shape (B, E, ...): three
@@ -339,16 +498,17 @@ def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, .
     if not K.is_connected:
         raise ValueError("disconnected complex: no gauge paths reach every vertex")
     G = F.group
-    X = _field_array(K, F)
+    X = _edge_carriers(K, F)
     oriented = np.stack((X, G.batch_inverse(X)))  # [0, c] runs along edge c, [1, c] against it
-    g = G.to_array([G.identity] * K.vertices)
+    g = _identities(G, K.vertices)
     level = [K.base]
     while True:
         steps = [(p, c) for p in level for c in K.neighbors(p) if K._parents[c] == p]
         if not steps:
             return tuple(G.from_array(g))
         parent, child = np.array(steps, dtype=np.intp).T
-        h = oriented[(parent > child).astype(np.intp), [_step_column(K, p, c) for p, c in steps]]
+        lo, hi = np.minimum(parent, child), np.maximum(parent, child)
+        h = oriented[(parent > child).astype(np.intp), np.searchsorted(K._keys, lo * K.vertices + hi)]
         g[child] = G.batch_multiply(h, g[parent])
         level = child.tolist()
 
@@ -368,8 +528,8 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
         raise ValueError("disconnected complex: holonomy matrix needs gauge paths")
     G = F.group
     n = K.vertices
-    I, J = _edge_ends(K)
-    X = _field_array(K, F)
+    I, J = K._edge_array.T
+    X = _edge_carriers(K, F)
     d = np.arange(n)
     pos = np.concatenate((d * (n + 1), I * n + J, J * n + I))
     carriers = np.concatenate((_identities(G, n), X, G.batch_inverse(X)))
@@ -429,11 +589,11 @@ def _triangle_scores(
     """In of every plaquette, in ``K.triangles`` order, with the first
     maximum and its triangle; (0.0, None) when there are no triangles."""
     score = _loop_scorer(F.group, CONTRAVARIANT, indicator)  # checks a supplied indicator
-    if not K.triangles:
+    if not len(K._tri_array):
         return np.zeros(0), 0.0, None
-    curv = score(*_triangle_edges(K, _field_array(K, F)[None]))[0]
+    curv = score(*_triangle_edges(K, _edge_carriers(K, F)[None]))[0]
     t = int(np.argmax(curv))
-    return curv, float(curv[t]), K.triangles[t]
+    return curv, float(curv[t]), tuple(K._tri_array[t].tolist())
 
 
 def gauge_transform_field(
@@ -448,5 +608,5 @@ def gauge_transform_field(
     mu = G.batch_check(mu)
     if len(mu) != K.vertices:
         raise ValueError(f"gauge length {len(mu)} does not match {K.vertices} vertices")
-    I, J = _edge_ends(K)
-    return _array_field(K, G, G.batch_multiply(G.batch_multiply(mu[J], _field_array(K, F)), G.batch_inverse(mu)[I]))
+    I, J = K._edge_array.T
+    return _array_field(K, G, G.batch_multiply(G.batch_multiply(mu[J], _edge_carriers(K, F)), G.batch_inverse(mu)[I]))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from holopc import simplicial
 from holopc.cli import main
 from holopc.groups import (
     RPLUS,
@@ -171,17 +172,31 @@ def test_check_witness_is_worst_triad(group, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [
-        ("1,1e200,1e-100\n1e-200,1,1e200\n1e100,1e-200,1\n", "positive-real product left (0, inf)"),
-        ("1,1e150,1e-300\n1e-150,1,1e150\n1e300,1e-150,1\n", "positive-real ratio left (0, inf)"),
-        ("1,1e300\n1e300,1\n", "positive-real ratio left (0, inf)"),
-    ],
-    ids=["product", "defect-ratio", "reciprocity-ratio"],
+    [("1,1e300\n1e300,1\n", "positive-real ratio left (0, inf)")],
+    ids=["reciprocity-ratio"],
 )
 def test_check_rplus_beyond_the_float_range_exits_2(text, message, tmp_path, capsys):
     # no numpy warning (pytest turns it into an error) and no traceback
     code, out, err = run(capsys, ["check", write_csv(tmp_path, "m.csv", text)])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, decades",
+    [
+        ("1,1e200,1e-100\n1e-200,1,1e200\n1e100,1e-200,1\n", 500),  # a_01 * a_12 = 1e400
+        ("1,1e150,1e-300\n1e-150,1,1e150\n1e300,1e-150,1\n", 600),  # a_01 * a_12 / a_02 = 1e600
+    ],
+    ids=["product", "defect-ratio"],
+)
+def test_check_scores_rplus_beyond_the_float_range(text, decades, tmp_path, capsys):
+    # valid matrices whose triad products leave the float range are scored in logs
+    code, out, err = run(capsys, ["check", write_csv(tmp_path, "m.csv", text)])
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["valid"] and report["worst_triad"] == report["witness"] == [0, 1, 2]
+    assert report["ii_In"] == pytest.approx(decades * math.log(10.0), rel=1e-9)
+    assert report["ii3"] == report["ii_n"] == 1.0
 
 
 def test_check_parse_error_reports_location(tmp_path, capsys):
@@ -459,6 +474,25 @@ def test_cli_reports_build_no_entry_grid(name, tmp_path, capsys, monkeypatch):
     assert code in (0, 1)
     assert calls["entries"] == 0
     assert calls["checked_to_obj"] == REPORT_OBJECTS[name]
+
+
+def test_holonomy_builds_no_per_edge_objects(tmp_path, capsys, monkeypatch):
+    # parse, bind and write on carrier arrays: no field lookup, no plain
+    # elements and no per-cell vertex reading
+    argv = ["holonomy", *_holonomy_files(tmp_path)]
+    calls = collections.Counter()
+
+    def count(owner, name):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _m=method: calls.update([name]) or _m(*a))
+
+    count(EdgeField, "value")
+    count(Group, "from_array")
+    count(UnitQuaternions, "from_array")
+    count(simplicial, "_cell")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)["curvatures"]) == len(grid_complex(3).triangles)
+    assert dict(calls) == {}
 
 
 # --- montecarlo ----------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holopc import simplicial
 from holopc.cli import main
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian
-from holopc.errors import GroupMismatchError, ParseError
+from holopc.errors import GroupMismatchError, MissingEdgeError, ParseError
 from holopc.groups import RPLUS, SU2, U1, CircleGroup, Group, zmod
 from holopc.pcmatrix import (
     CONTRAVARIANT,
@@ -21,6 +22,7 @@ from holopc.pcmatrix import (
     random_pc_matrix,
 )
 from holopc.serialize import (
+    Records,
     complex_from_obj,
     complex_to_obj,
     field_from_obj,
@@ -35,7 +37,7 @@ from holopc.serialize import (
     save_matrix,
     save_obj,
 )
-from holopc.simplicial import EdgeField, full_simplex, grid_complex, holonomy_pc_matrix, identity_field
+from holopc.simplicial import EdgeField, _edge_carriers, full_simplex, grid_complex, holonomy_pc_matrix, identity_field
 
 Z7 = zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
@@ -488,3 +490,187 @@ def test_documents_parse_as_element_by_element(group):
     A = matrix_from_obj(obj)
     expected = [None if v is None else group.element_from_obj(v) for v in obj["entries"]]
     assert [e for row in A.entries for e in row] == expected
+
+
+# --- complexes and fields on arrays ---------------------------------------------------
+
+
+def _reference_complex(vertices, edges, triangles, base):
+    """The per-cell reading of a valid complex: sorted canonical edges and
+    triangles, each triangle's edge columns, and the parents of the
+    breadth-first tree that visits neighbors in increasing order."""
+    E = sorted({(min(int(i), int(j)), max(int(i), int(j))) for i, j in edges})
+    T = sorted(tuple(sorted(int(v) for v in t)) for t in triangles)
+    col = {e: c for c, e in enumerate(E)}
+    cols = [[col[(i, j)], col[(i, k)], col[(j, k)]] for i, j, k in T]
+    adj = {v: [] for v in range(vertices)}
+    for i, j in E:
+        adj[i].append(j)
+        adj[j].append(i)
+    parents, queue = {base: None}, [base]
+    for v in queue:
+        for w in sorted(adj[v]):
+            if w not in parents:
+                parents[w] = v
+                queue.append(w)
+    return E, T, cols, parents
+
+
+@st.composite
+def subcomplexes(draw):
+    """A random subcomplex of ``full_simplex(n)``, n <= 7, as a complex
+    document: shuffled cells, edges in either orientation, triangle
+    vertices in any order, and some vertices written as integral floats."""
+    V = draw(st.integers(1, 8))
+    tris = draw(st.lists(st.sampled_from(list(itertools.combinations(range(V), 3)) or [None]), unique=True))
+    tris = [t for t in tris if t is not None]
+    needed = {e for i, j, k in tris for e in ((i, j), (i, k), (j, k))}
+    extra = draw(st.lists(st.sampled_from(list(itertools.combinations(range(V), 2)) or [None]), unique=True))
+    edges = draw(st.permutations(sorted(needed | {e for e in extra if e is not None})))
+    edges = [list(e[::-1]) if draw(st.booleans()) else list(e) for e in edges]
+    tris = [list(draw(st.permutations(t))) for t in draw(st.permutations(tris))]
+    if draw(st.booleans()):  # integral floats take the per-cell path
+        for cell in edges + tris:
+            cell[0] = float(cell[0])
+    return {"vertices": V, "edges": edges, "triangles": tris, "base": draw(st.integers(0, V - 1))}
+
+
+def _parse_complex(doc, numpy_pass: bool):
+    """``complex_from_obj(doc)``, with every complex sent to the numpy pass
+    first or every one to the per-cell loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_LOOP_CELLS", -1 if numpy_pass else math.inf)
+        return complex_from_obj(doc)
+
+
+STORED = ("_edge_array", "_keys", "_tri_array", "_tri_cols")
+
+
+@PROPERTY
+@given(doc=subcomplexes(), group=st.sampled_from(GROUPS), data=st.data())
+def test_complexes_and_fields_parse_as_cell_by_cell(doc, group, data):
+    K, L = _parse_complex(doc, True), _parse_complex(doc, False)
+    for name in STORED:
+        a, b = getattr(K, name), getattr(L, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
+    E, T, cols, parents = _reference_complex(doc["vertices"], doc["edges"], doc["triangles"], doc["base"])
+    assert K.edges == tuple(E) and K.triangles == tuple(T)
+    assert K._tri_cols.tolist() == (cols or [])
+    assert K._parents == parents
+    # field keys in both orientations, through the document and the constructor
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    values = [group.haar_sample(rng) if group.compact else math.exp(rng.normal()) for _ in E]
+    flips = [data.draw(st.booleans()) for _ in E]
+    keys = [(j, i) if flip else (i, j) for (i, j), flip in zip(E, flips)]
+    order = data.draw(st.permutations(range(len(E))))
+    tail = group.to_array([group.identity]).shape[1:]
+    stored = [group.inverse(v) if flip else group.check(v) for v, flip in zip(values, flips)]
+    expected = group.to_array(stored).reshape((len(E),) + tail)
+    fobj = {"group": group.tag, "values": {"%d-%d" % keys[c]: group.checked_to_obj(values[c]) for c in order}}
+    for F in (field_from_obj(fobj), EdgeField(group, {keys[c]: values[c] for c in order})):
+        assert F.edges() == tuple(E)
+        assert F._carriers.dtype == expected.dtype and F._carriers.tobytes() == expected.tobytes()
+        assert _edge_carriers(K, F).tobytes() == expected.tobytes()
+
+
+_EDGES3 = [[0, 1], [0, 2], [1, 2]]
+_U = {"theta": 0.1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": 3, "edges": [[0, 1], [0, 2], [0, 1]]}, "duplicate edge (0, 1)"),
+        ({"vertices": 3, "edges": [[0, 1], [1, 0]]}, "duplicate edge (0, 1)"),
+        ({"vertices": 3, "edges": [[0, 1], [0, 1.0]]}, "duplicate edge (0, 1)"),
+        ({"vertices": 3, "edges": [[0, 1], [1, 3]]}, "bad edge (1,3)"),
+        ({"vertices": 3, "edges": [[-1, 0]]}, "bad edge (-1,0)"),
+        ({"vertices": 3, "edges": [[0, 1], [2, 2]]}, "bad edge (2,2)"),
+        ({"vertices": 3, "edges": [[2, 2], [0, 1], [0, 1]]}, "bad edge (2,2)"),
+        ({"vertices": 3, "edges": [[0, 1], [0, True]]}, "bad edge [0, True]: expected 2 integer vertices"),
+        ({"vertices": 3, "edges": [[0, 1.5], [1, 1]]}, "bad edge [0, 1.5]: expected 2 integer vertices"),
+        ({"vertices": 3, "edges": [[0, 1], [0, 1, 2]]}, "bad edge [0, 1, 2]: expected 2 integer vertices"),
+        ({"vertices": 3, "edges": [[0, 1], 5]}, "'int' object is not iterable"),
+        ({"vertices": 3, "edges": 7}, "'int' object is not iterable"),
+        ({"vertices": 3, "edges": _EDGES3, "triangles": [[0, 1, 1]]}, "degenerate triangle (0, 1, 1)"),
+        ({"vertices": 3, "edges": _EDGES3, "triangles": [[0, 1, 2], [2, 1, 0]]}, "duplicate triangle (0,1,2)"),
+        ({"vertices": 3, "edges": [[0, 1], [1, 2]], "triangles": [[0, 1, 2]]}, "triangle (0,1,2) missing edge (0,2)"),
+        ({"vertices": 3, "edges": _EDGES3, "triangles": [[0, 1, 5]]}, "triangle (0,1,5) missing edge (0,5)"),
+        ({"vertices": 3, "edges": _EDGES3, "triangles": [[0, 1, 2.5]]}, "bad triangle [0, 1, 2.5]: expected 3 integer vertices"),
+        ({"vertices": 3, "edges": _EDGES3, "triangles": [[0, 1, 2], [0, 1]]}, "bad triangle [0, 1]: expected 3 integer vertices"),
+        ({"vertices": 3, "edges": [[0, 1], [1, 1]], "triangles": [[0, 0, 1]]}, "bad edge (1,1)"),  # edges first
+        ({"vertices": 3, "edges": _EDGES3 + [[0, 2]], "triangles": 7}, "duplicate edge (0, 2)"),
+    ],
+)
+@pytest.mark.parametrize("numpy_pass", [True, False], ids=["numpy", "loop"])
+def test_bad_complexes_name_their_first_bad_cell(doc, message, numpy_pass):
+    with pytest.raises(ParseError) as err:
+        _parse_complex(doc, numpy_pass)
+    assert str(err.value) == f"bad complex document: {message}"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"0-1": _U, "ab": _U}, "bad edge key 'ab'; expected 'i-j'"),
+        ({"0-1": _U, "0-1-2": _U}, "bad edge key '0-1-2'; expected 'i-j'"),
+        ({"0-1": _U, "0-": _U}, "bad edge key '0-'; expected 'i-j'"),
+        ({"0-1": _U, "-1-2": _U}, "bad edge key '-1-2'; expected 'i-j'"),
+        ({"0-1": _U, "1.5-2": _U}, "bad edge key '1.5-2'; expected 'i-j'"),
+        ({"0-1": _U, f"0-{2**63}": _U}, f"bad edge key '0-{2**63}'; vertices must fit in 64 bits"),
+        ({"0-1": _U, "1-0": _U}, "duplicate value for edge (0, 1)"),
+        ({"0-1": _U, "0-2": _U, "0-1 ": _U}, "duplicate value for edge (0, 1)"),  # the same edge spelled twice
+        ({"0-1": _U, "1-1": _U}, "self-edge (1,1) has no holonomy"),
+        ({"2-2": _U, "0-1": _U, "1-0": _U}, "self-edge (2,2) has no holonomy"),
+        ({"0-1": _U, "1-0": _U, "2-2": _U}, "duplicate value for edge (0, 1)"),
+    ],
+)
+def test_bad_field_keys_are_named(values, message):
+    with pytest.raises(ParseError) as err:
+        field_from_obj({"group": "u1", "values": values})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", [(0, 1.7), (True, 2), (0, "1"), (0, 1, 2), (0,), 5, (0, 2**63), (0, math.nan)])
+def test_edge_field_keys_must_be_integer_pairs(key):
+    with pytest.raises(ValueError) as err:
+        EdgeField(U1, {(0, 1): 0.3, key: 0.1})
+    assert str(err.value) == f"bad edge key {key!r}: expected two integer vertices"
+
+
+def test_edge_field_keys_read_integral_floats_and_numpy_integers():
+    F = EdgeField(U1, {(0, 1.0): 0.3, (np.int64(2), 1): 0.1})
+    assert F.edges() == ((0, 1), (1, 2)) and all(type(v) is int for e in F.edges() for v in e)
+    assert F.value(1, 2) == U1.inverse(0.1)
+
+
+def test_fields_bind_by_edge_key():
+    K = full_simplex(2)
+    extra = EdgeField(U1, {(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3, (2, 7): 0.4, (-1, 0): 0.5})
+    assert holonomy_pc_matrix(K, extra) == holonomy_pc_matrix(K, EdgeField(U1, {(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3}))
+    with pytest.raises(MissingEdgeError, match="no field value on edge 0-2"):
+        holonomy_pc_matrix(K, EdgeField(U1, {(0, 1): 0.1, (1, 2): 0.3, (2, 3): 0.4}))
+
+
+curvature_columns = st.integers(0, 5).flatmap(
+    lambda R: st.tuples(
+        st.lists(json_floats, min_size=R, max_size=R),
+        st.lists(st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3), min_size=R, max_size=R),
+    )
+)
+
+
+@PROPERTY
+@given(columns=curvature_columns, depth=st.integers(0, 3))
+def test_records_are_written_as_their_dicts(columns, depth):
+    values, triangles = columns
+    records = Records(in_value=np.array(values, dtype=float), triangle=np.array(triangles, dtype=np.int64).reshape(-1, 3))
+    plain = [{"in_value": float(v), "triangle": t} for v, t in zip(values, triangles)]
+    assert json_text({"curvatures": records, "n": 1}) == _dumps({"curvatures": plain, "n": 1})
+    assert json_text(_nest(records, depth)) == _dumps(_nest(plain, depth))
+
+
+def _nest(x, depth):
+    for _ in range(depth):
+        x = {"a": [x]}
+    return x
