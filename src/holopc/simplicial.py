@@ -8,16 +8,17 @@ Hol(second) * Hol(first), so the last edge sits leftmost.
 
 Both are stored as arrays.  A complex keeps an (E, 2) array of its edges,
 sorted, with their keys ``i * V + j``, a (T, 3) array of its triangles,
-sorted, and the (T, 3) columns of each triangle's edges.  Its cells are
-checked in one numpy pass -- vertex range, self-edges, duplicate edges and
-triangles, degenerate triangles, and missing triangle edges by one
-``searchsorted`` of the edge keys -- whenever every cell is a list or
-tuple of plain ints, the form a JSON document gives.  Any other input goes
-through the per-cell loop, which names the first bad cell in document
-order.  A field keeps an (E, 2) array of its canonical edges, sorted, and
-the (E, ...) carrier array of their values, checked once; binding it to a
-complex is one ``searchsorted`` of the complex's edge keys, and no
-per-edge Python object is built on the way from a document to a report.
+sorted, and the (T, 3) columns of each triangle's edges.  A complex of more
+than ``_LOOP_CELLS`` cells, each a list or tuple of plain ints (the form a
+JSON document gives), is checked in one numpy pass: vertex range,
+self-edges, duplicate edges and triangles, degenerate triangles, and
+missing triangle edges by one ``searchsorted`` of the edge keys.  Any other
+input, and any input that fails the pass, goes through the per-cell loop,
+which names the first bad cell in document order.  A field keeps an
+(E, 2) array of its canonical edges, sorted, and the (E, ...) carrier
+array of their values, checked once.  Binding it to a complex is one
+``searchsorted`` of the complex's edge keys, so no per-edge Python object
+is built on the way from a document to a report.
 
 From these come the spanning-tree gauge, the pairwise-comparison matrix of
 a field (with gaps where the comparison graph has no edge), per-triangle
@@ -41,7 +42,8 @@ from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _identities, _loop_sco
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
-MAX_VERTICES = 2**31  # edge keys i * V + j stay inside int64
+_MAX_VERTICES = 2**31  # edge keys i * V + j stay inside int64
+_LOOP_CELLS = 16  # up to this many cells the per-cell loop is quicker than the numpy pass
 
 
 class SimplicialComplex2:
@@ -63,7 +65,7 @@ class SimplicialComplex2:
     ):
         if vertices < 1:
             raise ValueError("complex needs at least one vertex")
-        if vertices > MAX_VERTICES:
+        if vertices > _MAX_VERTICES:
             raise ValueError(f"complex has {vertices} vertices; at most 2**31 are supported")
         if not 0 <= base < vertices:
             raise ValueError(f"base vertex {base} out of range")
@@ -129,9 +131,6 @@ class SimplicialComplex2:
             f"SimplicialComplex2(V={self.vertices}, E={len(self._edge_array)}, "
             f"T={len(self._tri_array)}, base={self.base})"
         )
-
-
-_LOOP_CELLS = 16  # up to this many cells the loop is quicker than the numpy pass
 
 
 def _cell_arrays(vertices: int, edges: list, triangles: list):
