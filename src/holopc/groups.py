@@ -26,7 +26,10 @@ builds carrier arrays and calls the kernels itself; :meth:`Group.batch_check`
 checks a whole sequence of raw values into a carrier array, bit for bit as
 ``check`` would one at a time.  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
-which the Gauss-Newton consistencizer needs.
+which the Gauss-Newton consistencizer needs.  Nor has ``batch_defect``,
+the triad defect d(ab, c) that scores every default-indicator loop: one
+product and one distance, except for rplus, which sums logs so that a
+product beyond the float range is never formed.
 """
 
 from __future__ import annotations

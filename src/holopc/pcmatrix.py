@@ -35,7 +35,10 @@ Every loop with the default indicator is scored as a defect.  The triad
 holonomy is h = x z y^-1 (covariant) or y^-1 z x (contravariant) for
 (x, y, z) = (a_ij, a_ik, a_jk), and the distance is bi-invariant, so
 d(1, h^-1) = d(xz, y) or d(zx, y): Koczkodaj's triad defect, read in any
-group, at one product and one distance per triad.  The consistency defect
+group, at one product and one distance per triad (``Group.batch_defect``;
+rplus takes it as the sum of logs |log x - log y + log z|, so no product
+leaves the float range, and ``ii3_matrix`` and ``ii_n_chain`` work in logs
+too).  The consistency defect
 of ``is_consistent`` and the default ``ii_indicator`` are therefore the same
 number, and ``_loop_scorer`` is the one kernel behind both, the
 consistencizer's ``ii_before``/``ii_after``, the plaquette scores of

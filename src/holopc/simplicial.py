@@ -93,16 +93,11 @@ class SimplicialComplex2:
         return tuple(map(tuple, self._tri_array.tolist()))
 
     @cached_property
-    def _col(self) -> dict[Edge, int]:
-        """Edge -> column in ``K.edges``, for the one-path lookups."""
-        return {e: c for c, e in enumerate(self.edges)}
-
-    @cached_property
     def _tri_set(self) -> frozenset[Triangle]:
         return frozenset(self.triangles)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._col
+        return _edge_column(self, i, j) is not None
 
     def has_triangle(self, t: Sequence[int]) -> bool:
         return _triangle_key(t) in self._tri_set
@@ -445,11 +440,20 @@ def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> E
     return G.from_array(_path_product(G, H[None], against))[0]
 
 
+def _edge_column(K: SimplicialComplex2, v: int, w: int) -> int | None:
+    """Column in ``K.edges`` of the edge {v, w}, or None when it is not one."""
+    a, b = (v, w) if v < w else (w, v)
+    if not 0 <= a < b < K.vertices:
+        return None
+    c = int(K._keys.searchsorted(a * K.vertices + b))
+    return c if c < len(K._keys) and K._edge_array[c].tolist() == [a, b] else None
+
+
 def _step_column(K: SimplicialComplex2, v: int, w: int) -> int:
     """Column in ``K.edges`` of the edge a path steps over from v to w."""
-    a, b = (v, w) if v < w else (w, v)
-    c = K._col.get((a, b))
+    c = _edge_column(K, v, w)
     if c is None:
+        a, b = (v, w) if v < w else (w, v)
         raise ValueError(f"non-adjacent step {v}->{w}: missing edge {a}-{b}")
     return c
 

@@ -614,6 +614,7 @@ def test_bad_complexes_name_their_first_bad_cell(doc, message, numpy_pass):
     [
         ({"0-1": _U, "ab": _U}, "bad edge key 'ab'; expected 'i-j'"),
         ({"0-1": _U, "0-1-2": _U}, "bad edge key '0-1-2'; expected 'i-j'"),
+        ({"0-1-2": _U, "3": _U}, "bad edge key '0-1-2'; expected 'i-j'"),  # as many '-' as two good keys
         ({"0-1": _U, "0-": _U}, "bad edge key '0-'; expected 'i-j'"),
         ({"0-1": _U, "-1-2": _U}, "bad edge key '-1-2'; expected 'i-j'"),
         ({"0-1": _U, "1.5-2": _U}, "bad edge key '1.5-2'; expected 'i-j'"),
@@ -648,8 +649,8 @@ def test_fields_bind_by_edge_key():
     K = full_simplex(2)
     extra = EdgeField(U1, {(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3, (2, 7): 0.4, (-1, 0): 0.5})
     assert holonomy_pc_matrix(K, extra) == holonomy_pc_matrix(K, EdgeField(U1, {(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3}))
-    with pytest.raises(MissingEdgeError, match="no field value on edge 0-2"):
-        holonomy_pc_matrix(K, EdgeField(U1, {(0, 1): 0.1, (1, 2): 0.3, (2, 3): 0.4}))
+    with pytest.raises(MissingEdgeError, match="no field value on edge 0-2"):  # the first missing, in K.edges order
+        holonomy_pc_matrix(K, EdgeField(U1, {(0, 1): 0.1, (2, 3): 0.4}))
 
 
 curvature_columns = st.integers(0, 5).flatmap(

@@ -287,6 +287,20 @@ def test_triangle_lookups_read_integer_vertices():
                 lookup(TRIANGLE, F, t)
 
 
+def test_edge_lookups_match_edges_by_value():
+    # an edge is found by its key i * V + j; a pair of other numbers whose key
+    # collides with an edge's (0.25 * 4 + 1 = key of (0, 2)) is not that edge
+    K = full_simplex(3)
+    F = identity_field(K, U1)
+    for i, j in [(0, 1), (1, 0), (1.0, 2), (np.int64(3), 2)]:
+        assert K.has_edge(i, j)
+        assert path_holonomy(K, F, (i, j)) == 0.0
+    for i, j in [(0.25, 1), (0.5, 2), (2, 2), (-1, 0), (0, 4), (0, 10**30)]:
+        assert not K.has_edge(i, j)
+        with pytest.raises(ValueError, match="non-adjacent"):
+            path_holonomy(K, F, (i, j))
+
+
 # --- global indicator ---------------------------------------------------------------------
 
 
