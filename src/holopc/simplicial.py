@@ -320,11 +320,8 @@ class EdgeField:
         return F
 
     def _set(self, group: Group, edges: np.ndarray, carriers: np.ndarray) -> None:
-        for arr in (edges, carriers):
-            arr.flags.writeable = False
         self.group = group
-        self._edges = edges
-        self._carriers = carriers
+        self._edges, self._carriers = _frozen(edges, carriers)
 
     def edges(self) -> tuple[Edge, ...]:
         return tuple(map(tuple, self._edges.tolist()))
@@ -346,13 +343,6 @@ def _key_array(keys: list) -> np.ndarray:
     """The field keys as an (E, 2) int64 array; each key is a pair of
     integers by the rule of :func:`_as_integer`, and the first bad key is
     named."""
-    if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}:
-        flat = list(chain.from_iterable(keys))
-        if set(map(type, flat)) <= {int}:
-            try:
-                return np.array(flat, dtype=np.int64).reshape(-1, 2)
-            except OverflowError:
-                pass
     pairs = []
     for key in keys:
         try:
