@@ -196,12 +196,12 @@ def _checked_cells(vertices: int, edges, triangles):
         tri_set.add((i, j, k))
     E, T = sorted(edge_set), sorted(tri_set)
     col = {e: c for c, e in enumerate(E)}
-    return _frozen(
-        np.array(E, dtype=np.int64).reshape(-1, 2),
-        np.array([i * vertices + j for i, j in E], dtype=np.int64),
-        np.array(T, dtype=np.int64).reshape(-1, 3),
-        np.array([(col[(i, j)], col[(i, k)], col[(j, k)]) for i, j, k in T], dtype=np.intp).reshape(-1, 3),
-    )
+    keys = [i * vertices + j for i, j in E]
+    cols = [(col[(i, j)], col[(i, k)], col[(j, k)]) for i, j, k in T]
+    # the four arrays are views of one, so a small complex pays for one conversion
+    (flat,) = _frozen(np.array([*chain(*E), *keys, *chain(*T), *chain(*cols)], dtype=np.intp))
+    e, k, t = 2 * len(E), 3 * len(E), 3 * len(E) + 3 * len(T)
+    return flat[:e].reshape(-1, 2), flat[e:k], flat[k:t].reshape(-1, 3), flat[t:].reshape(-1, 3)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
