@@ -103,6 +103,8 @@ class SimplicialComplex2:
         return _triangle_key(t) in self._tri_set
 
     def neighbors(self, v: int) -> list[int]:
+        if not 0 <= v < self.vertices:  # a negative index would name another vertex
+            raise ValueError(f"vertex {v} out of range")
         return self._nbrs[v]
 
     @property

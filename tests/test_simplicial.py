@@ -64,6 +64,10 @@ def test_tree_paths_deterministic():
     K = SimplicialComplex2(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert K.tree_path(3) == (0, 1, 3)  # neighbor 1 explored before 2
     assert K.tree_path(0) == (0,)
+    assert [K.neighbors(v) for v in range(4)] == [[1, 2], [0, 3], [0, 3], [1, 2]]
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            K.neighbors(v)
 
 
 def test_disconnected_complex_allowed_but_flagged():
