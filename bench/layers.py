@@ -1,0 +1,177 @@
+"""Per-layer timings of the report writer and the document reader.
+
+    python bench/layers.py --baseline-src OLD/src --baseline-commit SHA   # writes BENCH_layers.json
+    python bench/layers.py --runs 2 --rounds 1 --out /tmp/layers.json    # quick: checks that it runs
+
+It times the ``src/`` of the checkout it is in.  The layers are:
+
+- ``json_text`` of the su2 ``holonomy`` report (matrix, curvature records,
+  global_ii) of a random field on ``grid_complex(m)``, m = 20, 30, 40;
+- ``json_text`` of the su2 n = 21 ``consistencize`` report;
+- ``load_matrix`` of an n = 48 su2 matrix document.
+
+Each source tree is timed in its own interpreter, since both are the package
+``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
+Each layer's record holds the median and interquartile range of its timed
+runs (after one untimed warm-up per interpreter), in milliseconds, for the
+tree and for its baseline, together with the machine, the Python and numpy
+versions and a hash of each tree's ``holopc`` sources.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GRIDS = (20, 30, 40)
+
+
+def layers(src: str, tmp: Path) -> dict:
+    """The timed layers of the ``holopc`` under ``src``, each a function of
+    no arguments; the inputs are drawn from a fixed seed, and files go in
+    ``tmp``."""
+    sys.path.insert(0, src)
+    from holopc.consistencize import consistencize_riemannian
+    from holopc.groups import SU2
+    from holopc.pcmatrix import random_pc_matrix
+    from holopc.serialize import Records, json_text, load_matrix, save_matrix
+    from holopc.simplicial import EdgeField, _triangle_scores, grid_complex, holonomy_pc_matrix
+
+    rng = np.random.default_rng(20)
+    out = {}
+    for m in GRIDS:
+        K = grid_complex(m)
+        q = rng.normal(size=(len(K.edges), 4))
+        F = EdgeField(SU2, dict(zip(K.edges, map(tuple, q / np.linalg.norm(q, axis=1, keepdims=True)))))
+        scores, value, worst = _triangle_scores(K, F, None)
+        report = {  # as cli.cmd_holonomy builds it
+            "group": "su2",
+            "vertices": K.vertices,
+            "matrix": holonomy_pc_matrix(K, F),
+            "curvatures": Records(in_value=scores, triangle=K._tri_array),
+            "global_ii": value,
+            "worst_triangle": list(worst) if worst else None,
+        }
+        out[f"json_text.holonomy_su2_grid{m}"] = lambda report=report: json_text(report)
+    result = consistencize_riemannian(random_pc_matrix(SU2, 21, rng), max_iter=20)
+    report = {  # as cli.cmd_consistencize builds it
+        "group": "su2",
+        "n": 21,
+        "method": "riemannian",
+        "lambda": [SU2.checked_to_obj(v) for v in result.lam],
+        "matrix": result.matrix,
+        "residual": result.residual,
+        "ii_before": result.ii_before,
+        "ii_after": result.ii_after,
+        "iterations": result.iterations,
+        "status": result.status,
+    }
+    out["json_text.consistencize_su2_n21"] = lambda: json_text(report)
+    path = tmp / "su2_48.json"
+    save_matrix(random_pc_matrix(SU2, 48, rng), path)
+    out["load_matrix.su2_n48"] = lambda: load_matrix(path)
+    return out
+
+
+def worker(src: str, runs: int) -> None:
+    """Print ``{layer: [seconds, ...]}`` for ``runs`` timed runs of each layer."""
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, f in layers(src, Path(tmp)).items():
+            f()  # warm-up
+            times[name] = []
+            for _ in range(runs):
+                t = perf_counter()
+                f()
+                times[name].append(perf_counter() - t)
+    print(json.dumps(times))
+
+
+def timed(src: Path, runs: int) -> dict:
+    cmd = [sys.executable, __file__, "--worker", str(src), "--runs", str(runs)]
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True, timeout=900).stdout)
+
+
+def summary(seconds: list[float]) -> dict:
+    ms = sorted(1e3 * s for s in seconds)
+    q1, _, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
+    return {"median_ms": statistics.median(ms), "iqr_ms": q3 - q1, "runs": len(ms)}
+
+
+def src_hash(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "holopc").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu_model": cpu, "nproc": os.cpu_count(), "system": platform.platform()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline-src", help="source tree to compare with, timed alternately")
+    parser.add_argument("--baseline-commit", help="the commit the baseline tree was taken from")
+    parser.add_argument("--runs", type=int, default=10, help="timed runs per layer per round")
+    parser.add_argument("--rounds", type=int, default=4, help="interpreters per tree")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        return worker(args.worker, args.runs)
+    trees = {"change": ROOT / "src"}
+    if args.baseline_src:
+        trees["baseline"] = Path(args.baseline_src).resolve()
+    times: dict = {tree: {} for tree in trees}
+    for r in range(args.rounds):
+        for tree in sorted(trees, reverse=r % 2 == 1):  # alternate which tree goes first
+            for name, seconds in timed(trees[tree], args.runs).items():
+                times[tree].setdefault(name, []).extend(seconds)
+    records = []
+    for name, seconds in times["change"].items():
+        record = {"layer": name, **summary(seconds)}
+        if "baseline" in times:
+            record["baseline"] = summary(times["baseline"][name])
+            record["ratio"] = record["median_ms"] / record["baseline"]["median_ms"]
+        records.append(record)
+    doc = {
+        "what": "per-layer timings: median and IQR of timed runs, in milliseconds",
+        "machine": machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "src_sha256": src_hash(trees["change"]),
+        "baseline_commit": args.baseline_commit,
+        "baseline_src_sha256": src_hash(trees["baseline"]) if "baseline" in trees else None,
+        "runs_per_round": args.runs,
+        "rounds": args.rounds,
+        "records": records,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    for record in records:
+        base = f"  (baseline {record['baseline']['median_ms']:.2f} ms)" if "baseline" in record else ""
+        print(f"{record['layer']:40s} {record['median_ms']:9.2f} ms  IQR {record['iqr_ms']:.2f}{base}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,11 +17,17 @@ The sizes ``n``, ``vertices`` and ``base`` must be integers; bools and
 fractional numbers are refused.
 
 Every document and report is written by :func:`json_text`, whose output is
-byte for byte that of ``json.dumps(obj, indent=2, sort_keys=True)``.  With
-``indent`` the ``json`` module leaves its C encoder for a chunk-by-chunk
-Python one; :func:`json_text` joins each container's items in one step, so a
-large report is written in about 40 % of the time and with a third of the
-peak temporary memory.  ``json`` is still what reads documents.
+byte for byte that of ``json.dumps(obj, indent=2, sort_keys=True)``; ``json``
+only reads.  The writer appends text pieces to one list, joined once.  A
+:class:`PCMatrix` is written as its document :func:`matrix_to_obj` straight
+from its carriers: each entry through one element template (the text of
+``Group.checked_to_obj`` with a slot per carrier scalar), each run of gaps
+as one slice of a run of ``null`` items, and, above ``_FORMAT_ONCE`` carrier
+scalars, each distinct magnitude formatted once.  A :class:`Records` list,
+such as the ``curvatures`` of a ``holonomy`` report, goes through one record
+template.  The su2 ``holonomy`` report of ``grid_complex(20)`` is written in
+under half the time a writer of one string per container took
+(``BENCH_layers.json``).
 
 A complex document becomes a :class:`SimplicialComplex2` on arrays, its
 cells checked in one numpy pass (see :mod:`holopc.simplicial`).  A field
@@ -33,19 +39,6 @@ refused, and so is an edge given twice, in either orientation or spelling
 (``grid_complex(20)``, 1,240 edges and 800 triangles) reading the complex
 takes 0.8 ms instead of 3.3-5.6 ms and the field 1.05 ms instead of
 1.9-3.4 ms (median of 40 calls on a shared 2-vCPU host).
-
-A :class:`PCMatrix` inside a report is written as its document
-:func:`matrix_to_obj` without building it: the ``entries`` list comes
-straight from the stored carriers and positions, ``null`` at each gap and
-each entry through one element template, the text of
-``Group.checked_to_obj`` with a ``%r`` slot per carrier scalar.  For the
-su2 holonomy matrix of ``grid_complex(20)`` (2,921 entries, 191,560 gaps)
-building and writing the matrix takes 21-28 ms instead of 48-61 ms (best
-of 25 calls on a shared 2-vCPU host).  A :class:`Records` list, such as the
-``curvatures`` of a ``holonomy`` report, is written the same way: one
-record template with a ``%r`` slot per value, filled from the columns'
-``tolist``, instead of one recursive writer call per record and value
-(800 records in 0.8 ms instead of 3.7 ms).
 """
 
 from __future__ import annotations
@@ -288,8 +281,7 @@ class Records:
     """A list of records ``{name: column[r]}`` over parallel numpy columns
     of floats or integers, one value per record (shape (R,)) or one row of
     values (shape (R, k)), which :func:`json_text` writes as that list of
-    dicts without building it: one record template with a ``%r`` slot per
-    value, filled from the columns' ``tolist``."""
+    dicts without building it, through one record template."""
 
     __slots__ = ("columns",)
 
@@ -302,113 +294,118 @@ def json_text(obj) -> str:
     sort_keys=True)``, and the same ``TypeError`` on a value ``json``
     cannot write (a numpy integer, say).  Tuples are written as lists, a
     :class:`PCMatrix` as its document :func:`matrix_to_obj`, straight
-    from its carriers, and a :class:`Records` as its list of dicts."""
-    return _json_value(obj, "\n")
+    from its carriers, and a :class:`Records` as its list of dicts.  The
+    text is built as one list of pieces, joined once."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
-def _json_value(o, pad: str) -> str:
+def _write(o, pad: str, out: list[str]) -> None:
     # the type tests in the order json.encoder's _iterencode makes them
     if isinstance(o, str):
-        return _escape(o)
+        return out.append(_escape(o))
     if o is None:
-        return "null"
+        return out.append("null")
     if o is True:
-        return "true"
+        return out.append("true")
     if o is False:
-        return "false"
+        return out.append("false")
     if isinstance(o, int):
-        return int.__repr__(o)
+        return out.append(int.__repr__(o))
     if isinstance(o, float):
-        return _json_float(o)
+        return out.append(_json_float(o))
     inner = pad + "  "
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = ["null" if v is None else _json_value(v, inner) for v in o]  # gaps are most of a sparse matrix
-        return _join("[", items, "]", pad, inner)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return _join("{", [_json_key(k) + ": " + _json_value(v, inner) for k, v in sorted(o.items())], "}", pad, inner)
-    if isinstance(o, PCMatrix):
-        fields = {k: _json_value(v, inner) for k, v in _matrix_header(o).items()}
-        fields["entries"] = _json_entries(o, inner)
-        return _join("{", [_escape(k) + ": " + text for k, text in sorted(fields.items())], "}", pad, inner)
-    if isinstance(o, Records):
-        return _json_records(o, pad)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        items, brackets = zip(repeat(""), o), "[]"
+    elif isinstance(o, dict):  # each key is checked as it is written, as json does
+        items, brackets = ((_json_key(k) + ": ", v) for k, v in sorted(o.items())), "{}"
+    elif isinstance(o, PCMatrix):  # "entries" sorts before the header's keys, which are in order
+        out.append("{" + inner + '"entries": ')
+        _write_entries(o, inner, out)
+        items, brackets = ((_escape(k) + ": ", v) for k, v in _matrix_header(o).items()), ",}"
+    elif isinstance(o, Records):
+        return _write_records(o, pad, out)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    sep = brackets[0] + inner
+    for key, v in items:
+        out.append(sep + key)
+        sep = "," + inner
+        _write(v, inner, out)
+    out.append(pad + brackets[1] if sep[0] == "," else brackets)  # an opening bracket alone: empty
 
 
-def _json_entries(A: PCMatrix, pad: str) -> str:
+def _write_entries(A: PCMatrix, pad: str, out: list[str]) -> None:
     """The ``entries`` list of a matrix document: each stored entry through
-    one element template filled with ``%r`` on its carrier row (``repr`` is
-    ``json``'s text for an int or a finite float), and ``null`` at each gap."""
-    inner = pad + "  "
-    template = _element_template(A.group, inner)
+    one element template, ``null`` at each gap."""
     C = A._carriers
-    items = [template % tuple(r) for r in _json_scalars(C.reshape(len(C), -1))]
-    if A._positions is not None:
-        # references to one "null": gap runs built as text raised peak RSS over repeated reports
-        gapped = ["null"] * (A.n * A.n)
-        for p, item in zip(A._positions.tolist(), items):
-            gapped[p] = item
-        items = gapped
-    return _join("[", items, "]", pad, inner)
+    parts = _template(A.group.checked_to_obj(_SLOT if C.ndim == 1 else (_SLOT,) * C.shape[1]), pad + "  ")
+    texts = _scalar_texts(C.reshape(len(C), -1), once=C.size > _FORMAT_ONCE)
+    gaps = None if A._positions is None else np.diff(A._positions, prepend=-1, append=A.n * A.n) - 1
+    _write_rows(parts, texts, pad, out, gaps)
 
 
-def _json_records(R: Records, pad: str) -> str:
+def _write_records(R: Records, pad: str, out: list[str]) -> None:
     """The list of a :class:`Records`: each record through one template of
-    its dict, slots in sorted key order, filled with ``%r`` on its values."""
+    its dict, its slots in sorted key order."""
     names = sorted(R.columns)
     columns = [R.columns[k] for k in names]
     if not len(columns[0]):
-        return "[]"
-    inner = pad + "  "
-    template = _template({k: _SLOT if c.ndim == 1 else [_SLOT] * c.shape[1] for k, c in zip(names, columns)}, inner)
-    slots = []  # one list of values per slot, in template order
-    for c in columns:
-        slots.extend(_json_scalars(c.reshape(len(c), -1).T))
-    items = [template % values for values in zip(*slots)]
-    return _join("[", items, "]", pad, inner)
+        return out.append("[]")
+    parts = _template({k: _SLOT if c.ndim == 1 else [_SLOT] * c.shape[1] for k, c in zip(names, columns)}, pad + "  ")
+    _write_rows(parts, np.concatenate([_scalar_texts(c.reshape(len(c), -1)) for c in columns], axis=1), pad, out)
 
 
-def _json_scalars(C: np.ndarray) -> list[list]:
-    """``C.tolist()`` of a 2-D float or integer array, with each non-finite
-    float as the text ``json`` writes for it."""
-    rows = C.tolist()
-    if C.dtype.kind == "f" and not np.all(np.isfinite(C)):
-        rows = [[x if math.isfinite(x) else _Literal(_json_float(x)) for x in r] for r in rows]
-    return rows
+def _write_rows(parts: list[str], texts: np.ndarray, pad: str, out: list[str], gaps=None) -> None:
+    """A list of one item per row of ``texts``: the row's texts between the
+    item template ``parts``.  ``gaps[r]`` ``null`` items go before row r and
+    ``gaps[-1]`` after the last; each run of them is one slice of a run."""
+    null = "," + pad + "  null"
+    if gaps is None:
+        gaps = np.zeros(len(texts) + 1, dtype=np.intp)
+    run = null * int(gaps.max())
+    lead = [run[:k] for k in (gaps * len(null)).tolist()]
+    T = np.empty((len(texts), 2 * len(parts)), dtype=object)
+    T[:, 0] = lead[:-1]
+    T[:, 1::2] = parts
+    T[:, 2::2] = texts
+    start = len(out)
+    out += T.ravel().tolist()
+    out += (lead[-1], pad + "]")
+    i = start if out[start] else start + 1  # each item opens with a comma; the first trades it for the bracket
+    out[i] = "[" + out[i][1:]
 
 
-class _Literal(str):
-    """Text that ``%r`` writes as it is."""
+_FORMAT_ONCE = 100  # above this many carrier scalars, formatting each magnitude once pays for np.unique
 
-    __repr__ = str.__str__
+
+def _scalar_texts(C: np.ndarray, once: bool = False) -> np.ndarray:
+    """The JSON text of each scalar of a 2-D float or integer array, as an
+    object array of its shape.  With ``once`` a finite float array formats
+    each distinct magnitude once: ``repr(-x)`` is ``"-" + repr(x)`` for
+    every finite float, -0.0 included."""
+    if C.dtype.kind == "f" and not np.isfinite(C).all():
+        texts = map(_json_float, C.ravel().tolist())
+    elif C.dtype.kind == "f" and once:
+        magnitudes, inverse = np.unique(np.abs(C), return_inverse=True)
+        texts = list(map(repr, magnitudes.tolist()))
+        texts = np.array(texts + ["-" + t for t in texts], dtype=object)
+        return texts[inverse.reshape(C.shape) + len(magnitudes) * np.signbit(C)]
+    else:
+        texts = map(repr, C.ravel().tolist())  # json's text of a Python int or finite float
+    return np.array(list(texts), dtype=object).reshape(C.shape)
 
 
 _SLOT = "\0"  # a value, while a template is written
 
 
-def _element_template(G: Group, pad: str) -> str:
-    """The text of ``G.checked_to_obj`` of one element at indent ``pad``,
-    with a ``%r`` slot for each carrier scalar."""
-    e = G.identity
-    return _template(G.checked_to_obj(tuple(_SLOT for _ in e) if isinstance(e, tuple) else _SLOT), pad)
-
-
-def _template(obj, pad: str) -> str:
-    """The text of ``obj`` at indent ``pad``, with a ``%r`` slot for each
-    string ``_SLOT`` in it."""
-    return _json_value(obj, pad).replace("%", "%%").replace(_escape(_SLOT), "%r")
-
-
-def _join(opening: str, items: list[str], closing: str, pad: str, inner: str) -> str:
-    # the brackets go onto the end items, so the container's text is copied
-    # once, by the join, and not again to add them
-    items[0] = opening + inner + items[0]
-    items[-1] += pad + closing
-    return ("," + inner).join(items)
+def _template(obj, pad: str) -> list[str]:
+    """The text of the list item ``obj`` at indent ``pad``, after its
+    separator, split at each string ``_SLOT`` in it."""
+    out = ["," + pad]
+    _write(obj, pad, out)
+    return "".join(out).split(_escape(_SLOT))
 
 
 def _json_key(k) -> str:
@@ -416,7 +413,7 @@ def _json_key(k) -> str:
     if isinstance(k, str):
         return _escape(k)
     if isinstance(k, (int, float)) or k is None:
-        return _escape(_json_value(k, ""))
+        return _escape(json_text(k))
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 

@@ -82,7 +82,7 @@ class SimplicialComplex2:
         self.vertices = vertices
         self.base = base
         self._edge_array, self._keys, self._tri_array, self._tri_cols = cells
-        self._nbrs, self._parents = _breadth_first(vertices, base, self._edge_array)
+        self._nbrs, self._parents = _breadth_first(base, self._edge_array)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -105,7 +105,7 @@ class SimplicialComplex2:
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.vertices:  # a negative index would name another vertex
             raise ValueError(f"vertex {v} out of range")
-        return self._nbrs[v]
+        return self._nbrs.get(v, [])
 
     @property
     def is_connected(self) -> bool:
@@ -212,18 +212,19 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _breadth_first(vertices: int, base: int, edges: np.ndarray) -> tuple[list[list[int]], dict[int, int | None]]:
-    """Each vertex's neighbors in increasing order, and the parents of the
+def _breadth_first(base: int, edges: np.ndarray) -> tuple[dict[int, list[int]], dict[int, int | None]]:
+    """The neighbors, in increasing order, of each vertex on an edge (so a
+    complex costs nothing per isolated vertex), and the parents of the
     breadth-first tree from the base, which visits neighbors in that order
     (the base's parent is None; unreachable vertices are absent)."""
-    nbrs: list[list[int]] = [[] for _ in range(vertices)]
+    nbrs: dict[int, list[int]] = {}
     for i, j in edges.tolist():  # sorted edges: each list comes out sorted
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+        nbrs.setdefault(i, []).append(j)
+        nbrs.setdefault(j, []).append(i)
     parents: dict[int, int | None] = {base: None}
     queue = [base]
     for v in queue:  # the queue grows while it is read
-        for w in nbrs[v]:
+        for w in nbrs.get(v, ()):
             if w not in parents:
                 parents[w] = v
                 queue.append(w)

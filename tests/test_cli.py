@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holopc import simplicial
+from holopc import pcmatrix, simplicial
 from holopc.cli import main
 from holopc.groups import (
     RPLUS,
@@ -24,6 +24,7 @@ from holopc.pcmatrix import (
     PCMatrix,
     default_indicator,
     from_upper_triangle,
+    ii3_matrix,
     ii_indicator,
     is_consistent,
     random_pc_matrix,
@@ -197,6 +198,27 @@ def test_check_scores_rplus_beyond_the_float_range(text, decades, tmp_path, caps
     assert report["valid"] and report["worst_triad"] == report["witness"] == [0, 1, 2]
     assert report["ii_In"] == pytest.approx(decades * math.log(10.0), rel=1e-9)
     assert report["ii3"] == report["ii_n"] == 1.0
+
+
+@pytest.mark.parametrize("noise", [1.0, 1e-7])  # near-consistent: 1 - exp(-ii_In) would lose digits
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_check_rplus_is_one_sweep(variance, noise, tmp_path, capsys, monkeypatch):
+    # ii3 = 1 - exp(-ii_In) is monotone, so the consistency sweep's worst defect gives it
+    rng = np.random.default_rng(92)
+    g = rng.normal(size=8)
+    B = from_upper_triangle(RPLUS, [math.exp(g[j] - g[i] + noise * rng.normal()) for i in range(8) for j in range(i + 1, 8)])
+    A = PCMatrix._of_checked(RPLUS, B.n, B._carriers, B._positions, variance)
+    sweeps = collections.Counter()
+    sweep = pcmatrix._triad_sweep
+    monkeypatch.setattr(pcmatrix, "_triad_sweep", lambda *a: sweeps.update(["sweep"]) or sweep(*a))
+    code, out, _ = run(capsys, ["check", _matrix_file(tmp_path, A)])
+    report = json.loads(out)
+    assert code == 1 and sweeps["sweep"] == 1
+    # ii3_matrix sums the three logs in covariant order: for contravariant
+    # matrices the sums round apart, by a few ulps of the logs (about 1e-16)
+    expected = ii3_matrix(A)[0]
+    assert abs(report["ii3"] - expected) <= (0 if variance == "covariant" else 1e-15)
+    assert report["ii3"] == -math.expm1(-report["ii_In"])
 
 
 def test_check_parse_error_reports_location(tmp_path, capsys):
@@ -493,6 +515,34 @@ def test_holonomy_builds_no_per_edge_objects(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, argv)
     assert code == 0 and len(json.loads(out)["curvatures"]) == len(grid_complex(3).triangles)
     assert dict(calls) == {}
+
+
+def _gap_free_holonomy_files(tmp_path):
+    K = full_simplex(4)
+    rng = np.random.default_rng(91)
+    fpath = tmp_path / "f.json"
+    save_obj(field_to_obj(EdgeField(U1, {e: U1.haar_sample(rng) for e in K.edges})), fpath)
+    return [_complex_file(tmp_path, K), str(fpath)]
+
+
+CANONICAL_REPORTS = {
+    **{name: build for name, (build, _, _) in CLI_CALLS.items()},
+    "check-rplus-contravariant": lambda t: [
+        "check", _matrix_file(t, PCMatrix(RPLUS, [[1, 2, 3], [0.5, 1, 5], [1 / 3, 0.2, 1]], "contravariant"))
+    ],
+    "consistencize-riemannian-u1": lambda t: [
+        "consistencize", _matrix_file(t, _u1_winding_matrix()), "--method", "riemannian"
+    ],
+    "holonomy-gap-free-u1": lambda t: ["holonomy", *_gap_free_holonomy_files(t)],
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_REPORTS)
+def test_reports_are_canonical_json(name, tmp_path, capsys):
+    # every report is what json itself writes for the object it parses to
+    code, out, err = run(capsys, CANONICAL_REPORTS[name](tmp_path))
+    assert code in (0, 1) and not err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # --- montecarlo ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopc import simplicial
+from holopc import serialize, simplicial
 from holopc.cli import main
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian
 from holopc.errors import GroupMismatchError, MissingEdgeError, ParseError
@@ -677,3 +677,64 @@ def _nest(x, depth):
     for _ in range(depth):
         x = {"a": [x]}
     return x
+
+
+# --- float text, once per magnitude ---------------------------------------------
+
+# where repr switches between fixed and exponent form (1e-4 / 1e16), subnormals and the extremes
+EDGE_MAGNITUDES = [0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308, math.pi]
+EDGE_MAGNITUDES += [x * f for x in (1e-5, 1e-4, 1e16) for f in (1.0 - 2**-52, 1.0, 1.0 + 2**-52)]
+magnitudes = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_MAGNITUDES),
+    st.floats(1e-6, 1e-3),
+    st.floats(1e15, 1e17),
+)
+
+
+@PROPERTY
+@given(
+    pool=st.lists(magnitudes, min_size=1, max_size=40),
+    shape=st.tuples(st.integers(1, 3 * serialize._FORMAT_ONCE), st.sampled_from([1, 4])),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+)
+def test_float_text_once_per_magnitude_is_repr(pool, shape, seed, special):
+    # each scalar is a pooled magnitude with either sign, so most repeat up to sign
+    rng = np.random.default_rng(seed)
+    C = np.array(pool)[rng.integers(0, len(pool), shape)] * rng.choice([-1.0, 1.0], shape)
+    if special is not None:
+        C[rng.integers(0, shape[0]), rng.integers(0, shape[1])] = special
+    expected = [json.dumps(x) for x in C.ravel().tolist()]  # repr, or json's name of inf and nan
+    for once in (False, True):
+        texts = serialize._scalar_texts(C, once)
+        assert texts.shape == C.shape and texts.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("n", [3, 10, 11, 16])  # 9 and 100 scalars go plain, 121 and 256 once per magnitude
+@PROPERTY
+@given(pool=st.lists(magnitudes.filter(lambda x: x <= math.pi), min_size=1), seed=st.integers(0, 2**32 - 1))
+def test_matrices_through_the_magnitude_gate(n, pool, seed):
+    # u1 inverses are negated angles: the mirrored entries share magnitudes
+    rng = np.random.default_rng(seed)
+    size = n * (n - 1) // 2
+    A = from_upper_triangle(U1, (np.array(pool)[rng.integers(0, len(pool), size)] * rng.choice([-1.0, 1.0], size)).tolist())
+    assert json_text({"matrix": A}) == _dumps({"matrix": matrix_to_obj(A)})
+    B = random_pc_matrix(SU2, n, rng)
+    assert json_text(B) == _dumps(matrix_to_obj(B))
+
+
+def test_holonomy_report_formats_each_magnitude_once(tmp_path, capsys, monkeypatch):
+    # the su2 matrix of grid_complex(3): 82 entries, 328 scalars; h_ji is the
+    # conjugate of h_ij and the diagonal is the identity, so about 134 magnitudes
+    K = grid_complex(3)
+    save_obj(complex_to_obj(K), tmp_path / "k.json")
+    save_obj(field_to_obj(_field(SU2, K, np.random.default_rng(81))), tmp_path / "f.json")
+    formatted = []
+    monkeypatch.setattr(serialize, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+    assert main(["holonomy", str(tmp_path / "k.json"), str(tmp_path / "f.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    floats = [x for x in formatted if isinstance(x, float)]
+    scalars = [x for e in report["matrix"]["entries"] if e is not None for x in e["q"]]
+    distinct = {abs(x) for x in scalars} | {abs(c["in_value"]) for c in report["curvatures"]}
+    assert len(scalars) == 328 and len(floats) == len(distinct) < len(scalars) / 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from holopc.errors import MissingEdgeError
 from holopc.groups import RPLUS, SU2, U1, wrap_angle, zmod
 from holopc.pcmatrix import is_consistent, validate
+from holopc.serialize import complex_from_obj
 from holopc.simplicial import (
     EdgeField,
     SimplicialComplex2,
@@ -68,6 +70,26 @@ def test_tree_paths_deterministic():
     for v in (-1, 4):
         with pytest.raises(ValueError, match="out of range"):
             K.neighbors(v)
+
+
+
+@pytest.mark.parametrize("edges, around_1", [([], []), ([[0, 1]], [0]), ([[0, 1], [1, 2], [5, 9]], [0, 2])])
+def test_isolated_vertices_cost_nothing(edges, around_1):
+    # a million declared vertices with at most a few edges: nothing is built per vertex
+    tracemalloc.start()
+    try:
+        K = complex_from_obj({"vertices": 10**6, "edges": edges})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert not K.is_connected and K.reachable(1) == bool(edges)
+    assert K.neighbors(1) == around_1 and K.neighbors(7) == [] and K.neighbors(10**6 - 1) == []
+    assert K.tree_path(0) == (0,)
+    if edges:
+        assert K.tree_path(1) == (0, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        K.neighbors(10**6)
 
 
 def test_disconnected_complex_allowed_but_flagged():
