@@ -8,7 +8,9 @@ It times the ``src/`` of the checkout it is in.  The layers are:
 - ``json_text`` of the su2 ``holonomy`` report (matrix, curvature records,
   global_ii) of a random field on ``grid_complex(m)``, m = 20, 30, 40;
 - ``json_text`` of the su2 n = 21 ``consistencize`` report;
-- ``load_matrix`` of an n = 48 su2 matrix document.
+- ``load_matrix`` of an n = 48 su2 matrix document;
+- ``consistencize_riemannian`` of an su2 matrix at n = 15 and 21, drawn by
+  the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise.
 
 Each source tree is timed in its own interpreter, since both are the package
 ``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
@@ -42,12 +44,13 @@ def layers(src: str, tmp: Path) -> dict:
     """The timed layers of the ``holopc`` under ``src``, each a function of
     no arguments; the inputs are drawn from a fixed seed, and files go in
     ``tmp``."""
-    sys.path.insert(0, src)
+    sys.path[:0] = [src, str(ROOT)]
     from holopc.consistencize import consistencize_riemannian
     from holopc.groups import SU2
-    from holopc.pcmatrix import random_pc_matrix
+    from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
     from holopc.serialize import Records, json_text, load_matrix, save_matrix
     from holopc.simplicial import EdgeField, _triangle_scores, grid_complex, holonomy_pc_matrix
+    from perfbench.inputs import su2_matrix
 
     rng = np.random.default_rng(20)
     out = {}
@@ -82,6 +85,10 @@ def layers(src: str, tmp: Path) -> dict:
     path = tmp / "su2_48.json"
     save_matrix(random_pc_matrix(SU2, 48, rng), path)
     out["load_matrix.su2_n48"] = lambda: load_matrix(path)
+    noise = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]["su2-dense"]["inputs"]["noise"]
+    for n in (15, 21):
+        A = from_upper_triangle(SU2, [tuple(q) for q in su2_matrix(rng, n, noise)[np.triu_indices(n, 1)].tolist()])
+        out[f"consistencize_riemannian.su2_n{n}"] = lambda A=A: consistencize_riemannian(A)
     return out
 
 

@@ -6,6 +6,7 @@ from .consistencize import (
     consistencize_riemannian,
     epsilon_membership,
     lsq_gradient,
+    lsq_hessian,
     lsq_objective,
     residual_between,
 )

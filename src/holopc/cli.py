@@ -82,8 +82,8 @@ def cmd_check(args) -> int:
         if A.group.tag == "rplus":
             report["ii3"] = -math.expm1(-chk.worst_defect)  # ii3 = 1 - exp(-ii_In), monotone: the same sweep's max
             report["ii_n"] = ii_n_chain(A)
-        # epsilon is on the ii3 scale; compare via 1 - exp(-ii_In) < epsilon
-        report["within_epsilon"] = bool(1.0 - math.exp(-chk.worst_defect) < args.epsilon)
+        # epsilon is on the ii3 scale: compare 1 - exp(-ii_In) < epsilon, computed as the ii3 above
+        report["within_epsilon"] = bool(-math.expm1(-chk.worst_defect) < args.epsilon)
         _print_report(report, args.out)
         return 0 if chk.consistent else 1
     _print_report(report, args.out)
@@ -204,9 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--method", choices=("abelian", "riemannian"), required=True)
     p.add_argument(
-        "--tol", type=float, default=1e-12, help="riemannian: stop once a step lowers the objective by less than this"
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="riemannian: stop once a step lowers the objective by less than this, "
+        "or the model predicts a decrease below this times the objective",
     )
-    p.add_argument("--max-iter", type=int, default=500, help="riemannian: most accepted Gauss-Newton steps")
+    p.add_argument("--max-iter", type=int, default=500, help="riemannian: most accepted Newton steps")
     p.add_argument("--format", choices=("json", "csv"), help="override input format inference")
     p.add_argument("--out", help="write the consistent matrix here")
     p.set_defaults(func=cmd_consistencize)

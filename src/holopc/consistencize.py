@@ -6,7 +6,7 @@ C (c_ij = lam_i^-1 * lam_j) minimizes the squared-distance residual
     sum_{i<j} d(a_ij, c_ij)^2.
 
 For the abelian scalar groups the minimizer has a closed form in log
-coordinates (a row mean); for the others a damped Gauss-Newton
+coordinates (a row mean); for the others a damped Newton
 (Levenberg-Marquardt) iteration on (lam_1, ..., lam_{n-1}) does the job.
 The least-squares objective is an average-type surrogate for the
 sup-based indicator: the output matrix is consistent by construction, so
@@ -14,20 +14,27 @@ the indicator value always drops to zero.
 
 The residual of pair i < j is r_ij = log(e_ij^-1 a_ij) with
 e_ij = lam_i^-1 lam_j, so the objective is sum |r_ij|^2.  Moving lam_p to
-lam_p exp(xi_p) changes r_ij to first order by Ad(e_ij^-1) xi_i - xi_j,
-and the Gauss-Newton normal matrix J^T J is a connection Laplacian: blocks
-(n - 1) I on the diagonal and -Ad(e_ij^-1)^T at (i, j).  For su2 this is
-rotation averaging (Hartley, Trumpf, Dai and Li, "Rotation averaging",
-IJCV 2013); for rplus and u1 it is the Laplacian of the complete graph.
+lam_p exp(xi_p) changes r_ij to first order by Ad(e_ij^-1) xi_i - xi_j.
+The Gauss-Newton matrix J^T J is a connection Laplacian: blocks (n - 1) I
+on the diagonal and -Ad(e_ij^-1)^T at (i, j).  For su2 this is rotation
+averaging (Hartley, Trumpf, Dai and Li, "Rotation averaging", IJCV 2013);
+for rplus and u1 it is the Laplacian of the complete graph and the exact
+Hessian.  On su2 the exact Hessian (Absil, Mahony and Sepulchre,
+"Optimization Algorithms on Matrix Manifolds", 2008) also weighs each
+pair by the curvature of the squared distance and adds a BCH bracket term
+(``Group.batch_pair_hessian``).  The solver uses it, so it converges
+quadratically near consistency.
 
-The objective, the residual logs and J^T r run as one array kernel over
-the pairs i < j of ``np.triu_indices(n, 1)``, and the solver keeps its
-gauge vector as a carrier array (see :mod:`holopc.groups`); contributions
-to J^T r accumulate per component with ``np.add.at`` in pair order.
+The objective, the residual logs, the gradient and the Hessian run as
+array kernels over the pairs i < j of ``np.triu_indices(n, 1)``, and the
+solver keeps its gauge vector as a carrier array (see
+:mod:`holopc.groups`); each pair's gradient and Hessian terms are
+scatter-added into the gauge coordinates with one ``np.bincount`` each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,13 +58,12 @@ from .pcmatrix import (
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter reached"
 
-_DAMPING_START = 1e-6  # initial damping, relative to the normal matrix's diagonal n - 1
-_DAMPING_MIN = 1e-15  # keeps the damping from underflowing to 0 over long runs
+_DAMPING_MIN = 1e-15  # the first trial's damping, and the floor that keeps it from underflowing to 0
 _DAMPING_MAX = 1e18  # damping beyond which a trial step no longer moves the gauge
 
 
 class IterationRecord(NamedTuple):
-    """One accepted Gauss-Newton step: the objective and the gradient norm
+    """One accepted Newton step: the objective and the gradient norm
     at the new gauge, the damping the step was solved with, and how many
     trials were rejected before it."""
 
@@ -72,7 +78,7 @@ class ConsistencizationResult:
     """A consistent matrix near the input, with bookkeeping.
 
     ``residual`` is the squared-distance sum between input and output over
-    the strict upper triangle; ``iterations`` counts accepted Gauss-Newton
+    the strict upper triangle; ``iterations`` counts accepted Newton
     steps (zero for the closed form), and ``history`` holds one
     :class:`IterationRecord` per accepted step.
     """
@@ -125,26 +131,40 @@ def lsq_objective(A: PCMatrix, lam) -> float:
     return _sum_of_squares(G.batch_distance(_upper(A), _gauge_upper(G, _gauge_array(G, lam))))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_slots(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the pairs i < j put their terms among the n d gauge coordinates,
+    d per lam_p: the flat indices of each pair's (xi_i, xi_j) rows, and of
+    its (2 d)-square block in the (n d)-square matrix, both read-only."""
+    I, J = _pairs(n)
+    rows = (np.stack((I, J), axis=1)[:, :, None] * d + np.arange(d)).reshape(len(I), 2 * d)
+    cells = rows[:, :, None] * (n * d) + rows[:, None, :]
+    rows.flags.writeable = cells.flags.writeable = False
+    return rows.ravel(), cells.ravel()
+
+
 def _linearize(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The adjoints Ad(e_ij) over the pairs i < j, and J^T r as an (n, dim)
-    array, row p for lam_p, from the residual logs r_ij = log(e_ij^-1 a_ij).
+    """Half the gradient and half the model Hessian of the objective: J^T r
+    as an (n, dim) array, row p for lam_p, and the Hessian for
+    lam_1..lam_{n-1}, from the residual logs r_ij = log(e_ij^-1 a_ij) over
+    the pairs i < j.  Each pair's terms are scatter-added in one pass.
 
     Raises :class:`LogBranchError` when some residual sits on the cut locus.
     """
-    G = A.group
-    I, J = _pairs(A.n)
-    if G.dim == 0:  # finite groups have no directions to move in
-        return np.zeros((len(I), 0, 0)), np.zeros((A.n, 0))
+    G, n, d = A.group, A.n, A.group.dim
+    if d == 0:  # finite groups have no directions to move in
+        return np.zeros((n, 0)), np.zeros((0, 0))
     e = _gauge_upper(G, lam)
     r = G.batch_log(G.batch_multiply(G.batch_inverse(e), _upper(A)))
     ad = G.batch_adjoint(e)
-    half = np.zeros((A.n, G.dim))
-    # moving lam_j turns e into e exp(t xi), and d/dt d(a, e exp(t xi))^2 = -2 <r, xi>
-    np.add.at(half, J, -r)
+    s = (ad @ r[..., None])[..., 0]  # Ad(e) r = log(a e^-1)
+    rows, cells = _pair_slots(n, d)
     # moving lam_i turns e into exp(-t xi) e, and by bi-invariance
-    # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi> = 2 <Ad(e) r, xi>
-    np.add.at(half, I, (ad @ r[..., None])[..., 0])
-    return ad, half
+    # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi> = 2 <Ad(e) r, xi>;
+    # moving lam_j turns e into e exp(t xi), and d/dt d(a, e exp(t xi))^2 = -2 <r, xi>
+    half = np.bincount(rows, np.concatenate((s, -r), axis=1).ravel(), n * d).reshape(n, d)
+    H = np.bincount(cells, _pair_hessians(G, ad, r, s).ravel(), (n * d) ** 2).reshape(n * d, n * d)
+    return half, H[d:, d:].copy()
 
 
 def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
@@ -156,20 +176,36 @@ def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
     residual rotation sits on the cut locus, where the squared distance is
     not differentiable.
     """
-    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[1][1:]
+    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[0][1:]
 
 
-def _normal_matrix(ad: np.ndarray, n: int) -> np.ndarray:
-    """J^T J for lam_1..lam_{n-1}: the connection Laplacian of the complete
-    graph, blocks (n - 1) I on the diagonal and -Ad(e_ij^-1)^T = -Ad(e_ij)
-    at (i, j), since an adjoint is orthogonal."""
-    d = ad.shape[-1]
-    I, J = _pairs(n)
-    blocks = np.zeros((n, n, d, d))
-    blocks[np.arange(n), np.arange(n)] = (n - 1) * np.eye(d)
-    blocks[I, J] = -ad
-    blocks[J, I] = -np.swapaxes(ad, -1, -2)
-    return blocks[1:, 1:].transpose(0, 2, 1, 3).reshape((n - 1) * d, (n - 1) * d)
+def lsq_hessian(A: PCMatrix, lam) -> np.ndarray:
+    """Hessian of the objective for lam_1..lam_{n-1}, lam_0 held fixed, in
+    the chart of :func:`lsq_gradient`: an ((n - 1) dim) square matrix, block
+    (p - 1, q - 1) for (lam_p, lam_q).  It is exact while every residual
+    is within pi/2 of the identity (see ``Group.batch_pair_hessian``)."""
+    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[1]
+
+
+def _pair_hessians(G: Group, ad: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Half the Hessian of |r_ij|^2 in (xi_i, xi_j), one (2 dim)-square
+    block per pair i < j, from the adjoints ad = Ad(e_ij), the residual logs
+    r and s = Ad(e_ij) r.
+
+    The pair sees a = Ad(e_ij)^T xi_i and b = xi_j through
+    |log(exp(-b) exp(a) e_ij^-1 a_ij)|^2 / 2, so with W, X at r from
+    ``Group.batch_pair_hessian`` its block is [[Ad W Ad^T, -Ad (W - X)],
+    [-(W - X)^T Ad^T, W]], where Ad W(r) Ad^T = W(s) since conjugation is
+    an isometry.  For an abelian group the blocks add up to J^T J, the
+    Laplacian of the complete graph."""
+    P, d = len(r), G.dim
+    W, X = G.batch_pair_hessian(np.concatenate((r, s)))
+    block = np.empty((P, 2, d, 2, d))
+    block[:, 0, :, 0] = W[P:]
+    block[:, 1, :, 1] = W[:P]
+    block[:, 0, :, 1] = -ad @ (W[:P] - X[:P])
+    block[:, 1, :, 0] = np.swapaxes(block[:, 0, :, 1], -1, -2)
+    return block
 
 
 def _result(
@@ -194,7 +230,7 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     In log coordinates the optimal gauge is the row mean
     l_i = -(1/n) sum_k log a_ik, normalized to l_0 = 0.  Circle matrices
     use principal angles; when that branch choice leaves some entry more
-    than pi/2 away from the projection, a Gauss-Newton pass refines the
+    than pi/2 away from the projection, a Newton pass refines the
     result and the better of the two is returned.
     """
     _require_ready(A)
@@ -224,16 +260,20 @@ def _check_solver_options(max_iter: int, tol: float) -> None:
 
 
 def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
-    """Damped Gauss-Newton (Levenberg-Marquardt) on gauge vectors, any group.
+    """Damped Newton (Levenberg-Marquardt) on gauge vectors, any group.
 
     Starts from lam_j = a_0j (exact on consistent input) and holds lam_0
-    fixed.  Each trial solves (J^T J + mu I) xi = -J^T r on the connection
-    Laplacian and moves lam_p to lam_p exp(xi_p); a trial is accepted only
-    if the objective decreases, and the damping mu follows Nielsen's gain
-    ratio rule.  Stops once the gradient vanishes, the decrease per
-    accepted step falls below ``tol``, no damping gives a decrease, or
-    ``max_iter`` steps were accepted.  On rplus the problem is linear in
-    log coordinates and the result matches the closed form.
+    fixed.  Each trial solves (H + mu I) xi = -g with the exact Hessian H
+    (:func:`lsq_hessian`, halved) and half the gradient g, and moves lam_p
+    to lam_p exp(xi_p).  The first trial is undamped.  A trial whose
+    predicted decrease is negative (H + mu I is indefinite) is rejected
+    unevaluated; any other is accepted only if the objective decreases,
+    and the damping mu follows Nielsen's gain ratio rule.  Stops once the
+    gradient vanishes, the model predicts a decrease below ``tol`` times
+    the objective, an accepted step lowers the objective by less than
+    ``tol``, no damping gives a decrease, or ``max_iter`` steps were
+    accepted.  On rplus the problem is linear in log coordinates and the
+    result matches the closed form.
     """
     _check_solver_options(max_iter, tol)
     _require_ready(A)
@@ -241,9 +281,9 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
     n = A.n
     lam = np.concatenate((G.to_array([G.identity]), _entry_array(A)[0, 1:]))
     f = lsq_objective(A, lam)
-    ad, half = _linearize(A, lam)
+    half, H = _linearize(A, lam)
 
-    mu, nu = _DAMPING_START * (n - 1), 2.0
+    mu, nu = _DAMPING_MIN, 2.0  # the model is the exact Hessian: try the Newton step first
     history: list[IterationRecord] = []
     status = STATUS_CONVERGED
     while len(history) < max_iter:
@@ -251,31 +291,35 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
         gnorm2 = 4.0 * float(g @ g)  # |lsq_gradient|^2
         if gnorm2 <= 1e-30:
             break
-        H = _normal_matrix(ad, n)
+        diagonal = H.diagonal().copy()
         rejected = 0
         hit_branch = False
         accepted = None
         while mu <= _DAMPING_MAX:
-            np.fill_diagonal(H, n - 1 + mu)
+            np.fill_diagonal(H, diagonal + mu)
             xi = np.linalg.solve(H, -g)
-            cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(xi.reshape(n - 1, G.dim)))))
-            fc = lsq_objective(A, cand)
-            if fc < f:
-                try:
-                    accepted = (cand, fc, *_linearize(A, cand))
-                    break
-                except LogBranchError:
-                    hit_branch = True
+            pred = float(xi @ (mu * xi - g))  # the decrease the model predicts
+            if 0.0 <= pred < tol * f:
+                break
+            if pred > 0.0:  # else H + mu I is indefinite: no descent step to try
+                cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(xi.reshape(n - 1, G.dim)))))
+                fc = lsq_objective(A, cand)
+                if fc < f:
+                    try:
+                        accepted = (cand, fc, *_linearize(A, cand))
+                        break
+                    except LogBranchError:
+                        hit_branch = True
             rejected += 1
             mu *= nu
             nu *= 2.0
         if accepted is None:
-            if hit_branch:
+            if hit_branch and mu > _DAMPING_MAX:
                 raise LogBranchError("Gauss-Newton stalled on the log branch cut: damping ran out")
-            break  # no admissible decrease left
-        lam, fc, ad, half = accepted
+            break  # converged, or no admissible decrease left
+        lam, fc, half, H = accepted
         decrease = f - fc
-        gain = decrease / float(xi @ (mu * xi - g))  # actual over predicted decrease
+        gain = decrease / pred  # actual over predicted decrease
         history.append(IterationRecord(fc, 2.0 * float(np.linalg.norm(half[1:])), mu, rejected))
         mu = max(_DAMPING_MIN, mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3))
         nu = 2.0

@@ -26,7 +26,8 @@ builds carrier arrays and calls the kernels itself; :meth:`Group.batch_check`
 checks a whole sequence of raw values into a carrier array, bit for bit as
 ``check`` would one at a time.  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
-which the Gauss-Newton consistencizer needs.  Nor has ``batch_defect``,
+which the Newton consistencizer needs, as it needs ``batch_pair_hessian``,
+the curvature and bracket terms of its Hessian.  Nor has ``batch_defect``,
 the triad defect d(ab, c) that scores every default-indicator loop: one
 product and one distance, except for rplus, which sums logs so that a
 product beyond the float range is never formed.
@@ -45,6 +46,23 @@ Element = float | int | tuple[float, float, float, float]
 
 TAU = 2.0 * math.pi
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+_AXES = np.arange(3)
+# r @ _CROSS is the matrix of b -> b x r, row-major: [[0, z, -y], [-z, 0, x], [y, -x, 0]]
+_CROSS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+# vec(q q^T) @ _ROTATION is the rotation matrix of a unit quaternion q = (w, v),
+# (w^2 - |v|^2) I + 2 v v^T + 2 w [v]x, where [v]x = -(v @ _CROSS) is b -> v x b
+_ROTATION = np.zeros((4, 4, 3, 3))
+_ROTATION[0, 0] = np.eye(3)
+_ROTATION[0, 1:] = -2.0 * _CROSS.reshape(3, 3, 3)
+_ROTATION[_AXES + 1, _AXES + 1] -= np.eye(3)
+_ROTATION[_AXES[:, None] + 1, _AXES + 1, _AXES[:, None], _AXES] += 2.0
+_ROTATION = _ROTATION.reshape(16, 9)
 
 
 def wrap_angle(theta: float) -> float:
@@ -142,6 +160,16 @@ class Group:
             raise GroupMismatchError(f"group mismatch: {obj!r} is not a {self.tag} element")
         return obj[self.obj_key]
 
+    def unwrap_objs(self, objs: list) -> list:
+        """:meth:`unwrap_obj` of each item of ``objs``, in one comprehension;
+        on a bad item, the loop over :meth:`unwrap_obj` names the first one."""
+        if self.obj_key is None:
+            return objs
+        try:
+            return [obj[self.obj_key] for obj in objs]
+        except (KeyError, TypeError):
+            return [self.unwrap_obj(obj) for obj in objs]
+
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
         return self.check(self.unwrap_obj(obj))
@@ -192,6 +220,19 @@ class Group:
         shape ``(..., dim, dim)``.  An abelian group acts trivially: the
         identity matrix."""
         return np.broadcast_to(np.eye(self.dim), g.shape + (self.dim, self.dim))
+
+    def batch_pair_hessian(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The second-order terms of h(a, b) = |log(exp(-b) exp(a) exp(r))|^2 / 2
+        at a = b = 0, for log coordinates r stacked along the last axis:
+        matrices W and X of shape ``(..., dim, dim)`` with
+
+            h(a, b) = h(0, 0) + <r, a - b> + (a - b)^T W (a - b) / 2 + a^T X b + O(3).
+
+        W is the Riemannian Hessian of half the squared distance from the
+        identity, and X comes from the BCH bracket, a^T X b = <r, [a, b]> / 2.
+        An abelian group is flat and its brackets vanish: W = I and X = 0."""
+        shape = r.shape[:-1] + (self.dim, self.dim)
+        return np.broadcast_to(np.eye(self.dim), shape), np.zeros(shape)
 
     def batch_haar_sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Carrier array of i.i.d. Haar draws over the leading axes ``shape``
@@ -296,6 +337,12 @@ class CircleGroup(Group):
 
     def batch_distance(self, a, b):
         return np.abs(wrap_angles(a - b))
+
+    def batch_defect(self, a, b, c):
+        # the size of the loop product (ab) c^-1 by the group law, bit for bit
+        # the indicator of the holonomy the element methods form; it is
+        # d(ab, c) but at c = pi, which is its own inverse on (-pi, pi]
+        return np.abs(self.batch_multiply(self.batch_multiply(a, b), self.batch_inverse(c)))
 
     def batch_exp(self, v):
         return wrap_angles(v[..., 0])
@@ -403,13 +450,23 @@ class UnitQuaternions(Group):
     def batch_adjoint(self, g):
         # conjugation by a unit quaternion rotates the vector part: the
         # rotation matrix of the quaternion, whatever the rotation angle
-        w, x, y, z = np.moveaxis(g, -1, 0)
-        rows = (
-            (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
-            (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
-            (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
-        )
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        qq = (g[..., :, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
+        return (qq @ _ROTATION).reshape(g.shape[:-1] + (3, 3))
+
+    def batch_pair_hessian(self, r):
+        # On the unit 3-sphere half the squared distance from the identity has
+        # curvature 1 along r and c = phi cot phi across it, phi = |r|, so
+        # W = c I + k r r^T with k = (1 - c) / phi^2; c is clamped at 0 past
+        # phi = pi/2, where the exact W turns indefinite.  With [a, b] = 2 a x b,
+        # a^T X b = <r, a x b> = a^T (b x r).
+        phi2 = np.einsum("...i,...i->...", r, r)
+        phi = np.sqrt(phi2)
+        small = phi < 1e-4  # phi cot phi = 1 - phi^2 / 3 - phi^4 / 45 - ...
+        c = np.where(small, 1.0 - phi2 / 3.0, np.maximum(phi / np.tan(np.where(small, 1.0, phi)), 0.0))
+        k = np.where(small, 1.0 / 3.0, (1.0 - c) / np.where(small, 1.0, phi2))
+        W = r[..., :, None] * (k[..., None] * r)[..., None, :]
+        W[..., _AXES, _AXES] += c[..., None]
+        return W, (r @ _CROSS).reshape(r.shape[:-1] + (3, 3))
 
     def batch_haar_sample(self, rng, shape):
         # Four standard normals per element, normalized: uniform on the 3-sphere.

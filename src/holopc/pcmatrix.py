@@ -398,8 +398,8 @@ def _loop_scorer(G: Group, variance: str, indicator: Indicator | None) -> Callab
 def _holonomies(G: Group, variance: str, x, y, z) -> np.ndarray:
     """Triad loop products over carrier arrays (x, y, z) = (a_ij, a_ik, a_jk)."""
     y_inv = G.batch_inverse(y)  # a_ki
-    if variance == CONTRAVARIANT:
-        return G.batch_multiply(G.batch_multiply(y_inv, z), x)
+    if variance == CONTRAVARIANT:  # a_ki (a_jk a_ij): z x first, as the defect d(zx, y) forms it
+        return G.batch_multiply(y_inv, G.batch_multiply(z, x))
     return G.batch_multiply(G.batch_multiply(x, z), y_inv)
 
 

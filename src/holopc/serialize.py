@@ -9,10 +9,11 @@ Field document   {"group": tag, "values": {"i-j": element, ...}}
 Elements serialize per group: plain numbers for rplus and zmod,
 {"theta": t} for u1, {"q": [w,x,y,z]} for su2.
 
-Reading a document checks its elements once, all together: each element is
-unwrapped (``Group.unwrap_obj``) and the whole document goes through one
-``Group.batch_check``.  A bad element is reported as the one-at-a-time
-parse would report it: the first bad key or element in document order.
+Reading a document checks its elements once, all together: the elements
+are unwrapped in one comprehension (``Group.unwrap_objs``) and the whole
+document goes through one ``Group.batch_check``.  A bad element is reported
+as the one-at-a-time parse would report it: the first bad key or element in
+document order.
 The sizes ``n``, ``vertices`` and ``base`` must be integers; bools and
 fractional numbers are refused.
 
@@ -87,7 +88,7 @@ def matrix_from_obj(obj) -> PCMatrix:
         raise ParseError(f"expected {n * n} entries, got {len(flat) if isinstance(flat, list) else type(flat).__name__}")
     pos = [p for p, v in enumerate(flat) if v is not None]
     try:
-        carriers = group.batch_check([group.unwrap_obj(flat[p]) for p in pos])
+        carriers = group.batch_check(group.unwrap_objs(flat if len(pos) == len(flat) else [flat[p] for p in pos]))
     except ValueError:
         for p in pos:  # name the first bad element in document order
             try:
@@ -186,7 +187,7 @@ def field_from_obj(obj) -> EdgeField:
         raise ParseError("field values must map 'i-j' keys to elements")
     try:
         ends = _edge_keys(list(raw))
-        carriers = group.batch_check([group.unwrap_obj(v) for v in raw.values()])
+        carriers = group.batch_check(group.unwrap_objs(list(raw.values())))
     except ValueError:
         for key, v in raw.items():  # name the first bad key or element in document order
             _edge_key(key)

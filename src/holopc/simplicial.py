@@ -541,10 +541,11 @@ def _as_triangle(K: SimplicialComplex2, t: Sequence[int]) -> Triangle:
 
 
 def plaquette(K: SimplicialComplex2, F: EdgeField, t: Sequence[int]) -> Element:
-    """Local boundary product h_ki * h_jk * h_ij of a triangle."""
+    """Local boundary product h_ki * h_jk * h_ij of a triangle, formed as
+    h_ki * (h_jk * h_ij), the association of the batched plaquette scores."""
     i, j, k = _as_triangle(K, t)
     G = F.group
-    return G.multiply(G.multiply(F.value(k, i), F.value(j, k)), F.value(i, j))
+    return G.multiply(F.value(k, i), G.multiply(F.value(j, k), F.value(i, j)))
 
 
 def triangle_curvature(K: SimplicialComplex2, F: EdgeField, t: Sequence[int]) -> Element:

@@ -72,6 +72,16 @@ def test_check_inconsistent_csv(tmp_path, capsys):
     assert report["within_epsilon"] is False  # ii3 = 0.5 > 1/3
 
 
+def test_within_epsilon_agrees_with_the_reported_ii3(tmp_path, capsys):
+    # a tiny defect, where 1 - exp(-ii_In) rounds above -expm1(-ii_In) = ii3
+    path = write_csv(tmp_path, "m.csv", "1,3,6.000000000000002\n0.3333333333333333,1,2\n0.16666666666666663,0.5,1\n")
+    code, out, _ = run(capsys, ["check", path, "--epsilon", "3.3306690738754696e-16"])
+    report = json.loads(out)
+    assert code == 0  # consistent within the default tol
+    assert 0.0 < report["ii3"] < report["epsilon"]
+    assert report["within_epsilon"] is True
+
+
 def test_check_negative_entry_exits_2(tmp_path, capsys):
     path = write_csv(tmp_path, "bad.csv", "1,2\n-0.5,1\n")
     code, out, err = run(capsys, ["check", path])

@@ -15,6 +15,7 @@ from holopc.consistencize import (
     consistencize_abelian,
     consistencize_riemannian,
     lsq_gradient,
+    lsq_hessian,
     lsq_objective,
 )
 from holopc.errors import LogBranchError
@@ -92,6 +93,56 @@ def test_residual_never_exceeds_the_start(group, n, noise, seed):
     assert result.residual <= lsq_objective(A, start_gauge(A))
 
 
+def ball_noise_matrix(group, n, noise, seed):
+    """a_ij = lam_i^-1 lam_j exp(v_ij) over i < j with a Haar gauge lam and
+    v_ij uniform in the ball of radius noise, and lam: at lam every residual
+    log is -v_ij, inside the ball."""
+    rng = np.random.default_rng(seed)
+    lam = group.batch_haar_sample(rng, (n,))
+    I, J = np.triu_indices(n, 1)
+    v = rng.normal(size=(len(I), group.dim))
+    v *= noise * rng.uniform(size=(len(I), 1)) ** (1.0 / group.dim) / np.linalg.norm(v, axis=1, keepdims=True)
+    e = group.batch_multiply(group.batch_inverse(lam)[I], lam[J])
+    return from_upper_triangle(group, group.from_array(group.batch_multiply(e, group.batch_exp(v)))), lam
+
+
+def central_difference_hessian(A, lam, h=1e-4):
+    """The Hessian of the objective in the chart lam_p -> lam_p exp(xi_p),
+    p >= 1, by central differences of lsq_objective."""
+    G, n = A.group, A.n
+    m = (n - 1) * G.dim
+
+    def f(xi):
+        moved = G.batch_multiply(lam[1:], G.batch_exp(xi.reshape(n - 1, G.dim)))
+        return lsq_objective(A, np.concatenate((lam[:1], moved)))
+
+    E = h * np.eye(m)
+    H = np.empty((m, m))
+    for a in range(m):
+        for b in range(a, m):
+            H[a, b] = H[b, a] = (f(E[a] + E[b]) - f(E[a] - E[b]) - f(E[b] - E[a]) + f(-E[a] - E[b])) / (4 * h * h)
+    return H
+
+
+@ORACLE
+@given(n=st.integers(3, 6), noise=st.floats(0.0, 1.0), seed=seeds)
+def test_su2_hessian_is_the_central_difference_hessian(n, noise, seed):
+    # curvature and bracket term: exact while every residual is within pi/2
+    A, lam = ball_noise_matrix(SU2, n, noise, seed)
+    H, want = lsq_hessian(A, lam), central_difference_hessian(A, lam)
+    assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1], ids=lambda g: g.tag)
+@ORACLE
+@given(n=sizes, noise=st.floats(0.0, 1.0), seed=seeds)
+def test_abelian_hessian_is_the_connection_laplacian(group, n, noise, seed):
+    # an abelian group is flat and brackets vanish: the model is J^T J,
+    # n - 1 on the diagonal and -1 off it, twice over for the full objective
+    A = noisy_matrix(group, n, noise, seed)
+    assert np.array_equal(lsq_hessian(A, start_gauge(A)), 2.0 * (n * np.eye(n - 1) - 1.0))
+
+
 def test_su2_dense_iteration_bound():
     # the size and noise of the benchmark's su2 consistencize inputs
     for k, n in enumerate([15, 17, 19, 21] * 3):
@@ -99,6 +150,24 @@ def test_su2_dense_iteration_bound():
         result = consistencize_riemannian(A)
         assert result.status == STATUS_CONVERGED
         assert result.iterations <= 15
+
+
+def test_su2_dense_inputs_converge_in_newton_steps():
+    # the exact Hessian converges quadratically: the sizes and noise of the
+    # benchmark's su2 consistencize inputs take at most 4 accepted steps
+    for k, n in enumerate([15, 17, 19, 21] * 3):
+        result = consistencize_riemannian(noisy_matrix(SU2, n, 0.1, 600 + k))
+        assert result.status == STATUS_CONVERGED
+        assert result.iterations <= 4
+
+
+def test_su2_noise_half_converges_in_few_steps():
+    # at this size and noise, damped Gauss-Newton on J^T J took 16-33 steps
+    # on 30 random inputs, and the Newton model takes 4-12 on 100
+    for k in range(12):
+        result = consistencize_riemannian(noisy_matrix(SU2, 12, 0.5, 620 + k))
+        assert result.status == STATUS_CONVERGED
+        assert result.iterations <= 12
 
 
 def test_antipodal_start_raises_log_branch_error():

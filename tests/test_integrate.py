@@ -73,7 +73,7 @@ def test_haar_product_closure(group):
     tol = 1e-14 if group is SU2 else 0
     X = np.stack([group.batch_haar_sample(sample_rng(13, k), (3,)) for k in range(n)])  # sample_field's draws
     h01, h02, h12 = X[:, 0], X[:, 1], X[:, 2]  # TRIANGLE.edges order
-    plaq = group.batch_distance(one, group.batch_multiply(group.batch_multiply(group.batch_inverse(h02), h12), h01))
+    plaq = group.batch_distance(one, group.batch_multiply(group.batch_inverse(h02), group.batch_multiply(h12, h01)))
     elements = [
         group.distance(group.identity, plaquette(TRIANGLE, sample_field(TRIANGLE, group, sample_rng(13, k)), (0, 1, 2)))
         for k in range(1000)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from holopc import serialize, simplicial
@@ -42,6 +42,9 @@ from holopc.simplicial import EdgeField, _edge_carriers, full_simplex, grid_comp
 Z7 = zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# the writer properties draw whole documents, and shrinking one through
+# json_text takes minutes: a failure reports the example as first drawn
+WRITER_PROPERTY = settings(PROPERTY, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 
 
 def test_matrix_json_round_trip():
@@ -208,7 +211,7 @@ json_trees = st.recursive(
 )
 
 
-@PROPERTY
+@WRITER_PROPERTY
 @given(json_trees)
 def test_json_text_is_json_dumps(tree):
     assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
@@ -261,7 +264,7 @@ def _dumps(obj) -> str:
 
 
 @pytest.mark.parametrize("group", WRITER_GROUPS, ids=lambda g: g.tag)
-@PROPERTY
+@WRITER_PROPERTY
 @given(data=st.data())
 def test_matrices_are_written_as_their_documents(group, data):
     A = data.draw(gapped_matrices(group))
@@ -663,7 +666,7 @@ curvature_columns = st.integers(0, 5).flatmap(
 )
 
 
-@PROPERTY
+@WRITER_PROPERTY
 @given(columns=curvature_columns, depth=st.integers(0, 3))
 def test_records_are_written_as_their_dicts(columns, depth):
     values, triangles = columns
@@ -692,7 +695,7 @@ magnitudes = st.one_of(
 )
 
 
-@PROPERTY
+@WRITER_PROPERTY
 @given(
     pool=st.lists(magnitudes, min_size=1, max_size=40),
     shape=st.tuples(st.integers(1, 3 * serialize._FORMAT_ONCE), st.sampled_from([1, 4])),
@@ -712,7 +715,7 @@ def test_float_text_once_per_magnitude_is_repr(pool, shape, seed, special):
 
 
 @pytest.mark.parametrize("n", [3, 10, 11, 16])  # 9 and 100 scalars go plain, 121 and 256 once per magnitude
-@PROPERTY
+@WRITER_PROPERTY
 @given(pool=st.lists(magnitudes.filter(lambda x: x <= math.pi), min_size=1), seed=st.integers(0, 2**32 - 1))
 def test_matrices_through_the_magnitude_gate(n, pool, seed):
     # u1 inverses are negated angles: the mirrored entries share magnitudes
