@@ -10,7 +10,12 @@ It times the ``src/`` of the checkout it is in.  The layers are:
 - ``json_text`` of the su2 n = 21 ``consistencize`` report;
 - ``load_matrix`` of an n = 48 su2 matrix document;
 - ``consistencize_riemannian`` of an su2 matrix at n = 15 and 21, drawn by
-  the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise.
+  the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise;
+- the triad sweep of ``is_consistent`` on such su2 matrices at n = 10, 30
+  and 60;
+- one Monte Carlo block (1024 samples) of ``expectation``: the u1 worst
+  triad indicator of random 5 x 5 matrices (``montecarlo --random-pc 5``)
+  and su2 ``mean_curvature_In`` on ``full_simplex(3)``.
 
 Each source tree is timed in its own interpreter, since both are the package
 ``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
@@ -46,10 +51,11 @@ def layers(src: str, tmp: Path) -> dict:
     ``tmp``."""
     sys.path[:0] = [src, str(ROOT)]
     from holopc.consistencize import consistencize_riemannian
-    from holopc.groups import SU2
-    from holopc.pcmatrix import from_upper_triangle, random_pc_matrix
+    from holopc.groups import SU2, U1
+    from holopc.integrate import Observable, expectation
+    from holopc.pcmatrix import from_upper_triangle, is_consistent, random_pc_matrix
     from holopc.serialize import Records, json_text, load_matrix, save_matrix
-    from holopc.simplicial import EdgeField, _triangle_scores, grid_complex, holonomy_pc_matrix
+    from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
     from perfbench.inputs import su2_matrix
 
     rng = np.random.default_rng(20)
@@ -86,9 +92,19 @@ def layers(src: str, tmp: Path) -> dict:
     save_matrix(random_pc_matrix(SU2, 48, rng), path)
     out["load_matrix.su2_n48"] = lambda: load_matrix(path)
     noise = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]["su2-dense"]["inputs"]["noise"]
+
+    def dense(n):
+        return from_upper_triangle(SU2, [tuple(q) for q in su2_matrix(rng, n, noise)[np.triu_indices(n, 1)].tolist()])
+
     for n in (15, 21):
-        A = from_upper_triangle(SU2, [tuple(q) for q in su2_matrix(rng, n, noise)[np.triu_indices(n, 1)].tolist()])
-        out[f"consistencize_riemannian.su2_n{n}"] = lambda A=A: consistencize_riemannian(A)
+        out[f"consistencize_riemannian.su2_n{n}"] = lambda A=dense(n): consistencize_riemannian(A)
+    for n in (10, 30, 60):
+        out[f"is_consistent.su2_n{n}"] = lambda A=dense(n): is_consistent(A)
+    random_pc5 = Observable("ii3_of_random_matrix", n=5)
+    out["mc_block.u1_random_pc5"] = lambda: expectation(None, U1, random_pc5, N=1024, seed=5)
+    K = full_simplex(3)
+    curvature = Observable("mean_curvature_In")
+    out["mc_block.su2_mean_curvature_simplex3"] = lambda: expectation(K, SU2, curvature, N=1024, seed=3)
     return out
 
 

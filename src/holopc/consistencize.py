@@ -52,6 +52,7 @@ from .pcmatrix import (
     _gauge_upper,
     _pairs,
     _require_nonnegative,
+    _upper,
     ii_indicator,
 )
 
@@ -91,11 +92,6 @@ class ConsistencizationResult:
     iterations: int
     status: str
     history: tuple[IterationRecord, ...] = ()
-
-
-def _upper(A: PCMatrix) -> np.ndarray:
-    """The entries a_ij, i < j, row-major, as a carrier array."""
-    return _entry_array(A)[_pairs(A.n)]
 
 
 def _sum_of_squares(d: np.ndarray) -> float:

@@ -10,15 +10,15 @@ Samples come in blocks of ``_MC_BLOCK``: block b covers samples
 ``block_rng(seed, b)``, counter-style as in Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11).  A block draws one carrier array of
 shape (B, E) over the edges ``K.edges`` of a complex, or (B, n(n-1)/2) over
-the strict upper triangle of an n x n matrix, row-major, and the observable
-is scored on the whole array with the group's batched kernels.  Every
-estimate is therefore a deterministic function of (seed, N) alone, and the
-sample values at N are the first N sample values at any larger N.
+the pairs i < j of an n x n matrix, row-major: a field on the complete
+graph, whose triangles are the triads.  The observable is scored on the
+whole array through ``pcmatrix``'s triangle loops.  Every estimate is
+therefore a deterministic function of (seed, N) alone, and the sample
+values at N are the first N sample values at any larger N.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import NonCompactGroupError
 from .groups import Group, as_generator
-from .pcmatrix import CONTRAVARIANT, COVARIANT, Indicator, _loop_scorer, _pairs
-from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps, _triangle_edges
+from .pcmatrix import CONTRAVARIANT, COVARIANT, Indicator, _first_max, _loop_scorer, _triad_blocks, _triangle_edges
+from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps
 
 _MC_BLOCK = 1024  # samples per generator; part of what (seed, N) reproduces
 _TRIAD_STEP = 256  # triads scored at once per block of random matrices
@@ -127,7 +127,10 @@ def _make_scorer(
     if obs.tag == "ii3_of_random_matrix":
         if obs.n is None or obs.n < 2:
             raise ValueError("ii3_of_random_matrix needs a matrix size n >= 2")
-        return obs.n * (obs.n - 1) // 2, _matrix_scorer(obs.n, _loop_scorer(group, COVARIANT, indicator))
+        n, score = obs.n, _loop_scorer(group, COVARIANT, indicator)
+        return n * (n - 1) // 2, lambda U: _first_max(
+            (score(*_triangle_edges(cols, U)) for cols in _triad_blocks(n, _TRIAD_STEP)), len(U)
+        )[0]
 
     if K is None:
         raise ValueError(f"observable {obs.tag} needs a complex to sample fields on")
@@ -152,34 +155,11 @@ def _make_scorer(
     score = _loop_scorer(group, CONTRAVARIANT, indicator)
 
     def curvatures(X):  # In of the plaquettes, shape (B, T)
-        return score(*_triangle_edges(K, X))
+        return score(*_triangle_edges(K._tri_cols, X))
 
     if obs.tag == "mean_curvature_In":
         return width, lambda X: curvatures(X).mean(axis=1)
-    return width, lambda X: curvatures(X).max(axis=1)
-
-
-def _matrix_scorer(n: int, loop_score) -> Callable[[np.ndarray], np.ndarray]:
-    """Worst In(triad holonomy) of covariant matrices given by their strict
-    upper triangles, row-major: the value ``ii_indicator`` gives each
-    matrix.  ``loop_score`` is the covariant ``_loop_scorer``."""
-    I, J = _pairs(n)
-    rank = np.zeros((n, n), dtype=np.intp)
-    rank[I, J] = np.arange(len(I))
-    tri = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-    ij, ik, jk = rank[tri[:, 0], tri[:, 1]], rank[tri[:, 0], tri[:, 2]], rank[tri[:, 1], tri[:, 2]]
-
-    def score(U):
-        if not len(tri):
-            return np.zeros(len(U))  # no triads, as in ii_indicator
-        worst = np.full(len(U), -np.inf)
-        for lo in range(0, len(tri), _TRIAD_STEP):
-            t = slice(lo, lo + _TRIAD_STEP)
-            v = loop_score(U[:, ij[t]], U[:, ik[t]], U[:, jk[t]])
-            np.maximum(worst, v.max(axis=1), out=worst)
-        return worst
-
-    return score
+    return width, lambda X: _first_max((curvatures(X),), len(X))[0]
 
 
 def _sample_values(

@@ -21,15 +21,15 @@ the classical triad indicator ii3 with its chain variant, the group-valued
 indicator built from an indicator map, and the gauge-vector factorization
 a_ij = lam_i^-1 * lam_j of consistent matrices together with its converse.
 
-``is_consistent``, ``ii_indicator`` and ``ii3_matrix`` are one array sweep
-over the C(n,3) triads i < j < k.  The sweep walks the triads in
-lexicographic order in consecutive blocks of ``_TRIAD_BLOCK`` triads, which
-bounds its temporaries, gathers (a_ij, a_ik, a_jk) for a whole block from
-the stored carriers by flat position ``i * n + j`` and scores them with the
-group's batched kernels.  The reported triad is the lexicographically first
-one that attains the maximum: ``argmax`` picks the first maximum inside a
-block, and a later block replaces the best only when it scores strictly
-higher.
+The module owns the triangle loops of the package.  A matrix's strict upper
+triangle, row-major, is a field on the complete graph, whose triangles are
+the triads: ``_triad_blocks`` lists them in lexicographic blocks of pair
+ranks (ij, ik, jk), the triangle edge columns of ``full_simplex(n - 1)``.
+One gather (``_triangle_edges``) and one first-maximum reduction
+(``_first_max``: ties go to the first loop, a later block wins only when
+strictly higher) score them in the sweeps of ``is_consistent``,
+``ii_indicator`` and ``ii3_matrix``, as they score the plaquettes of
+``simplicial`` and the Monte Carlo observables of ``integrate``.
 
 Every loop with the default indicator is scored as a defect.  The triad
 holonomy is h = x z y^-1 (covariant) or y^-1 z x (contravariant) for
@@ -38,11 +38,8 @@ d(1, h^-1) = d(xz, y) or d(zx, y): Koczkodaj's triad defect, read in any
 group, at one product and one distance per triad (``Group.batch_defect``;
 rplus takes it as the sum of logs |log x - log y + log z|, so no product
 leaves the float range, and ``ii3_matrix`` and ``ii_n_chain`` work in logs
-too).  The consistency defect
-of ``is_consistent`` and the default ``ii_indicator`` are therefore the same
-number, and ``_loop_scorer`` is the one kernel behind both, the
-consistencizer's ``ii_before``/``ii_after``, the plaquette scores of
-``simplicial`` and the Monte Carlo observables.
+too).  ``_loop_scorer`` is that one kernel, for every caller above and the
+consistencizer's ``ii_before``/``ii_after``.
 """
 
 from __future__ import annotations
@@ -108,9 +105,7 @@ class PCMatrix:
             raise ValueError("entries must form a square grid with n >= 2")
         if positions is not None and len(positions) == n * n:
             positions = None
-        for arr in (carriers, positions):
-            if arr is not None:
-                arr.flags.writeable = False
+        _frozen(*(arr for arr in (carriers, positions) if arr is not None))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "variance", variance)
@@ -172,12 +167,16 @@ class PCMatrix:
         return f"PCMatrix({self.group.tag}, n={self.n}, {self.variance}{extra})"
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=64)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(n, 1)``, read-only: the pairs i < j, row-major."""
-    I, J = np.triu_indices(n, 1)
-    I.flags.writeable = J.flags.writeable = False
-    return I, J
+    return _frozen(*np.triu_indices(n, 1))
 
 
 def _entry_array(A: PCMatrix) -> np.ndarray:
@@ -301,30 +300,79 @@ def triad_entries(A: PCMatrix, i: int, j: int, k: int) -> tuple[Element, Element
 
 
 @functools.lru_cache(maxsize=64)
-def _triad_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per first index i: the rank just past its last triad, and the shift
-    from the rank of a triad (i, j, k) to the rank of the pair (j, k)."""
+def _triad_ranks(n: int) -> tuple[np.ndarray, ...]:
+    """Per first index i: the ranks of its first triad and just past its
+    last, the shift from the rank of a triad (i, j, k) to the rank of the
+    pair (j, k), and the rank of the pair (i, j) less j."""
     first = np.arange(n)
     count = (n - 1 - first) * (n - 2 - first) // 2  # triads with first index i
     end = np.cumsum(count)
     # the pairs (j, k) with j > i are the suffix of the pair list after the
     # (i + 1)(n - 1) - i(i + 1)/2 pairs with j <= i
     shift = (first + 1) * (n - 1) - first * (first + 1) // 2 - (end - count)
-    end.flags.writeable = shift.flags.writeable = False
-    return end, shift
+    row = first * (2 * n - 3 - first) // 2 - 1  # row i of the pair list starts at (i, i + 1)
+    return _frozen(end - count, end, shift, row)
 
 
-def _triad_blocks(n: int):
-    """Index arrays (i, j, k) of the triads i < j < k in lexicographic
-    order, in consecutive blocks of at most ``_TRIAD_BLOCK`` triads."""
-    J, K = _pairs(n)
-    end, shift = _triad_ranks(n)
+def _triad_blocks(n: int, size: int):
+    """The triads i < j < k in lexicographic order, in consecutive blocks of
+    at most ``size``, each a (T, 3) array of pair ranks (ij, ik, jk).  The
+    pairs, row-major, are the sorted edges of ``full_simplex(n - 1)``, so
+    the blocks concatenate to its ``_tri_cols``."""
     total = math.comb(n, 3)
-    for lo in range(0, total, _TRIAD_BLOCK):
-        t = np.arange(lo, min(lo + _TRIAD_BLOCK, total))
-        i = np.searchsorted(end, t, side="right")
-        p = t + shift[i]
-        yield i, J[p], K[p]
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        yield _small_triads(n)[lo:hi] if total <= _TRIAD_BLOCK else _triad_columns(n, lo, hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _small_triads(n: int) -> np.ndarray:
+    """Every triad's columns, read-only, for an n whose triads fit one sweep
+    block: building them would cost as much as scoring them."""
+    return _frozen(_triad_columns(n, 0, math.comb(n, 3)))[0]
+
+
+def _triad_columns(n: int, lo: int, hi: int) -> np.ndarray:
+    """The pair ranks (ij, ik, jk) of the triads of ranks lo..hi-1."""
+    (start, end, shift, row), (J, K) = _triad_ranks(n), _pairs(n)
+    per_first = np.maximum(np.minimum(end, hi) - np.maximum(start, lo), 0)  # the block's triads per i
+    jk = np.arange(lo, hi) + np.repeat(shift, per_first)
+    ij = np.repeat(row, per_first)  # the rank of (i, j) less j
+    return np.stack((ij + J[jk], ij + K[jk], jk)).T  # each column contiguous, for the gather
+
+
+def _triangle_edges(cols: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The carriers (x, y, z) of the edges (ij, ik, jk) of each loop of the
+    (T, 3) column array ``cols``, from carrier arrays X of shape (B, E, ...):
+    three (B, T, ...) arrays, the triad entries (a_ij, a_ik, a_jk) of a
+    matrix's upper triangle, or by ``K._tri_cols`` of a field's
+    contravariant matrix, whose triad holonomies are its plaquettes."""
+    ij, ik, jk = cols.T
+    return X.take(ij, axis=1), X.take(ik, axis=1), X.take(jk, axis=1)
+
+
+def _first_max(blocks, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first maximum over consecutive (rows, T) score blocks, and
+    its column counted across them: ``argmax`` takes the first inside a
+    block, and a later block wins only when strictly higher.  With no
+    blocks: zeros and column -1."""
+    best, arg, lo, every = np.zeros(rows), np.zeros(rows, dtype=np.intp) - 1, 0, np.arange(rows)
+    for v in blocks:
+        b = v.argmax(axis=1)
+        top = v[every, b]  # faster than v.max(axis=1) along a short axis
+        if lo:
+            win = top > best
+            best[win], arg[win] = top[win], b[win] + lo
+        else:
+            best, arg = top, b
+        lo += v.shape[1]
+    return best, arg
+
+
+def _upper(A: PCMatrix) -> np.ndarray:
+    """The entries a_ij, i < j, row-major, as a carrier array; gaps read as the identity."""
+    (I, J), M = _pairs(A.n), _entry_array(A)
+    return M.reshape((-1,) + M.shape[2:]).take(I * A.n + J, axis=0)  # faster than M[I, J]
 
 
 def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
@@ -334,15 +382,16 @@ def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
     (a_ij, a_ik, a_jk) of a gap-free matrix to one float per triad.
     Matrices with n < 3 have no triads and give (0.0, None).
     """
-    C, n = A._carriers, A.n  # gap-free: entry (i, j) is carrier i * n + j
-    best_val, best_triad = 0.0, None
-    for i, j, k in _triad_blocks(n):
-        row = i * n
-        v = score(C.take(row + j, axis=0), C.take(row + k, axis=0), C.take(j * n + k, axis=0))
-        b = int(np.argmax(v))
-        if best_triad is None or v[b] > best_val:
-            best_val, best_triad = float(v[b]), (int(i[b]), int(j[b]), int(k[b]))
-    return best_val, best_triad
+    n, U = A.n, _upper(A)[None]  # the upper triangle: one field on the complete graph
+    # scored as (T, ...) arrays, on which the kernels run faster than on (1, T, ...)
+    blocks = (score(*(e[0] for e in _triangle_edges(cols, U)))[None] for cols in _triad_blocks(n, _TRIAD_BLOCK))
+    (value,), (t,) = _first_max(blocks, 1)
+    if t < 0:
+        return 0.0, None
+    _, end, shift, _ = _triad_ranks(n)
+    i = int(end.searchsorted(t, side="right"))
+    p, (J, K) = int(t + shift[i]), _pairs(n)
+    return float(value), (i, int(J[p]), int(K[p]))
 
 
 @dataclass(frozen=True)
@@ -472,14 +521,6 @@ def default_indicator(group: Group) -> Indicator:
     return indicator
 
 
-def _checked_indicator(group: Group, indicator: Indicator | None) -> Indicator:
-    if indicator is None:
-        return default_indicator(group)
-    if abs(indicator(group.identity)) > ALGEBRA_TOL:
-        raise ValueError("not an indicator map: In(identity) != 0")
-    return indicator
-
-
 def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float, Triad | None]:
     """Supremum of In(triad holonomy) over all triads, with its argmax.
 
@@ -500,7 +541,9 @@ def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[n
     :func:`default_indicator`, the holonomy form d(1, g^-1) that
     :func:`_loop_scorer` computes as a defect on whole arrays instead.
     """
-    ind = _checked_indicator(group, indicator)
+    ind = default_indicator(group) if indicator is None else indicator
+    if not abs(ind(group.identity)) <= ALGEBRA_TOL:  # also refuses nan
+        raise ValueError("not an indicator map: In(identity) != 0")
     tail = group.to_array([group.identity]).shape[1:]  # the carrier's own axes
 
     def apply(g):
@@ -516,10 +559,10 @@ def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
 
     Invariant under a global left translation of ``lam``.
     """
-    lam = [group.check(v) for v in lam]
+    lam = group.batch_check(lam)
     if len(lam) < 2:
         raise ValueError("gauge vector needs at least 2 components")
-    return _gauge_matrix(group, group.to_array(lam), COVARIANT)
+    return _gauge_matrix(group, lam, COVARIANT)
 
 
 def _gauge_upper(group: Group, lam: np.ndarray) -> np.ndarray:
@@ -574,7 +617,7 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
     if len(mu) != A.n:
         raise ValueError(f"gauge length {len(mu)} does not match matrix size {A.n}")
     I, J = _pairs(A.n)
-    a = _entry_array(A)[I, J]  # gaps read as the identity and are put back below
+    a = _upper(A)  # gaps read as the identity and are put back below
     inv = G.batch_inverse(mu)
     if A.variance == CONTRAVARIANT:
         upper = G.batch_multiply(G.batch_multiply(mu[J], a), inv[I])

@@ -8,17 +8,18 @@ Hol(second) * Hol(first), so the last edge sits leftmost.
 
 Both are stored as arrays.  A complex keeps an (E, 2) array of its edges,
 sorted, with their keys ``i * V + j``, a (T, 3) array of its triangles,
-sorted, and the (T, 3) columns of each triangle's edges.  A complex of more
-than ``_LOOP_CELLS`` cells, each a list or tuple of plain ints (the form a
-JSON document gives), is checked in one numpy pass: vertex range,
-self-edges, duplicate edges and triangles, degenerate triangles, and
+sorted, and the (T, 3) columns (ij, ik, jk) of each triangle's edges (on
+``full_simplex(n - 1)``, the pair ranks of ``pcmatrix``'s triads).  A
+complex of more than ``_LOOP_CELLS`` cells, each a list or tuple of plain
+ints (the form a JSON document gives), is checked in one numpy pass: vertex
+range, self-edges, duplicate edges and triangles, degenerate triangles, and
 missing triangle edges by one ``searchsorted`` of the edge keys.  Any other
 input, and any input that fails the pass, goes through the per-cell loop,
-which names the first bad cell in document order.  A field keeps an
-(E, 2) array of its canonical edges, sorted, and the (E, ...) carrier
-array of their values, checked once.  Binding it to a complex is one
-``searchsorted`` of the complex's edge keys, so no per-edge Python object
-is built on the way from a document to a report.
+which names the first bad cell in document order.  A field keeps an (E, 2)
+array of its canonical edges, sorted, and the (E, ...) carrier array of
+their values, checked once.  Binding it to a complex is one ``searchsorted``
+of the complex's edge keys, so no per-edge Python object is built on the
+way from a document to a report.
 
 From these come the spanning-tree gauge, the pairwise-comparison matrix of
 a field (with gaps where the comparison graph has no edge), per-triangle
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import MissingEdgeError
 from .groups import Element, Group
-from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _identities, _loop_scorer
+from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _first_max, _frozen, _identities, _loop_scorer, _triangle_edges
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -204,12 +205,6 @@ def _checked_cells(vertices: int, edges, triangles):
     (flat,) = _frozen(np.array([*chain(*E), *keys, *chain(*T), *chain(*cols)], dtype=np.intp))
     e, k, t = 2 * len(E), 3 * len(E), 3 * len(E) + 3 * len(T)
     return flat[:e].reshape(-1, 2), flat[e:k], flat[k:t].reshape(-1, 3), flat[t:].reshape(-1, 3)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 def _breadth_first(base: int, edges: np.ndarray) -> tuple[dict[int, list[int]], dict[int, int | None]]:
@@ -470,20 +465,6 @@ def _path_product(G: Group, H: np.ndarray, against: Sequence[bool]) -> np.ndarra
     return acc
 
 
-def _triangle_edges(K: SimplicialComplex2, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The carriers (h_ij, h_ik, h_jk) of every triangle's edges, in
-    ``K.triangles`` order, for carrier arrays X of shape (B, E, ...): three
-    arrays of shape (B, T, ...).
-
-    They are the triad entries (a_ij, a_ik, a_jk) of the field's
-    contravariant matrix, whose triad holonomies are the plaquettes
-    h_ki * h_jk * h_ij, so ``_loop_scorer(G, CONTRAVARIANT, indicator)``
-    scores them.
-    """
-    ij, ik, jk = K._tri_cols.T
-    return X.take(ij, axis=1), X.take(ik, axis=1), X.take(jk, axis=1)
-
-
 def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, ...]:
     """Holonomy from the base to every vertex along the breadth-first tree.
 
@@ -570,12 +551,11 @@ def global_ii(
     """Worst In(curvature) over all triangles, with the argmax triangle.
 
     The indicator sees the plaquette; basing only conjugates it, which a
-    bi-invariant indicator cannot see.  All plaquettes are scored in one
-    sweep of the triad loop scorer: the default indicator as the defect
-    d(h_jk h_ij, h_ik) on the whole array, which equals d(1, p^-1) of the
-    plaquette p by bi-invariance, a supplied one on each plaquette; ties go
-    to the first triangle.  Complexes without triangles score 0 with no
-    triangle.
+    bi-invariant indicator cannot see.  The plaquettes are the triad loops
+    of the field's contravariant matrix, scored as ``pcmatrix`` scores
+    triads: the default indicator as the defect d(h_jk h_ij, h_ik), a
+    supplied one on each plaquette; ties go to the first triangle.
+    Complexes without triangles score 0 with no triangle.
     """
     return _triangle_scores(K, F, indicator)[1:]
 
@@ -588,9 +568,9 @@ def _triangle_scores(
     score = _loop_scorer(F.group, CONTRAVARIANT, indicator)  # checks a supplied indicator
     if not len(K._tri_array):
         return np.zeros(0), 0.0, None
-    curv = score(*_triangle_edges(K, _edge_carriers(K, F)[None]))[0]
-    t = int(np.argmax(curv))
-    return curv, float(curv[t]), tuple(K._tri_array[t].tolist())
+    curv = score(*_triangle_edges(K._tri_cols, _edge_carriers(K, F)[None]))
+    (value,), (t,) = _first_max((curv,), 1)
+    return curv[0], float(value), tuple(K._tri_array[t].tolist())
 
 
 def gauge_transform_field(

@@ -37,6 +37,8 @@ from holopc.pcmatrix import (
     _batched_indicator,
     _holonomies,
     _loop_scorer,
+    _triad_blocks,
+    _triangle_edges,
     default_indicator,
     from_gauge_vector,
     from_upper_triangle,
@@ -52,7 +54,6 @@ from holopc.pcmatrix import (
 )
 from holopc.simplicial import (
     EdgeField,
-    _triangle_edges,
     full_simplex,
     gauge_transform_field,
     global_ii,
@@ -464,6 +465,17 @@ def test_tie_across_blocks_keeps_the_lexicographically_first_triad():
     assert ii_indicator(later) == (Z7.distance(0, 3), last)
 
 
+def test_triad_blocks_are_the_complete_graph_triangles():
+    # pair ranks (ij, ik, jk) are the edge columns of full_simplex(n - 1)'s
+    # triangles; at n = 26 the triads exceed one sweep block and are listed
+    # block by block rather than sliced from the cached list
+    assert math.comb(26, 3) > _TRIAD_BLOCK
+    for n in [*range(3, 14), 26]:
+        blocks = list(_triad_blocks(n, 7))
+        assert [len(b) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tolist() == full_simplex(n - 1)._tri_cols.tolist()
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
 def test_identity_matrix_reports_first_triad(group):
     A = identity_matrix(group, 30)
@@ -477,26 +489,30 @@ def test_identity_matrix_reports_first_triad(group):
 
 
 class CountingCircle(CircleGroup):
-    """u1 that counts its carrier checks."""
+    """u1 that counts its carrier checks and its batch checks."""
 
     def __init__(self):
-        self.checks = 0
+        self.checks = self.batches = 0
 
     def check(self, a):
         self.checks += 1
         return super().check(a)
+
+    def batch_check(self, values):
+        self.batches += 1
+        return super().batch_check(values)
 
 
 def test_constructors_check_each_value_once():
     G = CountingCircle()
     values = [0.1 * k for k in range(10)]
     from_upper_triangle(G, values)
-    assert G.checks == len(values)
+    assert (G.checks, G.batches) == (len(values), 1)
 
-    G.checks = 0
+    G.checks = G.batches = 0
     lam = [0.3, -1.0, 2.5, 3.0]
     from_gauge_vector(G, lam)
-    assert G.checks == len(lam)
+    assert (G.checks, G.batches) == (len(lam), 1)
 
 
 def test_sweeps_and_descent_check_nothing():
@@ -605,7 +621,7 @@ def test_plaquette_defect_is_the_plaquette_indicator(group, data):
     K = data.draw(st.sampled_from(FIELD_COMPLEXES))
     B = data.draw(st.integers(1, 3))
     X = carrier_array(group, data, (B, len(K.edges)))
-    edges = _triangle_edges(K, X)
+    edges = _triangle_edges(K._tri_cols, X)
     got = _loop_scorer(group, CONTRAVARIANT, None)(*edges)
     assert_same_scores(group, got, _batched_indicator(group, None)(_holonomies(group, CONTRAVARIANT, *edges)))
     ind = default_indicator(group)

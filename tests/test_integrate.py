@@ -163,10 +163,11 @@ def test_block_scores_match_element_methods(group):
         Observable("sup_curvature_In"): [max(ind(plaquette(K, F, t)) for t in K.triangles) for F in fields],
         Observable("wilson_character", loop=loop): [chi(path_holonomy(K, F, loop)) for F in fields],
     }
-    upper = group.batch_haar_sample(block_rng(26, 0), (N, 78))  # n = 13: 286 triads, two steps of 256
-    expected[Observable("ii3_of_random_matrix", n=13)] = [
-        ii_indicator(from_upper_triangle(group, group.from_array(row)))[0] for row in upper
-    ]
+    for n in (13, 30):  # 286 triads, two steps of 256; 4060 triads, 16 steps
+        upper = group.batch_haar_sample(block_rng(26, 0), (N, n * (n - 1) // 2))
+        expected[Observable("ii3_of_random_matrix", n=n)] = [
+            ii_indicator(from_upper_triangle(group, group.from_array(row)))[0] for row in upper
+        ]
     for obs, hand in expected.items():
         np.testing.assert_allclose(_sample_values(K, group, obs, N, 26, None), hand, rtol=0, atol=1e-12)
 

@@ -8,6 +8,7 @@ import pytest
 
 from holopc.errors import GapError, GroupMismatchError, InconsistentMatrixError, NonCompactGroupError
 from holopc.groups import RPLUS, SU2, U1, zmod
+from holopc.integrate import Observable, expectation
 from holopc.pcmatrix import (
     CONTRAVARIANT,
     COVARIANT,
@@ -29,6 +30,7 @@ from holopc.pcmatrix import (
     triad_holonomy,
     validate,
 )
+from holopc.simplicial import full_simplex, global_ii, identity_field
 
 ALL_GROUPS = [RPLUS, U1, SU2, zmod(5)]
 
@@ -314,6 +316,18 @@ def test_ii_indicator_examples():
 def test_ii_indicator_rejects_non_indicator():
     with pytest.raises(ValueError, match="not an indicator map"):
         ii_indicator(identity_matrix(U1, 3), indicator=lambda g: 1.0)
+
+
+def test_nan_at_the_identity_is_not_an_indicator():
+    # abs(nan) > tol is False, so nan must be refused by its own test
+    nan = lambda g: math.nan  # noqa: E731
+    K = full_simplex(2)
+    with pytest.raises(ValueError, match="not an indicator map"):
+        ii_indicator(identity_matrix(U1, 3), indicator=nan)
+    with pytest.raises(ValueError, match="not an indicator map"):
+        global_ii(K, identity_field(K, U1), nan)
+    with pytest.raises(ValueError, match="not an indicator map"):
+        expectation(K, U1, Observable("sup_curvature_In"), N=2, indicator=nan)
 
 
 def test_ii_indicator_matches_ii3_transform():
