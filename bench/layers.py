@@ -10,7 +10,9 @@ It times the ``src/`` of the checkout it is in.  The layers are:
 - ``json_text`` of the su2 n = 21 ``consistencize`` report;
 - ``load_matrix`` of an n = 48 su2 matrix document;
 - ``consistencize_riemannian`` of an su2 matrix at n = 15 and 21, drawn by
-  the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise;
+  the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise, and
+  the synchronization start of that solver (``SU2.batch_synchronize`` of
+  the entry array; a tree without it has no such layer);
 - the triad sweep of ``is_consistent`` on such su2 matrices at n = 10, 30
   and 60;
 - one Monte Carlo block (1024 samples) of ``expectation``: the u1 worst
@@ -53,7 +55,7 @@ def layers(src: str, tmp: Path) -> dict:
     from holopc.consistencize import consistencize_riemannian
     from holopc.groups import SU2, U1
     from holopc.integrate import Observable, expectation
-    from holopc.pcmatrix import from_upper_triangle, is_consistent, random_pc_matrix
+    from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix
     from holopc.serialize import Records, json_text, load_matrix, save_matrix
     from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
     from perfbench.inputs import su2_matrix
@@ -97,7 +99,10 @@ def layers(src: str, tmp: Path) -> dict:
         return from_upper_triangle(SU2, [tuple(q) for q in su2_matrix(rng, n, noise)[np.triu_indices(n, 1)].tolist()])
 
     for n in (15, 21):
-        out[f"consistencize_riemannian.su2_n{n}"] = lambda A=dense(n): consistencize_riemannian(A)
+        A = dense(n)
+        out[f"consistencize_riemannian.su2_n{n}"] = lambda A=A: consistencize_riemannian(A)
+        if hasattr(SU2, "batch_synchronize"):
+            out[f"synchronize.su2_n{n}"] = lambda M=_entry_array(A): SU2.batch_synchronize(M)
     for n in (10, 30, 60):
         out[f"is_consistent.su2_n{n}"] = lambda A=dense(n): is_consistent(A)
     random_pc5 = Observable("ii3_of_random_matrix", n=5)
@@ -174,7 +179,7 @@ def main() -> None:
     records = []
     for name, seconds in times["change"].items():
         record = {"layer": name, **summary(seconds)}
-        if "baseline" in times:
+        if name in times.get("baseline", {}):
             record["baseline"] = summary(times["baseline"][name])
             record["ratio"] = record["median_ms"] / record["baseline"]["median_ms"]
         records.append(record)

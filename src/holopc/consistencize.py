@@ -23,13 +23,20 @@ Hessian.  On su2 the exact Hessian (Absil, Mahony and Sepulchre,
 "Optimization Algorithms on Matrix Manifolds", 2008) also weighs each
 pair by the curvature of the squared distance and adds a BCH bracket term
 (``Group.batch_pair_hessian``).  The solver uses it, so it converges
-quadratically near consistency.
+quadratically near consistency.  It starts from the lower of the row-0
+gauge lam_j = a_0j and the synchronization gauge of
+``Group.batch_synchronize``, which reads a consistent matrix as a flat
+field (angular synchronization; Singer, "Angular synchronization by
+eigenvectors and semidefinite programming", ACHA 2011): on the su2
+matrices of the benchmark, one Newton step from the minimum.
 
 The objective, the residual logs, the gradient and the Hessian run as
 array kernels over the pairs i < j of ``np.triu_indices(n, 1)``, and the
 solver keeps its gauge vector as a carrier array (see
 :mod:`holopc.groups`); each pair's gradient and Hessian terms are
 scatter-added into the gauge coordinates with one ``np.bincount`` each.
+Each trial gauge's products e_ij are formed once, for its objective, and
+reused by its linearization and by the result.
 """
 
 from __future__ import annotations
@@ -42,13 +49,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GapError, LogBranchError
-from .groups import Element, Group
+from .groups import Element, Group, _log_row_mean, _row_gauge
 from .pcmatrix import (
     COVARIANT,
     Indicator,
     PCMatrix,
     _entry_array,
-    _gauge_matrix,
+    _from_upper_array,
     _gauge_upper,
     _pairs,
     _require_nonnegative,
@@ -118,13 +125,20 @@ def _require_ready(A: PCMatrix) -> None:
         raise ValueError("contravariant su2 matrices are not supported: dualize first")
 
 
+def _objective(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """The products e_ij = lam_i^-1 lam_j over the pairs i < j, row-major,
+    and the objective at the carrier array ``lam``."""
+    G = A.group
+    e = _gauge_upper(G, lam)
+    return e, _sum_of_squares(G.batch_distance(_upper(A), e))
+
+
 def lsq_objective(A: PCMatrix, lam) -> float:
     """The squared-distance objective at a gauge vector.
 
     ``lam`` is a sequence of n elements or a carrier array of them.
     """
-    G = A.group
-    return _sum_of_squares(G.batch_distance(_upper(A), _gauge_upper(G, _gauge_array(G, lam))))
+    return _objective(A, _gauge_array(A.group, lam))[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,18 +153,18 @@ def _pair_slots(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows.ravel(), cells.ravel()
 
 
-def _linearize(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _linearize(A: PCMatrix, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half the gradient and half the model Hessian of the objective: J^T r
     as an (n, dim) array, row p for lam_p, and the Hessian for
-    lam_1..lam_{n-1}, from the residual logs r_ij = log(e_ij^-1 a_ij) over
-    the pairs i < j.  Each pair's terms are scatter-added in one pass.
+    lam_1..lam_{n-1}, from the gauge products e_ij = lam_i^-1 lam_j and the
+    residual logs r_ij = log(e_ij^-1 a_ij) over the pairs i < j.  Each
+    pair's terms are scatter-added in one pass.
 
     Raises :class:`LogBranchError` when some residual sits on the cut locus.
     """
     G, n, d = A.group, A.n, A.group.dim
     if d == 0:  # finite groups have no directions to move in
         return np.zeros((n, 0)), np.zeros((0, 0))
-    e = _gauge_upper(G, lam)
     r = G.batch_log(G.batch_multiply(G.batch_inverse(e), _upper(A)))
     ad = G.batch_adjoint(e)
     s = (ad @ r[..., None])[..., 0]  # Ad(e) r = log(a e^-1)
@@ -172,7 +186,7 @@ def lsq_gradient(A: PCMatrix, lam) -> np.ndarray:
     residual rotation sits on the cut locus, where the squared distance is
     not differentiable.
     """
-    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[0][1:]
+    return 2.0 * _linearize(A, _gauge_upper(A.group, _gauge_array(A.group, lam)))[0][1:]
 
 
 def lsq_hessian(A: PCMatrix, lam) -> np.ndarray:
@@ -180,7 +194,7 @@ def lsq_hessian(A: PCMatrix, lam) -> np.ndarray:
     the chart of :func:`lsq_gradient`: an ((n - 1) dim) square matrix, block
     (p - 1, q - 1) for (lam_p, lam_q).  It is exact while every residual
     is within pi/2 of the identity (see ``Group.batch_pair_hessian``)."""
-    return 2.0 * _linearize(A, _gauge_array(A.group, lam))[1]
+    return 2.0 * _linearize(A, _gauge_upper(A.group, _gauge_array(A.group, lam)))[1]
 
 
 def _pair_hessians(G: Group, ad: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -205,13 +219,16 @@ def _pair_hessians(G: Group, ad: np.ndarray, r: np.ndarray, s: np.ndarray) -> np
 
 
 def _result(
-    A: PCMatrix, lam: np.ndarray, status: str, history: tuple[IterationRecord, ...] = ()
+    A: PCMatrix, lam: np.ndarray, e: np.ndarray, f: float, status: str, history: tuple[IterationRecord, ...] = ()
 ) -> ConsistencizationResult:
-    C = _gauge_matrix(A.group, lam, A.variance)
+    """The result at the gauge ``lam`` with its products e and objective f
+    from :func:`_objective`: C's upper triangle is e, so f is the residual
+    between A and C."""
+    C = _from_upper_array(A.group, A.n, e, A.variance)
     return ConsistencizationResult(
         lam=tuple(A.group.from_array(lam)),
         matrix=C,
-        residual=residual_between(A, C),
+        residual=f,
         ii_before=ii_indicator(A)[0],
         ii_after=ii_indicator(C)[0],
         iterations=len(history),
@@ -233,15 +250,12 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     G = A.group
     if G.tag not in ("rplus", "u1"):
         raise ValueError(f"closed-form consistencization needs rplus or u1, not {G.tag}")
-    L = G.batch_log(_entry_array(A))[..., 0]
-    ell = -L.mean(axis=1)
-    ell -= ell[0]
-    lam = G.batch_exp(ell[:, None])
-    result = _result(A, lam, STATUS_CONVERGED)
+    lam = _log_row_mean(G, _entry_array(A))
+    e, f = _objective(A, lam)
+    result = _result(A, lam, e, f, STATUS_CONVERGED)
 
     if G.tag == "u1":
-        worst = float(np.max(G.batch_distance(_upper(A), _gauge_upper(G, lam))))
-        if worst > math.pi / 2:
+        if np.max(G.batch_distance(_upper(A), e)) > math.pi / 2:
             # principal-branch least squares can pick a wrong winding
             refined = consistencize_riemannian(A)
             if refined.residual < result.residual:
@@ -255,29 +269,38 @@ def _check_solver_options(max_iter: int, tol: float) -> None:
     _require_nonnegative("tol", tol)
 
 
+def _start(A: PCMatrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """The solver's start, with its products and objective (:func:`_objective`):
+    the row-0 gauge lam_j = a_0j or ``Group.batch_synchronize``, whichever
+    has the lower objective, row 0 on a tie.  Both are exact on consistent
+    input, and the result can never end above the row-0 objective."""
+    M = _entry_array(A)
+    starts = [(lam, *_objective(A, lam)) for lam in (_row_gauge(A.group, M), A.group.batch_synchronize(M))]
+    return min(starts, key=lambda start: start[2])
+
+
 def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
     """Damped Newton (Levenberg-Marquardt) on gauge vectors, any group.
 
-    Starts from lam_j = a_0j (exact on consistent input) and holds lam_0
-    fixed.  Each trial solves (H + mu I) xi = -g with the exact Hessian H
-    (:func:`lsq_hessian`, halved) and half the gradient g, and moves lam_p
-    to lam_p exp(xi_p).  The first trial is undamped.  A trial whose
-    predicted decrease is negative (H + mu I is indefinite) is rejected
-    unevaluated; any other is accepted only if the objective decreases,
-    and the damping mu follows Nielsen's gain ratio rule.  Stops once the
-    gradient vanishes, the model predicts a decrease below ``tol`` times
-    the objective, an accepted step lowers the objective by less than
-    ``tol``, no damping gives a decrease, or ``max_iter`` steps were
-    accepted.  On rplus the problem is linear in log coordinates and the
-    result matches the closed form.
+    Starts from :func:`_start`, the lower of the row-0 and synchronization
+    gauges, and holds lam_0 fixed.  Each trial solves (H + mu I) xi = -g
+    with the exact Hessian H (:func:`lsq_hessian`, halved) and half the
+    gradient g, and moves lam_p to lam_p exp(xi_p).  The first trial is
+    undamped.  A trial whose predicted decrease is negative (H + mu I is
+    indefinite) is rejected unevaluated; any other is accepted only if the
+    objective decreases, and the damping mu follows Nielsen's gain ratio
+    rule.  Stops once the gradient vanishes, the model predicts a decrease
+    below ``tol`` times the objective (``tol`` squared once the objective
+    is below ``tol``, so consistent input takes no step), an accepted step
+    lowers the objective by less than ``tol``, no damping gives a
+    decrease, or ``max_iter`` steps were accepted.  On rplus the start is
+    the closed form, so the result is the closed form's.
     """
     _check_solver_options(max_iter, tol)
     _require_ready(A)
-    G = A.group
-    n = A.n
-    lam = np.concatenate((G.to_array([G.identity]), _entry_array(A)[0, 1:]))
-    f = lsq_objective(A, lam)
-    half, H = _linearize(A, lam)
+    G, n = A.group, A.n
+    lam, e, f = _start(A)
+    half, H = _linearize(A, e)
 
     mu, nu = _DAMPING_MIN, 2.0  # the model is the exact Hessian: try the Newton step first
     history: list[IterationRecord] = []
@@ -295,14 +318,14 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
             np.fill_diagonal(H, diagonal + mu)
             xi = np.linalg.solve(H, -g)
             pred = float(xi @ (mu * xi - g))  # the decrease the model predicts
-            if 0.0 <= pred < tol * f:
+            if 0.0 <= pred < tol * max(f, tol):  # below an objective of tol, tol^2 is rounding
                 break
             if pred > 0.0:  # else H + mu I is indefinite: no descent step to try
                 cand = np.concatenate((lam[:1], G.batch_multiply(lam[1:], G.batch_exp(xi.reshape(n - 1, G.dim)))))
-                fc = lsq_objective(A, cand)
+                ec, fc = _objective(A, cand)
                 if fc < f:
                     try:
-                        accepted = (cand, fc, *_linearize(A, cand))
+                        accepted = (cand, ec, fc, *_linearize(A, ec))
                         break
                     except LogBranchError:
                         hit_branch = True
@@ -313,7 +336,7 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
             if hit_branch and mu > _DAMPING_MAX:
                 raise LogBranchError("Gauss-Newton stalled on the log branch cut: damping ran out")
             break  # converged, or no admissible decrease left
-        lam, fc, half, H = accepted
+        lam, e, fc, half, H = accepted
         decrease = f - fc
         gain = decrease / pred  # actual over predicted decrease
         history.append(IterationRecord(fc, 2.0 * float(np.linalg.norm(half[1:])), mu, rejected))
@@ -325,7 +348,7 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
     else:
         status = STATUS_MAX_ITER
 
-    return _result(A, lam, status, tuple(history))
+    return _result(A, lam, e, f, status, tuple(history))
 
 
 def epsilon_membership(A: PCMatrix, epsilon: float, indicator: Indicator | None = None) -> bool:

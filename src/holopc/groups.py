@@ -27,7 +27,8 @@ checks a whole sequence of raw values into a carrier array, bit for bit as
 ``check`` would one at a time.  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
 which the Newton consistencizer needs, as it needs ``batch_pair_hessian``,
-the curvature and bracket terms of its Hessian.  Nor has ``batch_defect``,
+the curvature and bracket terms of its Hessian, and ``batch_synchronize``,
+the gauge it starts from.  Nor has ``batch_defect``,
 the triad defect d(ab, c) that scores every default-indicator loop: one
 product and one distance, except for rplus, which sums logs so that a
 product beyond the float range is never formed.
@@ -234,6 +235,14 @@ class Group:
         shape = r.shape[:-1] + (self.dim, self.dim)
         return np.broadcast_to(np.eye(self.dim), shape), np.zeros(shape)
 
+    def batch_synchronize(self, M: np.ndarray) -> np.ndarray:
+        """A gauge vector for the (n, n, ...) entry carrier array M of a
+        covariant matrix, a_ij = lam_i^-1 lam_j when M is consistent: an
+        (n, ...) carrier array with lam_0 the identity, exact on consistent
+        input up to rounding.  A group with no better estimate returns the
+        row-0 gauge lam_j = a_0j."""
+        return _row_gauge(self, M)
+
     def batch_haar_sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Carrier array of i.i.d. Haar draws over the leading axes ``shape``
         (possibly none), filled in row-major order from ``rng``."""
@@ -253,6 +262,20 @@ class Group:
 
     def __repr__(self) -> str:
         return f"<group {self.tag}>"
+
+
+def _row_gauge(G: Group, M: np.ndarray) -> np.ndarray:
+    """The gauge lam_0 = identity, lam_j = a_0j of an entry carrier array."""
+    return np.concatenate((G.to_array([G.identity]), M[0, 1:]))
+
+
+def _log_row_mean(G: Group, M: np.ndarray) -> np.ndarray:
+    """The gauge l_i = -(1/n) sum_k log a_ik in log coordinates, shifted to
+    l_0 = 0, of a one-dimensional group's entry carrier array: on rplus the
+    least-squares optimum, on u1 its principal-branch reading."""
+    ell = -G.batch_log(M)[..., 0].mean(axis=1)
+    ell -= ell[0]
+    return G.batch_exp(ell[:, None])
 
 
 def _as_real(tag: str, a) -> float:
@@ -316,6 +339,13 @@ class PositiveReals(Group):
     def batch_log(self, g):
         return np.log(g)[..., None]
 
+    def batch_synchronize(self, M):
+        # the log row mean is the least-squares gauge; a spread of logs beyond
+        # the float range leaves it unrepresentable, and row 0 stands in
+        with np.errstate(over="ignore"):
+            lam = _log_row_mean(self, M)
+        return lam if np.all((lam > _RPLUS_FLOOR) & (lam < math.inf)) else _row_gauge(self, M)
+
 
 class CircleGroup(Group):
     """U(1) stored as an angle on the canonical branch (-pi, pi]."""
@@ -349,6 +379,15 @@ class CircleGroup(Group):
 
     def batch_log(self, g):
         return g[..., None]
+
+    def batch_synchronize(self, M):
+        # angular synchronization (Singer 2011): for consistent M the matrix
+        # (e^{i a_ij}) is conj(z) z^T with z_j = e^{i lam_j}, so its top
+        # eigenvector v is conj(z) up to a phase, and v_0 conj(v_j) = e^{i (lam_j - lam_0)}
+        v = np.linalg.eigh(np.exp(1j * M))[1][:, -1]
+        lam = wrap_angles(np.angle(v[0] * v.conj()))
+        lam[0] = self.identity
+        return lam
 
     def batch_haar_sample(self, rng, shape):
         return wrap_angles(rng.uniform(-math.pi, math.pi, size=shape))
@@ -467,6 +506,27 @@ class UnitQuaternions(Group):
         W = r[..., :, None] * (k[..., None] * r)[..., None, :]
         W[..., _AXES, _AXES] += c[..., None]
         return W, (r @ _CROSS).reshape(r.shape[:-1] + (3, 3))
+
+    def batch_synchronize(self, M):
+        # Q(w, x, y, z) = [[w + ix, y + iz], [-y + iz, w - ix]] is a homomorphism
+        # with Q(q^-1) = Q(q)^H, so for consistent M the Hermitian matrix of
+        # blocks Q(a_ij) is U^H U with U = [Q(lam_0) ... Q(lam_{n-1})], and its
+        # top two eigenvectors are the columns of U^H R / sqrt(n) for a unitary
+        # R.  Their 2 x 2 blocks B_i give B_0 B_i^H = Q(lam_0^-1 lam_i) / n,
+        # which is read back by projecting onto the span of Q and normalizing.
+        n = len(M)
+        w, x, y, z = np.moveaxis(M, -1, 0)
+        Q = np.empty((n, 2, n, 2), dtype=complex)  # Q[i, :, j, :] = Q(a_ij)
+        Q[:, 0, :, 0] = w + 1j * x
+        Q[:, 0, :, 1] = y + 1j * z
+        Q[:, 1, :, 0] = -y + 1j * z
+        Q[:, 1, :, 1] = w - 1j * x
+        B = np.linalg.eigh(Q.reshape(2 * n, 2 * n))[1][:, -2:].reshape(n, 2, 2)
+        P = B[0] @ B.conj().swapaxes(1, 2)
+        (a, b), (c, d) = P[:, 0].T, P[:, 1].T  # P_i = [[a, b], [c, d]]
+        lam = self._batch_normalize((a + d).real, (a - d).imag, (b - c).real, (b + c).imag)
+        lam[0] = self.identity
+        return lam
 
     def batch_haar_sample(self, rng, shape):
         # Four standard normals per element, normalized: uniform on the 3-sphere.

@@ -179,6 +179,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(*np.triu_indices(n, 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions ``i * n + j`` and ``j * n + i`` of the pairs i < j,
+    row-major, read-only: indexing a flattened (n, n, ...) array with
+    ``take`` at them is faster than indexing the grid by (I, J)."""
+    I, J = _pairs(n)
+    return _frozen(I * n + J, J * n + I)
+
+
 def _entry_array(A: PCMatrix) -> np.ndarray:
     """The entries as one read-only carrier array of shape (n, n, ...),
     gaps filled with the identity: the stored carriers reshaped, or for a
@@ -256,16 +265,19 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     ``(i, j, axiom)`` tuple per violation, with axiom one of "diagonal",
     "reciprocity", "gap symmetry".
     """
-    G = A.group
+    G, n = A.group, A.n
     M = _entry_array(A)
-    gap = _gap_mask(A)
-    d = np.arange(A.n)
-    bad_diag = gap[d, d] | (G.batch_distance(M[d, d], G.to_array([G.identity])) > ALGEBRA_TOL)
+    M = M.reshape((n * n,) + M.shape[2:])  # read by flat position
+    gap = _gap_mask(A).ravel()
+    d = np.arange(n) * (n + 1)
+    bad_diag = gap[d] | (G.batch_distance(M.take(d, axis=0), G.to_array([G.identity])) > ALGEBRA_TOL)
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
     # one pass over the upper triangle, row-major
-    I, J = _pairs(A.n)
-    asymmetric = gap[I, J] != gap[J, I]
-    unreciprocal = ~(gap[I, J] | gap[J, I]) & (G.batch_distance(M[J, I], G.batch_inverse(M[I, J])) > ALGEBRA_TOL)
+    (I, J), (up, low) = _pairs(n), _pair_positions(n)
+    gap_up, gap_low = gap.take(up), gap.take(low)
+    asymmetric = gap_up != gap_low
+    inverse_up = G.batch_inverse(M.take(up, axis=0))
+    unreciprocal = ~(gap_up | gap_low) & (G.batch_distance(M.take(low, axis=0), inverse_up) > ALGEBRA_TOL)
     for p in np.flatnonzero(asymmetric | unreciprocal).tolist():
         i, j = int(I[p]), int(J[p])
         out.append((i, j, "gap symmetry") if asymmetric[p] else (j, i, "reciprocity"))
@@ -371,8 +383,8 @@ def _first_max(blocks, rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _upper(A: PCMatrix) -> np.ndarray:
     """The entries a_ij, i < j, row-major, as a carrier array; gaps read as the identity."""
-    (I, J), M = _pairs(A.n), _entry_array(A)
-    return M.reshape((-1,) + M.shape[2:]).take(I * A.n + J, axis=0)  # faster than M[I, J]
+    M = _entry_array(A)
+    return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n)[0], axis=0)
 
 
 def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
@@ -506,10 +518,9 @@ def ii_n_chain(A: PCMatrix) -> float:
     product leaves the float range."""
     _require_rplus(A, "chain inconsistency")
     _require_gap_free(A, "chain inconsistency undefined with gaps")
-    L = np.log(_entry_array(A))
-    S = np.concatenate(([0.0], np.cumsum(np.diagonal(L, 1))))
+    S = np.concatenate(([0.0], np.cumsum(np.log(np.diagonal(_entry_array(A), 1)))))
     I, J = _pairs(A.n)
-    return float(-np.expm1(-np.max(np.abs(L[I, J] - (S[J] - S[I])))))
+    return float(-np.expm1(-np.max(np.abs(np.log(_upper(A)) - (S[J] - S[I])))))
 
 
 def default_indicator(group: Group) -> Indicator:
@@ -540,6 +551,8 @@ def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[n
     element: checked once, then called on each element.  None is
     :func:`default_indicator`, the holonomy form d(1, g^-1) that
     :func:`_loop_scorer` computes as a defect on whole arrays instead.
+    A nan value raises ``ValueError`` naming the first element that gave
+    it, so a sweep stops at its first nan loop, whatever block it is in.
     """
     ind = default_indicator(group) if indicator is None else indicator
     if not abs(ind(group.identity)) <= ALGEBRA_TOL:  # also refuses nan
@@ -548,8 +561,13 @@ def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[n
 
     def apply(g):
         lead = g.shape[: g.ndim - len(tail)]
-        vals = [float(ind(h)) for h in group.from_array(g.reshape((-1,) + tail))]
-        return np.array(vals, dtype=float).reshape(lead)
+        elements = group.from_array(g.reshape((-1,) + tail))
+        vals = np.array([float(ind(h)) for h in elements], dtype=float)
+        bad = np.flatnonzero(np.isnan(vals))
+        if len(bad):
+            g0 = elements[bad[0]]
+            raise ValueError(f"not an indicator map: In({g0!r}) is nan; In must map every element to a number")
+        return vals.reshape(lead)
 
     return apply
 
@@ -562,7 +580,7 @@ def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
     lam = group.batch_check(lam)
     if len(lam) < 2:
         raise ValueError("gauge vector needs at least 2 components")
-    return _gauge_matrix(group, lam, COVARIANT)
+    return _from_upper_array(group, len(lam), _gauge_upper(group, lam), COVARIANT)
 
 
 def _gauge_upper(group: Group, lam: np.ndarray) -> np.ndarray:
@@ -570,11 +588,6 @@ def _gauge_upper(group: Group, lam: np.ndarray) -> np.ndarray:
     array of checked gauge components."""
     I, J = _pairs(len(lam))
     return group.batch_multiply(group.batch_inverse(lam)[I], lam[J])
-
-
-def _gauge_matrix(group: Group, lam: np.ndarray, variance: str) -> PCMatrix:
-    """The consistent matrix a_ij = lam_i^-1 * lam_j of a carrier array."""
-    return _from_upper_array(group, len(lam), _gauge_upper(group, lam), variance)
 
 
 def normalize_gauge(group: Group, lam: Sequence[Element]) -> tuple[Element, ...]:

@@ -23,12 +23,12 @@ only reads.  The writer appends text pieces to one list, joined once.  A
 :class:`PCMatrix` is written as its document :func:`matrix_to_obj` straight
 from its carriers: each entry through one element template (the text of
 ``Group.checked_to_obj`` with a slot per carrier scalar), each run of gaps
-as one slice of a run of ``null`` items, and, above ``_FORMAT_ONCE`` carrier
-scalars, each distinct magnitude formatted once.  A :class:`Records` list,
-such as the ``curvatures`` of a ``holonomy`` report, goes through one record
-template.  The su2 ``holonomy`` report of ``grid_complex(20)`` is written in
-under half the time a writer of one string per container took
-(``BENCH_layers.json``).
+as a string of ``null`` items built once per run length, and, above
+``_FORMAT_ONCE`` carrier scalars, each distinct magnitude formatted once.
+A :class:`Records` list, such as the ``curvatures`` of a ``holonomy``
+report, goes through one record template.  The su2 ``holonomy`` report of
+``grid_complex(20)`` is written in under half the time a writer of one
+string per container took (``BENCH_layers.json``).
 
 A complex document becomes a :class:`SimplicialComplex2` on arrays, its
 cells checked in one numpy pass (see :mod:`holopc.simplicial`).  A field
@@ -361,12 +361,14 @@ def _write_records(R: Records, pad: str, out: list[str]) -> None:
 def _write_rows(parts: list[str], texts: np.ndarray, pad: str, out: list[str], gaps=None) -> None:
     """A list of one item per row of ``texts``: the row's texts between the
     item template ``parts``.  ``gaps[r]`` ``null`` items go before row r and
-    ``gaps[-1]`` after the last; each run of them is one slice of a run."""
-    null = "," + pad + "  null"
+    ``gaps[-1]`` after the last; each distinct length of run is one string,
+    shared by every row it leads."""
     if gaps is None:
-        gaps = np.zeros(len(texts) + 1, dtype=np.intp)
-    run = null * int(gaps.max())
-    lead = [run[:k] for k in (gaps * len(null)).tolist()]
+        lead = np.full(len(texts) + 1, "", dtype=object)
+    else:
+        null = "," + pad + "  null"
+        lengths, which = np.unique(gaps, return_inverse=True)
+        lead = np.array([null * k for k in lengths.tolist()], dtype=object)[which]
     T = np.empty((len(texts), 2 * len(parts)), dtype=object)
     T[:, 0] = lead[:-1]
     T[:, 1::2] = parts

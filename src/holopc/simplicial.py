@@ -555,7 +555,8 @@ def global_ii(
     of the field's contravariant matrix, scored as ``pcmatrix`` scores
     triads: the default indicator as the defect d(h_jk h_ij, h_ik), a
     supplied one on each plaquette; ties go to the first triangle.
-    Complexes without triangles score 0 with no triangle.
+    Complexes without triangles score 0 with no triangle; on any complex a
+    field without a value on some edge raises :class:`MissingEdgeError`.
     """
     return _triangle_scores(K, F, indicator)[1:]
 
@@ -566,9 +567,10 @@ def _triangle_scores(
     """In of every plaquette, in ``K.triangles`` order, with the first
     maximum and its triangle; (0.0, None) when there are no triangles."""
     score = _loop_scorer(F.group, CONTRAVARIANT, indicator)  # checks a supplied indicator
+    X = _edge_carriers(K, F)  # raises on a missing edge, with triangles or without
     if not len(K._tri_array):
         return np.zeros(0), 0.0, None
-    curv = score(*_triangle_edges(K._tri_cols, _edge_carriers(K, F)[None]))
+    curv = score(*_triangle_edges(K._tri_cols, X[None]))
     (value,), (t,) = _first_max((curv,), 1)
     return curv[0], float(value), tuple(K._tri_array[t].tolist())
 

@@ -1,8 +1,10 @@
 """The damped Gauss-Newton consistencizer: oracles over random inputs, its
 iteration history, its iteration bound, and its typed input errors."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from holopc.cli import main
 from holopc.consistencize import (
     STATUS_CONVERGED,
+    _start,
     consistencize_abelian,
     consistencize_riemannian,
     lsq_gradient,
@@ -19,9 +22,16 @@ from holopc.consistencize import (
     lsq_objective,
 )
 from holopc.errors import LogBranchError
-from holopc.groups import RPLUS, SU2, U1
-from holopc.pcmatrix import PCMatrix, from_gauge_vector, from_upper_triangle, gauge_transform
-from holopc.serialize import save_matrix
+from holopc.groups import RPLUS, SU2, U1, _row_gauge, zmod
+from holopc.pcmatrix import (
+    PCMatrix,
+    _entry_array,
+    from_gauge_vector,
+    from_upper_triangle,
+    gauge_transform,
+    random_pc_matrix,
+)
+from holopc.serialize import load_matrix, save_matrix
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -171,15 +181,103 @@ def test_su2_noise_half_converges_in_few_steps():
 
 
 def test_antipodal_start_raises_log_branch_error():
-    # consistent but for pair (1, 2), which is negated: the start e_12 is
-    # then antipodal to a_12 in SU(2), on the cut locus of the logarithm
+    # consistent but for pair (1, 2), which is negated: at the row-0 gauge
+    # e_12 is then antipodal to a_12 in SU(2), on the cut locus of the logarithm
     rng = np.random.default_rng(41)
     A = from_gauge_vector(SU2, SU2.from_array(SU2.batch_haar_sample(rng, (4,))))
     grid = [list(row) for row in A.entries]
     grid[1][2] = tuple(-c for c in grid[1][2])
     grid[2][1] = SU2.inverse(grid[1][2])
+    A = PCMatrix(SU2, grid)
     with pytest.raises(LogBranchError):
-        consistencize_riemannian(PCMatrix(SU2, grid))
+        lsq_gradient(A, start_gauge(A))
+    with pytest.raises(LogBranchError):
+        lsq_hessian(A, start_gauge(A))
+
+
+# --- the synchronization start ----------------------------------------------------------
+
+ALL_GROUPS = [RPLUS, U1, SU2, zmod(5)]
+
+
+def random_gauge(group, n, seed):
+    """A gauge vector with lam_0 = identity: Haar on the compact groups,
+    log-normal on rplus."""
+    rng = np.random.default_rng(seed)
+    lam = group.batch_haar_sample(rng, (n,)) if group.compact else group.batch_exp(rng.normal(size=(n, 1)))
+    return group.batch_multiply(group.batch_inverse(lam[:1]), lam)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+@ORACLE
+@given(n=st.integers(2, 9), seed=seeds)
+def test_synchronization_gauge_is_exact_on_consistent_input(group, n, seed):
+    lam = random_gauge(group, n, seed)
+    sync = group.batch_synchronize(_entry_array(from_gauge_vector(group, group.from_array(lam))))
+    assert group.from_array(sync[:1]) == [group.identity]
+    assert np.max(group.batch_distance(sync, lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+@ORACLE
+@given(n=st.integers(2, 9), seed=seeds)
+def test_consistent_input_takes_no_step(group, n, seed):
+    A = from_gauge_vector(group, group.from_array(random_gauge(group, n, seed)))
+    result = consistencize_riemannian(A)
+    assert result.iterations == 0 and result.status == STATUS_CONVERGED
+    assert result.residual <= 1e-24
+
+
+@ORACLE
+@given(n=sizes, noise=st.floats(0.0, 1.0), seed=seeds)
+def test_rplus_synchronization_is_the_least_squares_gauge(n, noise, seed):
+    # the log row mean against the least-squares solution of
+    # l_j - l_i = log a_ij over i < j, with l_0 = 0
+    A = noisy_matrix(RPLUS, n, noise, seed)
+    I, J = np.triu_indices(n, 1)
+    D = np.zeros((len(I), n))
+    D[np.arange(len(I)), J], D[np.arange(len(I)), I] = 1.0, -1.0
+    ell = np.linalg.lstsq(D[:, 1:], np.log(_entry_array(A)[I, J]), rcond=None)[0]
+    sync = RPLUS.batch_synchronize(_entry_array(A))
+    assert np.abs(np.log(sync) - np.concatenate(([0.0], ell))).max() <= 1e-12
+
+
+def test_rplus_synchronization_stays_in_the_float_range():
+    # the log row mean, shifted to l_0 = 0, is (0, 921, 460.5): e^921 is no float, so row 0 stands in
+    M = _entry_array(from_upper_triangle(RPLUS, [1e300, 1e300, 1e-300]))
+    assert RPLUS.batch_synchronize(M).tolist() == [1.0, 1e300, 1e300]
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+@ORACLE
+@given(n=sizes, noise=st.floats(0.0, 1.0), seed=seeds)
+def test_start_is_the_lower_of_row_0_and_synchronization(group, n, noise, seed):
+    A = noisy_matrix(group, n, noise, seed) if group.dim else random_pc_matrix(group, n, seed)
+    M = _entry_array(A)  # carrier arrays, which the elements of start_gauge would re-check
+    row_0, sync = lsq_objective(A, _row_gauge(group, M)), lsq_objective(A, group.batch_synchronize(M))
+    assert _start(A)[2] == min(row_0, sync)
+    assert consistencize_riemannian(A).residual <= min(row_0, sync)
+
+
+def su2_dense_repairs(work):
+    """The benchmark's 16 su2-dense ``consistencize`` inputs at seed 4242, as
+    its input generator writes them."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", root / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    workload = json.loads((root / "workloads.json").read_text())["workloads"]["su2-dense"]["inputs"]
+    inputs.build("su2-dense", workload, 4242, work)
+    return [load_matrix(work / f"su2_desc{k}.json") for k in range(workload["pool"])]
+
+
+def test_su2_dense_benchmark_repairs_take_one_newton_step(tmp_path):
+    # from the synchronization start one Newton step lands within tol of the
+    # minimum; from row 0 these inputs took 2-3 steps
+    for A in su2_dense_repairs(tmp_path):
+        result = consistencize_riemannian(A)
+        assert result.status == STATUS_CONVERGED
+        assert result.iterations == 1
 
 
 # --- history --------------------------------------------------------------------------
@@ -191,9 +289,11 @@ def test_history_has_one_record_per_accepted_step(group):
         A = noisy_matrix(group, 6, 0.4, 700 + seed)
         result = consistencize_riemannian(A)
         assert len(result.history) == result.iterations
-        objectives = [lsq_objective(A, start_gauge(A))] + [h.objective for h in result.history]
+        # the solver's own start; on rplus it is the closed form, and no step follows
+        objectives = [_start(A)[2]] + [h.objective for h in result.history]
+        assert objectives[0] <= lsq_objective(A, start_gauge(A))
         assert all(b < a for a, b in zip(objectives, objectives[1:]))
-        assert result.history[-1].objective == pytest.approx(result.residual, rel=1e-12)
+        assert objectives[-1] == pytest.approx(result.residual, rel=1e-12)
         assert all(h.mu > 0.0 and h.rejected >= 0 and h.grad_norm >= 0.0 for h in result.history)
 
 

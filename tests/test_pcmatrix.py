@@ -330,6 +330,30 @@ def test_nan_at_the_identity_is_not_an_indicator():
         expectation(K, U1, Observable("sup_curvature_In"), N=2, indicator=nan)
 
 
+@pytest.mark.parametrize("loop", [(0, 1, 2), (23, 24, 25)], ids=["first-block", "last-block"])
+def test_nan_off_the_identity_raises_in_any_sweep_block(loop):
+    # n = 26 has 2,600 triads: (0, 1, 2) opens the first 2048-triad block of
+    # the sweep and (23, 24, 25) closes the second; a nan in either raises
+    A = from_upper_triangle(U1, list(np.random.default_rng(26).uniform(-0.5, 0.5, size=325)))
+    h = triad_holonomy(A, *loop)
+    In = lambda g: math.nan if g == h else abs(g)  # noqa: E731
+    assert sum(triad_holonomy(A, *t) == h for t in A.triads()) == 1  # nan on that loop only
+    with pytest.raises(ValueError, match="is nan"):
+        ii_indicator(A, In)
+
+
+def test_ii_n_chain_matches_the_grid_formula():
+    # the chain indicator read by flat position, bit for bit as the (I, J)
+    # indexing of the log grid gave it
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 7, 30):
+        A = from_upper_triangle(RPLUS, list(np.exp(3.0 * rng.normal(size=n * (n - 1) // 2))))
+        L = np.log(np.array(A.entries))
+        S = np.concatenate(([0.0], np.cumsum(np.diagonal(L, 1))))
+        I, J = np.triu_indices(n, 1)
+        assert ii_n_chain(A) == float(-np.expm1(-np.max(np.abs(L[I, J] - (S[J] - S[I])))))
+
+
 def test_ii_indicator_matches_ii3_transform():
     rng = np.random.default_rng(12)
     for _ in range(100):

@@ -113,6 +113,18 @@ def test_edge_field_orientation():
         F.value(0, 2)
 
 
+@pytest.mark.parametrize(
+    "K",
+    [SimplicialComplex2(3, [(0, 1), (1, 2)]), full_simplex(2)],
+    ids=["without-triangles", "with-triangles"],
+)
+def test_global_ii_refuses_a_field_missing_an_edge(K):
+    # the field is bound before the triangles are counted
+    with pytest.raises(MissingEdgeError, match="no field value on edge"):
+        global_ii(K, EdgeField(U1, {(0, 1): 0.3}))
+    assert global_ii(K, identity_field(K, U1)) == (0.0, None if not K.triangles else (0, 1, 2))
+
+
 def test_edge_field_rejects_duplicates_and_self_edges():
     with pytest.raises(ValueError, match="duplicate"):
         EdgeField(RPLUS, {(0, 1): 2.0, (1, 0): 2.0})
