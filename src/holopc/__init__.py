@@ -11,9 +11,11 @@ from .consistencize import (
     residual_between,
 )
 from .errors import (
+    FloatRangeError,
     GapError,
     GroupMismatchError,
     InconsistentMatrixError,
+    InvalidMatrixError,
     LogBranchError,
     MissingEdgeError,
     NonCompactGroupError,

@@ -37,10 +37,14 @@ solver keeps its gauge vector as a carrier array (see
 scatter-added into the gauge coordinates with one ``np.bincount`` each.
 Each trial gauge's products e_ij are formed once, for its objective, and
 reused by its linearization and by the result.
+
+Both methods refuse a matrix that breaks the PC axioms (validated once per
+repair), and a positive-real repair that leaves double precision.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -48,17 +52,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GapError, LogBranchError
-from .groups import Element, Group, _log_row_mean, _row_gauge
+from .errors import FloatRangeError, GapError, LogBranchError
+from .groups import Element, Group, _in_rplus_range, _log_row_mean, _row_gauge
 from .pcmatrix import (
     COVARIANT,
     Indicator,
     PCMatrix,
     _entry_array,
-    _from_upper_array,
+    _from_pairs,
     _gauge_upper,
     _pairs,
     _require_nonnegative,
+    _require_valid,
     _upper,
     ii_indicator,
 )
@@ -119,17 +124,41 @@ def residual_between(A: PCMatrix, C: PCMatrix) -> float:
 
 
 def _require_ready(A: PCMatrix) -> None:
+    """Refuse gaps, contravariant su2, and broken axioms: the closed form
+    averages whole rows, while the objective reads the upper triangle."""
     if not A.gap_free:
         raise GapError("matrix has gaps: gapped matrices are not supported yet; fill every entry first")
     if A.variance != COVARIANT and A.group.tag == "su2":
         raise ValueError("contravariant su2 matrices are not supported: dualize first")
+    _require_valid(A)
+
+
+def _in_float_range(repair):
+    """Report a positive-real repair whose gauge, matrix or residual leaves
+    double precision as such, whichever kernel found it."""
+
+    @functools.wraps(repair)
+    def checked(*args, **kwargs):
+        try:
+            return repair(*args, **kwargs)
+        except FloatRangeError as exc:
+            raise FloatRangeError(
+                f"the repair (its gauge, matrix or residual) is not representable in double precision ({exc}); "
+                "repair the entrywise square root instead, whose repair is the square root of this one"
+            ) from exc
+
+    return checked
 
 
 def _objective(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, float]:
     """The products e_ij = lam_i^-1 lam_j over the pairs i < j, row-major,
     and the objective at the carrier array ``lam``."""
     G = A.group
+    if G.tag == "rplus" and not _in_rplus_range(lam):  # before 1 / lam can overflow
+        raise FloatRangeError("positive-real gauge left (2**-1024, inf)")
     e = _gauge_upper(G, lam)
+    if G.tag == "rplus" and not _in_rplus_range(e):  # before C's lower triangle inverts e
+        raise FloatRangeError("positive-real gauge product left (2**-1024, inf)")
     return e, _sum_of_squares(G.batch_distance(_upper(A), e))
 
 
@@ -224,7 +253,7 @@ def _result(
     """The result at the gauge ``lam`` with its products e and objective f
     from :func:`_objective`: C's upper triangle is e, so f is the residual
     between A and C."""
-    C = _from_upper_array(A.group, A.n, e, A.variance)
+    C = _from_pairs(A.group, A.n, *_pairs(A.n), e, A.variance)
     return ConsistencizationResult(
         lam=tuple(A.group.from_array(lam)),
         matrix=C,
@@ -237,6 +266,7 @@ def _result(
     )
 
 
+@_in_float_range
 def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     """Closed-form projection for positive-real and circle matrices.
 
@@ -273,12 +303,20 @@ def _start(A: PCMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     """The solver's start, with its products and objective (:func:`_objective`):
     the row-0 gauge lam_j = a_0j or ``Group.batch_synchronize``, whichever
     has the lower objective, row 0 on a tie.  Both are exact on consistent
-    input, and the result can never end above the row-0 objective."""
+    input, and the result can never end above the row-0 objective.  A
+    positive-real start whose products leave the float range is skipped:
+    row 0 can, where the least-squares gauge does not."""
     M = _entry_array(A)
-    starts = [(lam, *_objective(A, lam)) for lam in (_row_gauge(A.group, M), A.group.batch_synchronize(M))]
+    starts = []
+    for lam in (_row_gauge(A.group, M), A.group.batch_synchronize(M)):
+        with contextlib.suppress(FloatRangeError):
+            starts.append((lam, *_objective(A, lam)))
+    if not starts:  # synchronization fell back to row 0: the least-squares gauge leaves the range
+        raise FloatRangeError("positive-real least-squares gauge left (2**-1024, inf)")
     return min(starts, key=lambda start: start[2])
 
 
+@_in_float_range
 def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
     """Damped Newton (Levenberg-Marquardt) on gauge vectors, any group.
 

@@ -19,6 +19,18 @@ class GapError(ValueError):
     """Operation requires a gap-free matrix."""
 
 
+class InvalidMatrixError(ValueError):
+    """A matrix breaks the PC axioms; carries the first violation (i, j, axiom)."""
+
+    def __init__(self, message: str, violation: tuple[int, int, str]):
+        super().__init__(message)
+        self.violation = violation
+
+
+class FloatRangeError(ValueError):
+    """A positive-real value left the range of double precision."""
+
+
 class InconsistentMatrixError(ValueError):
     """No gauge vector exists for the matrix; carries the worst triad."""
 

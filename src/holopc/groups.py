@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError, LogBranchError, NonCompactGroupError
+from .errors import FloatRangeError, GroupMismatchError, LogBranchError, NonCompactGroupError
 
 Element = float | int | tuple[float, float, float, float]
 
@@ -162,14 +162,12 @@ class Group:
         return obj[self.obj_key]
 
     def unwrap_objs(self, objs: list) -> list:
-        """:meth:`unwrap_obj` of each item of ``objs``, in one comprehension;
-        on a bad item, the loop over :meth:`unwrap_obj` names the first one."""
+        """The carrier values inside the items of ``objs``, in one
+        comprehension.  A bad item raises ``KeyError`` or ``TypeError``;
+        :meth:`unwrap_obj` names it."""
         if self.obj_key is None:
             return objs
-        try:
-            return [obj[self.obj_key] for obj in objs]
-        except (KeyError, TypeError):
-            return [self.unwrap_obj(obj) for obj in objs]
+        return [obj[self.obj_key] for obj in objs]
 
     def element_from_obj(self, obj) -> Element:
         """Parse the representation written by :meth:`element_to_obj`."""
@@ -275,7 +273,14 @@ def _log_row_mean(G: Group, M: np.ndarray) -> np.ndarray:
     least-squares optimum, on u1 its principal-branch reading."""
     ell = -G.batch_log(M)[..., 0].mean(axis=1)
     ell -= ell[0]
-    return G.batch_exp(ell[:, None])
+    with np.errstate(over="ignore"):  # beyond the float range: inf or 0, for the caller to refuse
+        return G.batch_exp(ell[:, None])
+
+
+def _in_rplus_range(x: np.ndarray) -> bool:
+    """Whether every value is a positive-real carrier: finite and above
+    2**-1024, so its inverse is finite too."""
+    return bool(np.all((x > _RPLUS_FLOOR) & (x < math.inf)))
 
 
 def _as_real(tag: str, a) -> float:
@@ -315,7 +320,7 @@ class PositiveReals(Group):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below
             p = a * b
         if not np.all((p > 0.0) & np.isfinite(p)):
-            raise ValueError("positive-real product left (0, inf)")
+            raise FloatRangeError("positive-real product left (0, inf)")
         return p
 
     def batch_inverse(self, a):
@@ -325,7 +330,7 @@ class PositiveReals(Group):
         with np.errstate(over="ignore", divide="ignore"):  # a ratio that leaves (0, inf) is raised on below
             d = np.abs(np.log(a / b))
         if not np.isfinite(d).all():
-            raise ValueError("positive-real ratio left (0, inf)")
+            raise FloatRangeError("positive-real ratio left (0, inf)")
         return d
 
     def batch_defect(self, a, b, c):
@@ -342,9 +347,8 @@ class PositiveReals(Group):
     def batch_synchronize(self, M):
         # the log row mean is the least-squares gauge; a spread of logs beyond
         # the float range leaves it unrepresentable, and row 0 stands in
-        with np.errstate(over="ignore"):
-            lam = _log_row_mean(self, M)
-        return lam if np.all((lam > _RPLUS_FLOOR) & (lam < math.inf)) else _row_gauge(self, M)
+        lam = _log_row_mean(self, M)
+        return lam if _in_rplus_range(lam) else _row_gauge(self, M)
 
 
 class CircleGroup(Group):

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GapError, InconsistentMatrixError, NonCompactGroupError
+from .errors import GapError, InconsistentMatrixError, InvalidMatrixError, NonCompactGroupError
 from .groups import Element, Group, as_generator
 
 COVARIANT = "covariant"
@@ -79,7 +79,7 @@ class PCMatrix:
     elements, is a read-only view built on first access.
     """
 
-    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_array")
+    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_array", "_valid")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
         rows = [list(r) for r in entries]
@@ -113,6 +113,7 @@ class PCMatrix:
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_array", None)
+        object.__setattr__(self, "_valid", False)  # set by _require_valid
 
     def __setattr__(self, name, value):
         raise AttributeError("PCMatrix is immutable")
@@ -144,7 +145,7 @@ class PCMatrix:
 
     def gaps(self) -> list[tuple[int, int]]:
         """The absent positions (i, j), row-major."""
-        return [divmod(p, self.n) for p in np.flatnonzero(_gap_mask(self)).tolist()]
+        return [divmod(p, self.n) for p in np.setdiff1d(np.arange(self.n**2), _stored_positions(self)).tolist()]
 
     def triads(self):
         """All index triples i < j < k."""
@@ -188,6 +189,11 @@ def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(I * n + J, J * n + I)
 
 
+def _stored_positions(A: PCMatrix) -> np.ndarray:
+    """The flat positions of the stored carriers."""
+    return np.arange(A.n * A.n) if A._positions is None else A._positions
+
+
 def _entry_array(A: PCMatrix) -> np.ndarray:
     """The entries as one read-only carrier array of shape (n, n, ...),
     gaps filled with the identity: the stored carriers reshaped, or for a
@@ -203,15 +209,6 @@ def _entry_array(A: PCMatrix) -> np.ndarray:
             M.flags.writeable = False
         object.__setattr__(A, "_array", M)
     return A._array
-
-
-def _gap_mask(A: PCMatrix) -> np.ndarray:
-    """An (n, n) bool array, True at the gaps."""
-    gap = np.zeros(A.n * A.n, dtype=bool)
-    if A._positions is not None:
-        gap[:] = True
-        gap[A._positions] = False
-    return gap.reshape(A.n, A.n)
 
 
 def _identities(group: Group, count: int) -> np.ndarray:
@@ -233,29 +230,19 @@ def from_upper_triangle(group: Group, values: Sequence[Element], variance: str =
     n = round((1 + (1 + 8 * m) ** 0.5) / 2)
     if n < 2 or n * (n - 1) // 2 != m:
         raise ValueError(f"{m} values do not fill a strict upper triangle with n >= 2")
-    upper = group.batch_check(values)
-    return _from_upper_array(group, n, upper, variance)
+    return _from_pairs(group, n, *_pairs(n), group.batch_check(values), variance)
 
 
-def _from_upper_array(
-    group: Group, n: int, upper: np.ndarray, variance: str, gap: np.ndarray | None = None
-) -> PCMatrix:
-    """The matrix whose strict upper triangle, row-major, is the carrier
-    array ``upper``: identity diagonal, inverses below, nothing re-checked.
-    Where the bool array ``gap`` over the same pairs is True, the pair is
-    absent in both orientations."""
-    I, J = _pairs(n)
-    tail = upper.shape[1:]
-    M = _identities(group, n * n).reshape((n, n) + tail)
-    M[I, J] = upper
-    M[J, I] = group.batch_inverse(upper)
-    M = M.reshape((n * n,) + tail)
-    if gap is None or not gap.any():
-        return PCMatrix._of_checked(group, n, M, None, variance)
-    keep = np.ones((n, n), dtype=bool)
-    keep[I[gap], J[gap]] = keep[J[gap], I[gap]] = False
-    pos = np.flatnonzero(keep)
-    return PCMatrix._of_checked(group, n, M[pos], pos, variance)
+def _from_pairs(group: Group, n: int, I: np.ndarray, J: np.ndarray, upper: np.ndarray, variance: str) -> PCMatrix:
+    """The one matrix builder: the identity on the diagonal, the carriers
+    ``upper`` at the pairs (I, J), i < j, and their batched inverses at
+    (J, I); every other position is a gap.  Nothing is checked again.  The
+    entries go in row-major order by one sort of their flat positions."""
+    d = np.arange(n)
+    pos = np.concatenate((d * (n + 1), I * n + J, J * n + I))
+    carriers = np.concatenate((_identities(group, n), upper, group.batch_inverse(upper)))
+    order = np.argsort(pos)
+    return PCMatrix._of_checked(group, n, carriers[order], pos[order], variance)
 
 
 def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
@@ -268,7 +255,8 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     G, n = A.group, A.n
     M = _entry_array(A)
     M = M.reshape((n * n,) + M.shape[2:])  # read by flat position
-    gap = _gap_mask(A).ravel()
+    gap = np.ones(n * n, dtype=bool)
+    gap[_stored_positions(A)] = False
     d = np.arange(n) * (n + 1)
     bad_diag = gap[d] | (G.batch_distance(M.take(d, axis=0), G.to_array([G.identity])) > ALGEBRA_TOL)
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
@@ -284,6 +272,18 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     return out
 
 
+def _require_valid(A: PCMatrix) -> None:
+    """Refuse a matrix that breaks the axioms, naming its first violation.
+    A matrix that passes is marked, so a repair that falls back to another
+    method does not validate it again."""
+    violations = [] if A._valid else validate(A)
+    if violations:
+        i, j, axiom = violations[0]
+        message = f"matrix breaks the PC axioms: {axiom} at ({i},{j}); run `holopc check` on it to list every violation"
+        raise InvalidMatrixError(message, violations[0])
+    object.__setattr__(A, "_valid", True)
+
+
 def dualize(A: PCMatrix) -> PCMatrix:
     """Transpose the matrix (b_ij = a_ji) and flip its variance.
 
@@ -291,8 +291,7 @@ def dualize(A: PCMatrix) -> PCMatrix:
     contravariant-consistent ones and back.
     """
     flipped = CONTRAVARIANT if A.variance == COVARIANT else COVARIANT
-    n = A.n
-    pos = np.arange(n * n) if A._positions is None else A._positions
+    n, pos = A.n, _stored_positions(A)
     moved = (pos % n) * n + pos // n  # (i, j) goes to (j, i)
     order = np.argsort(moved)
     return PCMatrix._of_checked(A.group, n, A._carriers[order], moved[order], flipped)
@@ -301,14 +300,6 @@ def dualize(A: PCMatrix) -> PCMatrix:
 def _require_gap_free(A: PCMatrix, message: str) -> None:
     if not A.gap_free:
         raise GapError(message)
-
-
-def triad_entries(A: PCMatrix, i: int, j: int, k: int) -> tuple[Element, Element, Element]:
-    """The upper-triangle triad (x, y, z) = (a_ij, a_ik, a_jk)."""
-    x, y, z = A.entry(i, j), A.entry(i, k), A.entry(j, k)
-    if x is None or y is None or z is None:
-        raise GapError(f"gap on the triangle ({i},{j},{k})")
-    return x, y, z
 
 
 @functools.lru_cache(maxsize=64)
@@ -471,10 +462,13 @@ def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
     reversed product a_ij * a_jk * a_ki; either equals the identity exactly
     when the triad satisfies its consistency law.
     """
-    if not i < j < k:
-        raise ValueError(f"triad indices must be strictly increasing, got ({i},{j},{k})")
-    G = A.group
-    x, y, z = (G.to_array([e]) for e in triad_entries(A, i, j, k))
+    n, G = A.n, A.group
+    if not 0 <= i < j < k < n:
+        raise ValueError(f"triad indices must be strictly increasing in 0..{n - 1}, got ({i},{j},{k})")
+    flat, P = [i * n + j, i * n + k, j * n + k], _stored_positions(A)
+    if not np.isin(flat, P).all():
+        raise GapError(f"gap on the triangle ({i},{j},{k})")
+    x, y, z = (A._carriers[[p]] for p in P.searchsorted(flat))  # the stored carriers (a_ij, a_ik, a_jk)
     return G.from_array(_holonomies(G, A.variance, x, y, z))[0]
 
 
@@ -580,7 +574,7 @@ def from_gauge_vector(group: Group, lam: Sequence[Element]) -> PCMatrix:
     lam = group.batch_check(lam)
     if len(lam) < 2:
         raise ValueError("gauge vector needs at least 2 components")
-    return _from_upper_array(group, len(lam), _gauge_upper(group, lam), COVARIANT)
+    return _from_pairs(group, len(lam), *_pairs(len(lam)), _gauge_upper(group, lam), COVARIANT)
 
 
 def _gauge_upper(group: Group, lam: np.ndarray) -> np.ndarray:
@@ -614,7 +608,7 @@ def gauge_extract(A: PCMatrix, tol: float = 1e-9) -> tuple[Element, ...]:
             f"no gauge vector exists: worst triad {chk.worst_triad} has defect {chk.worst_defect:.3g}",
             witness=chk.worst_triad,
         )
-    return (A.group.identity,) + A.entries[0][1:]
+    return (A.group.identity, *A.group.from_array(A._carriers[1 : A.n]))  # row 0 of the stored carriers
 
 
 def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
@@ -623,20 +617,29 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
     Contravariant matrices transform as a_ij -> mu_j * a_ij * mu_i^-1 and
     covariant ones by the dual action a_ij -> mu_i^-1 * a_ij * mu_j; each
     conjugates the matching triad holonomy, so indicator values built from
-    a bi-invariant distance are unchanged.  Gaps are preserved.
+    a bi-invariant distance are unchanged.  The action
+    (:func:`_gauge_action`, shared with ``simplicial.gauge_transform_field``)
+    moves the stored carriers of the present pairs i < j, and the matrix is
+    rebuilt from them by :func:`_from_pairs`, so gaps are preserved.
     """
     G = A.group
     mu = G.batch_check(mu)
     if len(mu) != A.n:
         raise ValueError(f"gauge length {len(mu)} does not match matrix size {A.n}")
-    I, J = _pairs(A.n)
-    a = _upper(A)  # gaps read as the identity and are put back below
+    I, J = np.divmod(_stored_positions(A), A.n)
+    up = I < J  # the present pairs i < j and their stored carriers
+    I, J, X = I[up], J[up], A._carriers[up]
+    return _from_pairs(G, A.n, I, J, _gauge_action(G, A.variance, mu, X, I, J), A.variance)
+
+
+def _gauge_action(G: Group, variance: str, mu: np.ndarray, X: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The vertex gauge action on the carriers X at the pairs (I, J), from a
+    checked gauge carrier array ``mu``: (mu_j x) mu_i^-1 for contravariant
+    carriers, such as a field's, and (mu_i^-1 x) mu_j for covariant ones."""
     inv = G.batch_inverse(mu)
-    if A.variance == CONTRAVARIANT:
-        upper = G.batch_multiply(G.batch_multiply(mu[J], a), inv[I])
-    else:
-        upper = G.batch_multiply(G.batch_multiply(inv[I], a), mu[J])
-    return _from_upper_array(G, A.n, upper, A.variance, _gap_mask(A)[I, J])
+    if variance == CONTRAVARIANT:
+        return G.batch_multiply(G.batch_multiply(mu[J], X), inv[I])
+    return G.batch_multiply(G.batch_multiply(inv[I], X), mu[J])
 
 
 def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PCMatrix:
@@ -650,4 +653,4 @@ def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PC
     if n < 2:
         raise ValueError(f"random matrix needs n >= 2, got {n}")
     upper = group.batch_haar_sample(as_generator(rng), (n * (n - 1) // 2,))
-    return _from_upper_array(group, n, upper, variance)
+    return _from_pairs(group, n, *_pairs(n), upper, variance)

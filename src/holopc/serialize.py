@@ -11,9 +11,9 @@ Elements serialize per group: plain numbers for rplus and zmod,
 
 Reading a document checks its elements once, all together: the elements
 are unwrapped in one comprehension (``Group.unwrap_objs``) and the whole
-document goes through one ``Group.batch_check``.  A bad element is reported
-as the one-at-a-time parse would report it: the first bad key or element in
-document order.
+document goes through one ``Group.batch_check``.  When either fails, a loop
+over the elements reports the bad one as the one-at-a-time parse would: the
+first bad key or element in document order.
 The sizes ``n``, ``vertices`` and ``base`` must be integers; bools and
 fractional numbers are refused.
 
@@ -89,7 +89,7 @@ def matrix_from_obj(obj) -> PCMatrix:
     pos = [p for p, v in enumerate(flat) if v is not None]
     try:
         carriers = group.batch_check(group.unwrap_objs(flat if len(pos) == len(flat) else [flat[p] for p in pos]))
-    except ValueError:
+    except (ValueError, KeyError, TypeError):
         for p in pos:  # name the first bad element in document order
             try:
                 group.element_from_obj(flat[p])
@@ -188,7 +188,7 @@ def field_from_obj(obj) -> EdgeField:
     try:
         ends = _edge_keys(list(raw))
         carriers = group.batch_check(group.unwrap_objs(list(raw.values())))
-    except ValueError:
+    except (ValueError, KeyError, TypeError):
         for key, v in raw.items():  # name the first bad key or element in document order
             _edge_key(key)
             try:

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import MissingEdgeError
 from .groups import Element, Group
-from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _first_max, _frozen, _identities, _loop_scorer, _triangle_edges
+from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _first_max, _from_pairs, _frozen, _gauge_action
+from .pcmatrix import _identities, _loop_scorer, _triangle_edges
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -496,22 +497,14 @@ def holonomy_pc_matrix(K: SimplicialComplex2, F: EdgeField) -> PCMatrix:
     Entry (i, j) is g_j * Hol(gamma_i * [i,j] * gamma_j^-1) * g_i^-1 for the
     tree gauge g, where gamma_v is the tree path base -> v with holonomy
     g_v.  The based loop's holonomy is g_j^-1 * h_ij * g_i, so the
-    conjugations telescope and the entry is the edge holonomy h_ij itself,
-    which is what is stored: the identity on the diagonal, the field's
-    carriers above it and their batched inverses below it, none checked
-    again, put in row-major order by one sort of their positions.
+    conjugations telescope and the entry is the edge holonomy h_ij itself.
+    The matrix is built by ``pcmatrix._from_pairs`` from the field's
+    carriers at the edges i < j: the identity on the diagonal, the carriers
+    above it, their batched inverses below it, none checked again.
     """
     if not K.is_connected:
         raise ValueError("disconnected complex: holonomy matrix needs gauge paths")
-    G = F.group
-    n = K.vertices
-    I, J = K._edge_array.T
-    X = _edge_carriers(K, F)
-    d = np.arange(n)
-    pos = np.concatenate((d * (n + 1), I * n + J, J * n + I))
-    carriers = np.concatenate((_identities(G, n), X, G.batch_inverse(X)))
-    order = np.argsort(pos)
-    return PCMatrix._of_checked(G, n, carriers[order], pos[order], CONTRAVARIANT)
+    return _from_pairs(F.group, K.vertices, *K._edge_array.T, _edge_carriers(K, F), CONTRAVARIANT)
 
 
 def _as_triangle(K: SimplicialComplex2, t: Sequence[int]) -> Triangle:
@@ -580,12 +573,14 @@ def gauge_transform_field(
 ) -> EdgeField:
     """Vertex action h_ij -> mu_j * h_ij * mu_i^-1.
 
-    Conjugates every curvature, so bi-invariant indicator values are
-    unchanged.
+    The action of ``pcmatrix.gauge_transform`` on contravariant matrices
+    (``pcmatrix._gauge_action``), so ``holonomy_pc_matrix`` is gauge
+    covariant bit for bit.  Conjugates every curvature, so bi-invariant
+    indicator values are unchanged.
     """
     G = F.group
     mu = G.batch_check(mu)
     if len(mu) != K.vertices:
         raise ValueError(f"gauge length {len(mu)} does not match {K.vertices} vertices")
     I, J = K._edge_array.T
-    return _array_field(K, G, G.batch_multiply(G.batch_multiply(mu[J], _edge_carriers(K, F)), G.batch_inverse(mu)[I]))
+    return _array_field(K, G, _gauge_action(G, CONTRAVARIANT, mu, _edge_carriers(K, F), I, J))

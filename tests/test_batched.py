@@ -35,6 +35,7 @@ from holopc.pcmatrix import (
     COVARIANT,
     PCMatrix,
     _batched_indicator,
+    _from_pairs,
     _holonomies,
     _loop_scorer,
     _triad_blocks,
@@ -428,6 +429,35 @@ def test_validate_matches_scalar_loop(group):
         A = PCMatrix(group, grid)
         assert validate(A) == oracle_validate(A)
         assert validate(good) == oracle_validate(good) == []
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_from_pairs_matches_a_dense_reference(group, data):
+    # any gap pattern: the carriers at (i, j), their inverses at (j, i), the
+    # identity on the diagonal and gaps elsewhere, against a grid built here
+    n = data.draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    kept = [p for p, keep in zip(pairs, present) if keep]
+    values = data.draw(st.lists(ELEMENTS[group.tag], min_size=len(kept), max_size=len(kept)))
+    variance = data.draw(st.sampled_from([COVARIANT, CONTRAVARIANT]))
+    grid = [[group.identity if i == j else None for j in range(n)] for i in range(n)]
+    for (i, j), x in zip(kept, values):  # the inverse kernel on one carrier: inverse() would check x again
+        grid[i][j], grid[j][i] = x, group.from_array(group.batch_inverse(group.to_array([x])))[0]
+    I, J = (np.array([p[c] for p in kept], dtype=np.intp) for c in (0, 1))
+    upper = group.to_array(values).reshape((len(kept),) + group.to_array([group.identity]).shape[1:])
+    A = _from_pairs(group, n, I, J, upper, variance)
+    flat = [x for row in grid for x in row]
+    positions = [p for p, x in enumerate(flat) if x is not None]
+    assert (A.n, A.variance) == (n, variance)
+    assert A._carriers.tobytes() == group.to_array([flat[p] for p in positions]).tobytes()
+    if len(kept) == len(pairs):
+        assert A._positions is None
+    else:
+        assert A._positions.tolist() == positions
+    assert validate(A) == []
 
 
 # --- tie rule across blocks ---------------------------------------------------------

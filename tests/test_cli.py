@@ -277,6 +277,38 @@ def test_consistencize_abelian_rejects_su2(tmp_path, capsys):
     assert "rplus or u1" in err
 
 
+def test_consistencize_refuses_an_invalid_matrix(tmp_path, capsys):
+    # consistent upper triangle, but a_10 = 1.0 breaks reciprocity
+    entries = [0.0, 0.3, 0.5, 1.0, 0.0, 0.2, -0.5, -0.2, 0.0]
+    doc = {"group": "u1", "n": 3, "variance": "covariant", "entries": [{"theta": t} for t in entries]}
+    path = tmp_path / "bad.json"
+    save_obj(doc, path)
+    code, out, _ = run(capsys, ["check", str(path)])
+    assert (code, json.loads(out)["violations"]) == (2, [[1, 0, "reciprocity"]])
+    for method in ("abelian", "riemannian"):
+        code, out, err = run(capsys, ["consistencize", str(path), "--method", method])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: matrix breaks the PC axioms: reciprocity at (1,0); run `holopc check` on it to list every violation\n"
+        )
+
+
+@pytest.mark.parametrize("method", ["abelian", "riemannian"])
+def test_consistencize_rplus_beyond_the_float_range_exits_2(method, tmp_path, capsys):
+    # a valid matrix whose least-squares repair has the entry 1e400: no numpy
+    # warning (pytest turns it into an error), a typed message, and the square
+    # root the message suggests repairs
+    text = "1,1e300,1e300\n1e-300,1,1e-300\n1e-300,1e300,1\n"
+    code, out, err = run(capsys, ["consistencize", write_csv(tmp_path, "m.csv", text), "--method", method])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the repair (its gauge, matrix or residual) is not representable in double precision (")
+    assert err.endswith("repair the entrywise square root instead, whose repair is the square root of this one\n")
+    root = "1,1e150,1e150\n1e-150,1,1e-150\n1e-150,1e150,1\n"
+    code, out, _ = run(capsys, ["consistencize", write_csv(tmp_path, "r.csv", root), "--method", method])
+    assert code == 0
+    assert json.loads(out)["matrix"]["entries"][1] == pytest.approx(1e200, rel=1e-9)  # sqrt(1e400)
+
+
 def test_consistencize_riemannian_su2(tmp_path, capsys):
     A = random_pc_matrix(SU2, 4, rng=83)
     path = tmp_path / "q.json"

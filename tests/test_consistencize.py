@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from holopc.errors import GapError
+from holopc import pcmatrix
+from holopc.errors import GapError, InvalidMatrixError
 from holopc.groups import RPLUS, SU2, U1, zmod
 from holopc.consistencize import (
     STATUS_CONVERGED,
@@ -122,7 +123,32 @@ def test_abelian_rejects_wrong_group_and_gaps():
         consistencize_abelian(gapped)
 
 
+@pytest.mark.parametrize("repair", [consistencize_abelian, consistencize_riemannian])
+def test_repairs_refuse_matrices_that_break_the_axioms(repair):
+    # the upper triangle (0.3, 0.5, 0.2) is consistent, but a_10 is 1.0, not -0.3:
+    # the closed form would average the bad lower triangle into its rows
+    A = PCMatrix(U1, [[0.0, 0.3, 0.5], [1.0, 0.0, 0.2], [-0.5, -0.2, 0.0]])
+    with pytest.raises(InvalidMatrixError, match=r"reciprocity at \(1,0\); run `holopc check`") as info:
+        repair(A)
+    assert info.value.violation == (1, 0, "reciprocity")
+
+
+def test_abelian_fallback_validates_once(monkeypatch):
+    calls = []
+    validate = pcmatrix.validate
+    monkeypatch.setattr(pcmatrix, "validate", lambda A: calls.append(A) or validate(A))
+    A = from_gauge_vector(U1, (0.0, 2.5, -2.5))  # the closed form falls back to Newton
+    assert consistencize_abelian(A).residual < 1e-16
+    assert calls == [A]
+
+
 # --- descent ------------------------------------------------------------------
+
+
+def test_riemannian_skips_a_start_that_leaves_the_float_range():
+    # row 0 has e_12 = a_01^-1 a_02 = 1e600, but the least-squares gauge fits in floats
+    A = from_upper_triangle(RPLUS, [1e-300, 1e300, 1.0])
+    assert consistencize_riemannian(A).matrix == consistencize_abelian(A).matrix
 
 
 def test_riemannian_consistent_input_stops_immediately():

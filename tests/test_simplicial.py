@@ -6,7 +6,7 @@ import pytest
 
 from holopc.errors import MissingEdgeError
 from holopc.groups import RPLUS, SU2, U1, wrap_angle, zmod
-from holopc.pcmatrix import is_consistent, validate
+from holopc.pcmatrix import gauge_transform, is_consistent, validate
 from holopc.serialize import complex_from_obj
 from holopc.simplicial import (
     EdgeField,
@@ -429,6 +429,25 @@ def test_gauge_transform_field_conjugates_curvature():
         )
         assert SU2.distance(plaquette(K, Fg, (i, j, k)), expected) < 1e-12
     assert global_ii(K, Fg)[0] == pytest.approx(global_ii(K, F)[0], abs=1e-10)
+
+
+# a 4-cycle that bounds no triangle, with a pendant vertex
+SQUARE_AND_TAIL = SimplicialComplex2(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("K", [grid_complex(3), full_simplex(4), SQUARE_AND_TAIL], ids=["grid3", "simplex4", "square"])
+@pytest.mark.parametrize("group", [U1, SU2, zmod(7)], ids=lambda g: g.tag)
+def test_holonomy_matrix_is_gauge_covariant(group, K):
+    # the paper's bridge: a vertex gauge transformation of the field moves
+    # its holonomy matrix by the matrix gauge action, bit for bit
+    rng = np.random.default_rng(64)
+    F = random_field(K, group, rng)
+    mu = [group.haar_sample(rng) for _ in range(K.vertices)]
+    moved = holonomy_pc_matrix(K, gauge_transform_field(K, F, mu))
+    expected = gauge_transform(holonomy_pc_matrix(K, F), mu)
+    assert moved == expected
+    assert np.array_equal(moved._positions, expected._positions)
+    assert moved._carriers.tobytes() == expected._carriers.tobytes()
 
 
 def test_gauge_transform_field_length_mismatch():
