@@ -17,7 +17,10 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   and 60;
 - one Monte Carlo block (1024 samples) of ``expectation``: the u1 worst
   triad indicator of random 5 x 5 matrices (``montecarlo --random-pc 5``)
-  and su2 ``mean_curvature_In`` on ``full_simplex(3)``.
+  and su2 ``mean_curvature_In`` on ``full_simplex(3)``;
+- ``validate`` of the gapped matrices of the ``holonomy`` reports above,
+  and of gap-free random su2 n = 48 and u1 n = 9 matrices, drawn after
+  every other input so that no other layer's input moves.
 
 Each source tree is timed in its own interpreter, since both are the package
 ``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
@@ -55,13 +58,13 @@ def layers(src: str, tmp: Path) -> dict:
     from holopc.consistencize import consistencize_riemannian
     from holopc.groups import SU2, U1
     from holopc.integrate import Observable, expectation
-    from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix
+    from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix, validate
     from holopc.serialize import Records, json_text, load_matrix, save_matrix
     from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
     from perfbench.inputs import su2_matrix
 
     rng = np.random.default_rng(20)
-    out = {}
+    out, holonomy = {}, {}
     for m in GRIDS:
         K = grid_complex(m)
         q = rng.normal(size=(len(K.edges), 4))
@@ -76,6 +79,7 @@ def layers(src: str, tmp: Path) -> dict:
             "worst_triangle": list(worst) if worst else None,
         }
         out[f"json_text.holonomy_su2_grid{m}"] = lambda report=report: json_text(report)
+        holonomy[m] = report["matrix"]
     result = consistencize_riemannian(random_pc_matrix(SU2, 21, rng), max_iter=20)
     report = {  # as cli.cmd_consistencize builds it
         "group": "su2",
@@ -110,6 +114,10 @@ def layers(src: str, tmp: Path) -> dict:
     K = full_simplex(3)
     curvature = Observable("mean_curvature_In")
     out["mc_block.su2_mean_curvature_simplex3"] = lambda: expectation(K, SU2, curvature, N=1024, seed=3)
+    for m, A in holonomy.items():
+        out[f"validate.holonomy_su2_grid{m}"] = lambda A=A: validate(A)
+    out["validate.su2_n48"] = lambda A=random_pc_matrix(SU2, 48, rng): validate(A)
+    out["validate.u1_n9"] = lambda A=random_pc_matrix(U1, 9, rng): validate(A)
     return out
 
 

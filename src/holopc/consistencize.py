@@ -156,9 +156,7 @@ def _objective(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, float]:
     G = A.group
     if G.tag == "rplus" and not _in_rplus_range(lam):  # before 1 / lam can overflow
         raise FloatRangeError("positive-real gauge left (2**-1024, inf)")
-    e = _gauge_upper(G, lam)
-    if G.tag == "rplus" and not _in_rplus_range(e):  # before C's lower triangle inverts e
-        raise FloatRangeError("positive-real gauge product left (2**-1024, inf)")
+    e = _gauge_upper(G, lam)  # the rplus product kernel refuses e that C's lower triangle could not invert
     return e, _sum_of_squares(G.batch_distance(_upper(A), e))
 
 

@@ -319,8 +319,8 @@ class PositiveReals(Group):
     def batch_multiply(self, a, b):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below
             p = a * b
-        if not np.all((p > 0.0) & np.isfinite(p)):
-            raise FloatRangeError("positive-real product left (0, inf)")
+        if not _in_rplus_range(p):  # at or below 2**-1024 the inverse overflows
+            raise FloatRangeError("positive-real product left (2**-1024, inf), where its inverse is finite")
         return p
 
     def batch_inverse(self, a):

@@ -10,10 +10,11 @@ row-major order and, when some entry is a gap, their flat positions
 ``i * n + j``.  The holonomy matrix of a field on ``grid_complex(20)`` is
 2,921 carriers and positions instead of a 441 x 441 grid of which 191,560
 cells are gaps.  Every constructor fills these arrays directly; the grid of
-plain elements, ``entries``, is built only when something reads it.
-Matrices that break the axioms (a gap without its mirror, a wrong
-reciprocal or diagonal) are stored as given, so :func:`validate` can name
-the violation.
+plain elements, ``entries``, is built only when something reads it, and
+``entry`` reads one stored carrier.  Matrices that break the axioms (a gap
+without its mirror, a wrong reciprocal or diagonal) are stored as given,
+so :func:`validate`, which reads the stored entries, can name the
+violation.  Only a gap-free matrix is ever viewed as an (n, n, ...) array.
 
 The module provides validation, the two consistency notions (covariant
 a_ij * a_jk = a_ik and contravariant a_jk * a_ij = a_ik), triad holonomy,
@@ -76,10 +77,10 @@ class PCMatrix:
     with ``None`` marking a gap and checks the present values once, with
     one ``group.batch_check``; the triad sweeps and solvers work on the
     carrier array and never check it again.  ``entries``, the grid of plain
-    elements, is a read-only view built on first access.
+    elements, is built on first access; ``entry`` reads one stored carrier.
     """
 
-    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_array", "_valid")
+    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_valid")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
         rows = [list(r) for r in entries]
@@ -112,7 +113,6 @@ class PCMatrix:
         object.__setattr__(self, "_carriers", carriers)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_grid", None)
-        object.__setattr__(self, "_array", None)
         object.__setattr__(self, "_valid", False)  # set by _require_valid
 
     def __setattr__(self, name, value):
@@ -137,7 +137,14 @@ class PCMatrix:
         return self._grid
 
     def entry(self, i: int, j: int) -> Element | None:
-        return self.entries[i][j]
+        """The entry a_ij, ``None`` at a gap, read from its stored carrier."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i},{j}) is outside the {self.n} x {self.n} matrix")
+        P, p = self._positions, i * self.n + j
+        k = p if P is None else int(P.searchsorted(p))  # where a_ij is stored, if it is
+        if P is not None and (k == len(P) or P[k] != p):
+            return None
+        return self.group.from_array(self._carriers[k : k + 1])[0]
 
     @property
     def gap_free(self) -> bool:
@@ -195,20 +202,10 @@ def _stored_positions(A: PCMatrix) -> np.ndarray:
 
 
 def _entry_array(A: PCMatrix) -> np.ndarray:
-    """The entries as one read-only carrier array of shape (n, n, ...),
-    gaps filled with the identity: the stored carriers reshaped, or for a
-    gapped matrix built once."""
-    if A._array is None:
-        n, C = A.n, A._carriers
-        if A._positions is None:
-            M = C.reshape((n, n) + C.shape[1:])
-        else:
-            M = _identities(A.group, n * n)
-            M[A._positions] = C
-            M = M.reshape((n, n) + C.shape[1:])
-            M.flags.writeable = False
-        object.__setattr__(A, "_array", M)
-    return A._array
+    """The entries of a gap-free matrix as one read-only carrier array of
+    shape (n, n, ...): its stored carriers, reshaped."""
+    _require_gap_free(A, "matrix has gaps: this operation needs every entry; fill the gaps first")
+    return A._carriers.reshape((A.n, A.n) + A._carriers.shape[1:])
 
 
 def _identities(group: Group, count: int) -> np.ndarray:
@@ -246,29 +243,32 @@ def _from_pairs(group: Group, n: int, I: np.ndarray, J: np.ndarray, upper: np.nd
 
 
 def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
-    """Check the PC matrix axioms.
+    """Check the PC axioms on the stored entries, each paired with its
+    transpose by one ``searchsorted``.
 
     Returns an empty list when the matrix is valid; otherwise one
-    ``(i, j, axiom)`` tuple per violation, with axiom one of "diagonal",
-    "reciprocity", "gap symmetry".
+    ``(i, j, axiom)`` tuple per violation: each bad diagonal entry as
+    (i, i, "diagonal"), then over the pairs i < j, row-major, a lone entry
+    as (i, j, "gap symmetry") or a wrong a_ji as (j, i, "reciprocity").
     """
-    G, n = A.group, A.n
-    M = _entry_array(A)
-    M = M.reshape((n * n,) + M.shape[2:])  # read by flat position
-    gap = np.ones(n * n, dtype=bool)
-    gap[_stored_positions(A)] = False
-    d = np.arange(n) * (n + 1)
-    bad_diag = gap[d] | (G.batch_distance(M.take(d, axis=0), G.to_array([G.identity])) > ALGEBRA_TOL)
+    G, n, C, P = A.group, A.n, A._carriers, _stored_positions(A)
+    I, J = np.divmod(P, n)
+    T = J * n + I  # each entry's transpose
+    k = T if A._positions is None else P.searchsorted(T)  # where the transpose is stored, if it is
+    paired = P.take(k, mode="clip") == T  # past the end, P's last position is below T
+    d = np.flatnonzero(I == J)
+    bad_diag = np.ones(n, dtype=bool)  # a missing diagonal entry is bad
+    bad_diag[I[d]] = G.batch_distance(C.take(d, axis=0), G.to_array([G.identity])) > ALGEBRA_TOL
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
-    # one pass over the upper triangle, row-major
-    (I, J), (up, low) = _pairs(n), _pair_positions(n)
-    gap_up, gap_low = gap.take(up), gap.take(low)
-    asymmetric = gap_up != gap_low
-    inverse_up = G.batch_inverse(M.take(up, axis=0))
-    unreciprocal = ~(gap_up | gap_low) & (G.batch_distance(M.take(low, axis=0), inverse_up) > ALGEBRA_TOL)
-    for p in np.flatnonzero(asymmetric | unreciprocal).tolist():
-        i, j = int(I[p]), int(J[p])
-        out.append((i, j, "gap symmetry") if asymmetric[p] else (j, i, "reciprocity"))
+    lone = np.flatnonzero(~paired)  # an entry whose mirror is a gap; the diagonal is its own mirror
+    up = np.flatnonzero(paired & (I < J))
+    unreciprocal = G.batch_distance(C.take(k[up], axis=0), G.batch_inverse(C.take(up, axis=0))) > ALGEBRA_TOL
+    # one violation per pair at most, ordered by the pair's position i * n + j, i < j
+    key = np.concatenate((np.minimum(P, T)[lone], P[up][unreciprocal]))
+    asymmetric = np.arange(len(key)) < len(lone)
+    for t in np.argsort(key).tolist():
+        i, j = divmod(int(key[t]), n)
+        out.append((i, j, "gap symmetry") if asymmetric[t] else (j, i, "reciprocity"))
     return out
 
 
@@ -373,7 +373,7 @@ def _first_max(blocks, rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _upper(A: PCMatrix) -> np.ndarray:
-    """The entries a_ij, i < j, row-major, as a carrier array; gaps read as the identity."""
+    """The entries a_ij, i < j, row-major, of a gap-free matrix as a carrier array."""
     M = _entry_array(A)
     return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n)[0], axis=0)
 

@@ -8,7 +8,8 @@ numbers exp(i theta) for u1 (with the bit-exact ``wrap_angle`` rule),
 2 x 2 complex SU(2) matrices under ``np.matmul`` and ``expm`` for su2, and
 Python-int arithmetic mod m for zmod.  The scalar triad loops that the
 sweeps replaced live on here as the oracle for ``is_consistent``,
-``ii_indicator``, ``ii3_matrix`` and ``validate``, and the scalar
+``ii_indicator``, ``ii3_matrix`` and ``validate``, the identity-filled dense
+grid as the reference for ``validate`` on gapped matrices, and the scalar
 ``plaquette`` as the oracle for ``global_ii``.  The loop scorer, which reads
 the default indicator of a holonomy as the triad defect d(xz, y) or
 d(zx, y), is checked against the holonomy form d(1, h^-1), and the
@@ -63,7 +64,7 @@ from holopc.simplicial import (
     plaquette,
 )
 
-Z7 = zmod(7)
+Z5, Z7 = zmod(5), zmod(7)
 GROUPS = [RPLUS, U1, SU2, Z7]
 EXACT = (U1, Z7)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -431,6 +432,80 @@ def test_validate_matches_scalar_loop(group):
         assert validate(good) == oracle_validate(good) == []
 
 
+def dense_validate(A):
+    """The reference for ``validate``: the axioms read off an identity-filled
+    n x n carrier grid and an n^2 gap mask by flat position, with the same
+    kernels on the same carriers."""
+    G, n = A.group, A.n
+    P = np.arange(n * n) if A.gap_free else A._positions
+    M = np.repeat(G.to_array([G.identity]), n * n, axis=0)
+    M[P] = A._carriers
+    gap = np.ones(n * n, dtype=bool)
+    gap[P] = False
+    d = np.arange(n) * (n + 1)
+    bad_diag = gap[d] | (G.batch_distance(M[d], G.to_array([G.identity])) > ALGEBRA_TOL)
+    out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
+    I, J = np.triu_indices(n, 1)
+    up, low = I * n + J, J * n + I
+    asymmetric = gap[up] != gap[low]
+    unreciprocal = ~(gap[up] | gap[low]) & (G.batch_distance(M[low], G.batch_inverse(M[up])) > ALGEBRA_TOL)
+    for p in np.flatnonzero(asymmetric | unreciprocal).tolist():
+        i, j = int(I[p]), int(J[p])
+        out.append((i, j, "gap symmetry") if asymmetric[p] else (j, i, "reciprocity"))
+    return out
+
+
+VALIDATE_VALUES = {**ELEMENTS, "zmod:5": st.integers(-50, 50).map(Z5.check)}
+CELLS = st.sampled_from(["keep", "keep", "keep", "gap", "redraw", "nudge"])
+
+
+def nudged(group, x, eps):
+    """x times exp(eps) in every coordinate: about the tolerance away."""
+    if group.dim == 0:
+        return x
+    step = group.batch_exp(np.full((1, group.dim), eps))
+    return group.from_array(group.batch_multiply(group.to_array([x]), step))[0]
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, SU2, Z5], ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_validate_matches_the_dense_reference(group, data):
+    # a valid matrix broken cell by cell: gaps in a symmetric or an
+    # asymmetric pattern, or every off-diagonal entry gone; the diagonal
+    # gapped; carriers redrawn, or moved by about the tolerance
+    n = data.draw(st.integers(2, 9))
+    values = VALIDATE_VALUES[group.tag]
+    grid = [[group.identity] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):  # the inverse kernel: inverse() would check x again
+        x = data.draw(values)
+        grid[i][j], grid[j][i] = x, group.from_array(group.batch_inverse(group.to_array([x])))[0]
+    pattern = data.draw(st.sampled_from(["symmetric", "asymmetric", "no off-diagonal entry"]))
+    for i, j in itertools.product(range(n), repeat=2):
+        cell = data.draw(CELLS)
+        if pattern == "no off-diagonal entry" and i != j:
+            grid[i][j] = None
+        elif cell == "gap":
+            grid[i][j] = None
+            if pattern == "symmetric":
+                grid[j][i] = None
+        elif cell == "redraw" and grid[i][j] is not None:
+            grid[i][j] = data.draw(values)
+        elif cell == "nudge" and grid[i][j] is not None:
+            grid[i][j] = nudged(group, grid[i][j], data.draw(st.sampled_from([-2e-12, -5e-13, 5e-13, 2e-12])))
+    A = PCMatrix(group, grid)
+    assert validate(A) == dense_validate(A)
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, SU2, Z5], ids=lambda g: g.tag)
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_without_off_diagonal_entries(group, n):
+    diagonal_only = PCMatrix(group, [[group.identity if i == j else None for j in range(n)] for i in range(n)])
+    assert validate(diagonal_only) == dense_validate(diagonal_only) == []
+    empty = PCMatrix(group, [[None] * n for _ in range(n)])
+    assert validate(empty) == dense_validate(empty) == [(i, i, "diagonal") for i in range(n)]
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
 @PROPERTY
 @given(data=st.data())
@@ -563,7 +638,6 @@ def test_sweeps_and_descent_check_nothing():
 
 # --- plaquette sweep against the scalar plaquette ----------------------------------
 
-Z5 = zmod(5)
 FIELD_VALUES = {"u1": ELEMENTS["u1"], "su2": ELEMENTS["su2"], "zmod:5": st.integers(-50, 50).map(Z5.check)}
 FIELD_COMPLEXES = [full_simplex(2), full_simplex(3), full_simplex(4), grid_complex(2)]
 

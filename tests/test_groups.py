@@ -238,10 +238,11 @@ def test_group_mismatch_errors():
         zmod(5).multiply(1, 0.5)
 
 
-@pytest.mark.parametrize("x", [1e200, 1e-200])
+@pytest.mark.parametrize("x", [1e200, 1e-200, 1e-155])
 def test_rplus_product_leaving_the_positive_reals_raises(x):
-    # overflow to inf and underflow to 0 both leave the carrier
-    with pytest.raises(ValueError, match=r"left \(0, inf\)"):
+    # overflow to inf, underflow to 0, and a product of 1e-310, whose
+    # inverse overflows, all leave the carrier
+    with pytest.raises(ValueError, match=r"left \(2\*\*-1024, inf\)"):
         RPLUS.multiply(x, x)
 
 

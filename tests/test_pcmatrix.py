@@ -2,17 +2,20 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from holopc.errors import GapError, GroupMismatchError, InconsistentMatrixError, NonCompactGroupError
+from holopc.consistencize import residual_between
+from holopc.errors import FloatRangeError, GapError, GroupMismatchError, InconsistentMatrixError, NonCompactGroupError
 from holopc.groups import RPLUS, SU2, U1, zmod
-from holopc.integrate import Observable, expectation
+from holopc.integrate import Observable, expectation, sample_field
 from holopc.pcmatrix import (
     CONTRAVARIANT,
     COVARIANT,
     PCMatrix,
+    _entry_array,
     default_indicator,
     dualize,
     from_gauge_vector,
@@ -30,7 +33,7 @@ from holopc.pcmatrix import (
     triad_holonomy,
     validate,
 )
-from holopc.simplicial import full_simplex, global_ii, identity_field
+from holopc.simplicial import full_simplex, global_ii, grid_complex, holonomy_pc_matrix, identity_field
 
 ALL_GROUPS = [RPLUS, U1, SU2, zmod(5)]
 
@@ -61,6 +64,51 @@ def test_validate_reports_diagonal_and_gap_symmetry():
     assert (0, 0, "diagonal") in validate(bad_diag)
     asym = PCMatrix(RPLUS, [[1, None], [2.0, 1]])
     assert (0, 1, "gap symmetry") in validate(asym)
+
+
+def test_validate_reads_a_sparse_holonomy_matrix_sparsely():
+    # the su2 holonomy matrix of grid_complex(40) stores 11,441 of its
+    # 1,681^2 cells; a dense grid of them would take 90 MB
+    K = grid_complex(40)
+    A = holonomy_pc_matrix(K, sample_field(K, SU2, np.random.default_rng(40)))
+    tracemalloc.start()
+    try:
+        assert validate(A) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_gapped_matrices_refuse_the_dense_carrier_grid():
+    A = PCMatrix(U1, [[0.0, 0.5, None], [-0.5, 0.0, 0.25], [None, -0.25, 0.0]])
+    with pytest.raises(GapError):
+        _entry_array(A)
+    with pytest.raises(GapError):
+        residual_between(A, A)
+
+
+def test_entry_reads_one_stored_carrier():
+    A = random_pc_matrix(SU2, 48, np.random.default_rng(48))
+    x = A.entry(0, 1)
+    assert A._grid is None  # the grid of plain elements was not built
+    assert x == A.entries[0][1]
+    for i, j in ((-1, 0), (0, -1), (48, 0), (0, 48)):
+        with pytest.raises(IndexError):
+            A.entry(i, j)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+def test_entry_agrees_with_entries_on_gapped_matrices(group):
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 5, 9):
+        for _ in range(5):
+            values = [random_gauge(group, n, rng) for _ in range(n)]
+            grid = [[None if rng.random() < 0.3 else values[i][j] for j in range(n)] for i in range(n)]
+            A = PCMatrix(group, grid)
+            got = [[A.entry(i, j) for j in range(n)] for i in range(n)]
+            assert A._grid is None
+            assert tuple(map(tuple, got)) == A.entries
 
 
 def test_constructor_rejects_bad_carriers_and_shapes():
@@ -393,6 +441,12 @@ def test_from_gauge_vector_hand_example():
     assert A.entry(0, 2) == pytest.approx(6.0)
     assert A.entry(1, 2) == pytest.approx(3.0)
     assert validate(A) == []
+
+
+def test_from_gauge_vector_refuses_a_product_whose_inverse_overflows():
+    # a_01 = 1e-300 * 1e-10 = 1e-310, below 2**-1024: a_10 = 1 / a_01 would be inf
+    with pytest.raises(FloatRangeError, match=r"left \(2\*\*-1024, inf\)"):
+        from_gauge_vector(RPLUS, [1e300, 1e-10])
 
 
 def test_from_gauge_vector_left_shift_invariance():
