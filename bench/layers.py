@@ -20,7 +20,13 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   and su2 ``mean_curvature_In`` on ``full_simplex(3)``;
 - ``validate`` of the gapped matrices of the ``holonomy`` reports above,
   and of gap-free random su2 n = 48 and u1 n = 9 matrices, drawn after
-  every other input so that no other layer's input moves.
+  every other input so that no other layer's input moves;
+- one in-process ``holopc.cli.main(argv)`` call per subcommand, end to
+  end with its stdout captured, on small inputs drawn after all of the
+  above: ``check`` of a u1 n = 9 JSON matrix, ``consistencize --method
+  abelian`` of an rplus n = 9 CSV matrix with log-normal entries,
+  ``holonomy`` of a u1 field on ``full_simplex(4)``, and ``montecarlo
+  --random-pc 5 --group u1 -N 256``.
 
 Each source tree is timed in its own interpreter, since both are the package
 ``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
@@ -33,7 +39,9 @@ versions and a hash of each tree's ``holopc`` sources.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -55,11 +63,12 @@ def layers(src: str, tmp: Path) -> dict:
     no arguments; the inputs are drawn from a fixed seed, and files go in
     ``tmp``."""
     sys.path[:0] = [src, str(ROOT)]
+    from holopc.cli import main
     from holopc.consistencize import consistencize_riemannian
-    from holopc.groups import SU2, U1
+    from holopc.groups import RPLUS, SU2, U1
     from holopc.integrate import Observable, expectation
     from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix, validate
-    from holopc.serialize import Records, json_text, load_matrix, save_matrix
+    from holopc.serialize import Records, complex_to_obj, field_to_obj, json_text, load_matrix, save_matrix, save_obj
     from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
     from perfbench.inputs import su2_matrix
 
@@ -118,6 +127,27 @@ def layers(src: str, tmp: Path) -> dict:
         out[f"validate.holonomy_su2_grid{m}"] = lambda A=A: validate(A)
     out["validate.su2_n48"] = lambda A=random_pc_matrix(SU2, 48, rng): validate(A)
     out["validate.u1_n9"] = lambda A=random_pc_matrix(U1, 9, rng): validate(A)
+    save_matrix(random_pc_matrix(U1, 9, rng), tmp / "u1_9.json")
+    save_matrix(from_upper_triangle(RPLUS, np.exp(rng.normal(size=36)).tolist()), tmp / "rplus_9.csv")
+    K = full_simplex(4)
+    save_obj(complex_to_obj(K), tmp / "simplex4.json")
+    theta = rng.uniform(-np.pi, np.pi, len(K.edges)).tolist()
+    save_obj(field_to_obj(EdgeField(U1, dict(zip(K.edges, theta)))), tmp / "u1_field.json")
+    calls = {
+        "check": ["check", str(tmp / "u1_9.json")],
+        "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],
+        "holonomy": ["holonomy", str(tmp / "simplex4.json"), str(tmp / "u1_field.json")],
+        "montecarlo": ["montecarlo", "--random-pc", "5", "--group", "u1", "-N", "256", "--seed", "5"],
+    }
+
+    def cli(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code not in (0, 1):  # a report, not an input error
+            raise RuntimeError(f"{argv}: exit {code}")
+
+    for command, argv in calls.items():
+        out[f"cli.{command}"] = lambda argv=argv: cli(argv)
     return out
 
 

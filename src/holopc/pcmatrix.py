@@ -262,7 +262,7 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
     lone = np.flatnonzero(~paired)  # an entry whose mirror is a gap; the diagonal is its own mirror
     up = np.flatnonzero(paired & (I < J))
-    unreciprocal = G.batch_distance(C.take(k[up], axis=0), G.batch_inverse(C.take(up, axis=0))) > ALGEBRA_TOL
+    unreciprocal = _reciprocity_defects(G, C.take(up, axis=0), C.take(k[up], axis=0)) > ALGEBRA_TOL
     # one violation per pair at most, ordered by the pair's position i * n + j, i < j
     key = np.concatenate((np.minimum(P, T)[lone], P[up][unreciprocal]))
     asymmetric = np.arange(len(key)) < len(lone)
@@ -270,6 +270,23 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
         i, j = divmod(int(key[t]), n)
         out.append((i, j, "gap symmetry") if asymmetric[t] else (j, i, "reciprocity"))
     return out
+
+
+def _reciprocity_defects(G: Group, a_ij: np.ndarray, a_ji: np.ndarray) -> np.ndarray:
+    """d(a_ji, a_ij^-1) for each pair.  A positive-real ratio a_ji a_ij that
+    leaves the float range, which ``batch_distance`` refuses, is scored in
+    logs, |log a_ij + log a_ji|, as ``batch_defect`` scores triads; every
+    other defect is the distance kernel's, bit for bit."""
+    inv = G.batch_inverse(a_ij)
+    if G.tag == "rplus":
+        with np.errstate(over="ignore"):
+            ratio = a_ji / inv
+        far = (ratio == 0.0) | (ratio == math.inf)
+        if far.any():
+            d = np.abs(np.log(a_ij) + np.log(a_ji))
+            d[~far] = G.batch_distance(a_ji[~far], inv[~far])
+            return d
+    return G.batch_distance(a_ji, inv)
 
 
 def _require_valid(A: PCMatrix) -> None:

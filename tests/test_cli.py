@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from holopc import pcmatrix, simplicial
-from holopc.cli import main
+from holopc.cli import build_parser, main
 from holopc.groups import (
     RPLUS,
     SU2,
@@ -43,6 +44,75 @@ def write_csv(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# --- parsing ---------------------------------------------------------------------
+
+PARSE_EXITS = {  # argv that argparse answers itself, with help or a usage error
+    "none": [],
+    "help": ["-h"],
+    "misspelled": ["chek"],
+    **{
+        f"{command}-{case}": [command, *argv]
+        for command, cases in {
+            "check": {
+                "help": ["-h"],
+                "missing-positional": [],
+                "unrecognized": ["m.csv", "--bogus"],
+                "bad-format": ["m.csv", "--format", "xml"],
+            },
+            "consistencize": {
+                "help": ["-h"],
+                "missing-positional": ["--method", "abelian"],
+                "unrecognized": ["m.csv", "--method", "abelian", "--bogus"],
+                "bad-format": ["m.csv", "--method", "abelian", "--format", "xml"],
+            },
+            "holonomy": {
+                "help": ["-h"],
+                "missing-positional": ["k.json"],
+                "unrecognized": ["k.json", "f.json", "--bogus"],
+                "bad-format": ["k.json", "f.json", "--format", "xml"],  # no --format: unrecognized
+            },
+            "montecarlo": {
+                "help": ["-h"],
+                "missing-required": ["--random-pc", "3"],
+                "unrecognized": ["--random-pc", "3", "--group", "u1", "--bogus"],
+                "bad-format": ["--random-pc", "3", "--group", "u1", "--format", "xml"],
+                "complex-and-random-pc": ["--complex", "k.json", "--random-pc", "3", "--group", "u1"],
+            },
+        }.items()
+        for case, argv in cases.items()
+    },
+}
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", PARSE_EXITS)
+def test_main_parses_as_the_full_parser(name, capsys):
+    # main builds only the named subcommand's parser; help, usage and errors
+    # are those of the parser of every subcommand, byte for byte
+    argv = PARSE_EXITS[name]
+    assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+def test_a_call_builds_only_its_subcommands_parser(tmp_path, capsys, monkeypatch):
+    # the top-level parser and the check subparser, not the other three
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _, _ = run(capsys, ["check", write_csv(tmp_path, "m.csv", "1,2\n0.5,1\n")])
+    assert code == 0 and built == ["holopc", "holopc check"]
 
 
 # --- check ---------------------------------------------------------------------
@@ -182,14 +252,18 @@ def test_check_witness_is_worst_triad(group, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [("1,1e300\n1e300,1\n", "positive-real ratio left (0, inf)")],
-    ids=["reciprocity-ratio"],
+    "text", ["1,1e300\n1e300,1\n", "1,1e-300\n1e-300,1\n"], ids=["reciprocity-ratio", "reciprocity-ratio-underflow"]
 )
-def test_check_rplus_beyond_the_float_range_exits_2(text, message, tmp_path, capsys):
-    # no numpy warning (pytest turns it into an error) and no traceback
-    code, out, err = run(capsys, ["check", write_csv(tmp_path, "m.csv", text)])
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+def test_check_rplus_beyond_the_float_range_exits_2(text, tmp_path, capsys):
+    # a_10 / a_01^-1 = 1e600 (1e-600) leaves the float range: scored in logs,
+    # it is a reciprocity violation, with no numpy warning (pytest turns it
+    # into an error) and nothing on stderr
+    path = write_csv(tmp_path, "m.csv", text)
+    code, out, err = run(capsys, ["check", path])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["violations"] == [[1, 0, "reciprocity"]]
+    code, out, err = run(capsys, ["consistencize", path, "--method", "abelian"])
+    assert (code, out) == (2, "") and err.startswith("error: matrix breaks the PC axioms: reciprocity at (1,0);")
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from holopc.pcmatrix import (
     COVARIANT,
     PCMatrix,
     _entry_array,
+    _reciprocity_defects,
     default_indicator,
     dualize,
     from_gauge_vector,
@@ -57,6 +58,17 @@ def test_validate_reports_reciprocity():
     assert validate(good) == []
     bad = PCMatrix(RPLUS, [[1, 2, 1], [0.4, 1, 1], [1, 1, 1]])
     assert validate(bad) == [(1, 0, "reciprocity")]
+
+
+def test_validate_scores_rplus_reciprocity_beyond_the_float_range_in_logs():
+    # a_10 a_01 = 1e600 and a_21 a_12 = 1e-600 leave the float range, where
+    # the distance kernel raises; the pair (0, 2) stays in it
+    A = PCMatrix(RPLUS, [[1, 1e300, 2], [1e300, 1, 1e-300], [0.5, 1e-300, 1]])
+    assert validate(A) == [(1, 0, "reciprocity"), (2, 1, "reciprocity")]
+    a_ij, a_ji = np.array([1e300, 1e-300, 2.0]), np.array([1e300, 1e-300, 0.4])
+    d = _reciprocity_defects(RPLUS, a_ij, a_ji)
+    assert d[:2] == pytest.approx([600 * math.log(10.0)] * 2, rel=1e-12)
+    assert d[2] == RPLUS.batch_distance(a_ji[2:], RPLUS.batch_inverse(a_ij[2:]))[0]  # the kernel's bits
 
 
 def test_validate_reports_diagonal_and_gap_symmetry():
