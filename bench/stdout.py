@@ -1,4 +1,4 @@
-"""Compare the CLI's stdout and exit codes between two source trees.
+"""Compare the CLI's stdout, stderr and exit codes between two source trees.
 
     python bench/stdout.py --baseline-src OLD/src              # first 24 operations, seed 4242
     python bench/stdout.py --baseline-src src --ops 2 --seed 1 # quick: the tree against itself
@@ -6,10 +6,12 @@
 It builds the first ``--ops`` operations of each benchmark workload with
 ``perfbench.inputs.build`` at ``--seed`` and runs every call of them through
 ``holopc.cli.main`` in one interpreter per source tree: the ``src/`` of the
-checkout it is in, and the baseline tree.  It lists each call whose exit
-code or stdout differs, with the first differing line, and exits 1 if any
-call differs.  Comparing a tree with itself checks that reports repeat
-across processes.
+checkout it is in, and the baseline tree.  After each operation it makes one
+call of a fixed list of usage errors and help requests, so a parser that
+kept state from one call to the next would change the calls after it.  It
+lists each call whose exit code, stdout or stderr differs, with the first
+differing line, and exits 1 if any call differs.  Comparing a tree with
+itself checks that reports repeat across processes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -28,8 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def worker(src: str, calls_path: str, out_dir: str) -> None:
     """Run each argv of the JSON list at ``calls_path`` with the ``holopc``
-    under ``src``; write call c's stdout to ``out_dir/c.out`` and print the
-    exit codes as a JSON list (a raised exception is its type's name)."""
+    under ``src``; write call c's stdout to ``out_dir/c.out`` and its stderr
+    to ``out_dir/c.err``, and print the exit codes as a JSON list (a raised
+    exception is its type's name)."""
     sys.path.insert(0, src)
     import holopc.cli
 
@@ -37,9 +41,9 @@ def worker(src: str, calls_path: str, out_dir: str) -> None:
         raise ImportError(f"holopc was imported from {holopc.cli.__file__}, not from {src}")
     codes = []
     for c, argv in enumerate(json.loads(Path(calls_path).read_text())):
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = holopc.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
@@ -47,20 +51,40 @@ def worker(src: str, calls_path: str, out_dir: str) -> None:
             code = type(exc).__name__
         codes.append(code)
         (Path(out_dir) / f"{c}.out").write_text(out.getvalue())
+        (Path(out_dir) / f"{c}.err").write_text(err.getvalue())
     print(json.dumps(codes))
+
+
+def usage_calls(work: Path) -> list[list[str]]:
+    """Argv that argparse or the subcommand refuses with exit 2, or answers
+    with help, each the same for a parser built per call or once."""
+    matrix = work / "usage.csv"
+    matrix.write_text("1,2\n0.5,1\n")
+    return [
+        ["chek"],
+        ["check"],
+        ["montecarlo", "--random-pc", "3", "--group", "u1", "--format", "xml"],
+        ["consistencize", str(matrix), "--method", "newton"],
+        ["holonomy", "-h"],
+    ]
 
 
 def build_calls(ops: int, seed: int, work: Path) -> list[tuple[str, int, list[str]]]:
     """``(workload, operation, argv)`` of every call of the first ``ops``
-    operations of each workload, with the inputs written under ``work``."""
+    operations of each workload, with the inputs written under ``work``;
+    after each operation, the next of the ``usage_calls`` in turn."""
     sys.path.insert(0, str(ROOT))
     from perfbench import inputs
 
     spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    work.mkdir(parents=True)
+    usage = itertools.cycle(usage_calls(work))
     calls = []
     for name, wl in spec.items():
         op_at = inputs.build(name, wl["inputs"], seed, work / name)
-        calls += [(name, k, argv) for k in range(ops) for _, argv, _ in op_at(k)]
+        for k in range(ops):
+            calls += [(name, k, argv) for _, argv, _ in op_at(k)]
+            calls.append((name, k, next(usage)))
     return calls
 
 
@@ -98,9 +122,15 @@ def main() -> int:
         differ = 0
         for c, (name, k, argv) in enumerate(calls):
             a, b = ((tmp / tree / f"{c}.out").read_text() for tree in trees)
-            if codes["change"][c] != codes["baseline"][c] or a != b:
+            ea, eb = ((tmp / tree / f"{c}.err").read_text() for tree in trees)
+            if codes["change"][c] != codes["baseline"][c] or a != b or ea != eb:
                 differ += 1
-                what = f"exit {codes['change'][c]} vs {codes['baseline'][c]}" if a == b else first_difference(a, b)
+                if a != b:
+                    what = first_difference(a, b)
+                elif ea != eb:
+                    what = "stderr " + first_difference(ea, eb)
+                else:
+                    what = f"exit {codes['change'][c]} vs {codes['baseline'][c]}"
                 print(f"{name} op {k}: holopc {' '.join(Path(x).name for x in argv)}: {what}")
     print(f"{len(calls)} calls, {differ} differ")
     return 1 if differ else 0

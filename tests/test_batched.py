@@ -42,6 +42,7 @@ from holopc.pcmatrix import (
     _triad_blocks,
     _triangle_edges,
     default_indicator,
+    dualize,
     from_gauge_vector,
     from_upper_triangle,
     gauge_transform,
@@ -506,12 +507,11 @@ def test_validate_without_off_diagonal_entries(group, n):
     assert validate(empty) == dense_validate(empty) == [(i, i, "diagonal") for i in range(n)]
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
-@PROPERTY
-@given(data=st.data())
-def test_from_pairs_matches_a_dense_reference(group, data):
-    # any gap pattern: the carriers at (i, j), their inverses at (j, i), the
-    # identity on the diagonal and gaps elsewhere, against a grid built here
+def gapped_matrix(group, data):
+    """A random valid matrix of either variance with any gap pattern, built
+    by ``_from_pairs`` from its kept upper pairs; with its variance and the
+    grid it stands for: the carriers at (i, j), their inverses at (j, i),
+    the identity on the diagonal and gaps elsewhere."""
     n = data.draw(st.integers(2, 9))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -523,16 +523,41 @@ def test_from_pairs_matches_a_dense_reference(group, data):
         grid[i][j], grid[j][i] = x, group.from_array(group.batch_inverse(group.to_array([x])))[0]
     I, J = (np.array([p[c] for p in kept], dtype=np.intp) for c in (0, 1))
     upper = group.to_array(values).reshape((len(kept),) + group.to_array([group.identity]).shape[1:])
-    A = _from_pairs(group, n, I, J, upper, variance)
+    return _from_pairs(group, n, I, J, upper, variance), variance, grid
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_from_pairs_matches_a_dense_reference(group, data):
+    # any gap pattern, against a grid built here
+    A, variance, grid = gapped_matrix(group, data)
     flat = [x for row in grid for x in row]
     positions = [p for p, x in enumerate(flat) if x is not None]
-    assert (A.n, A.variance) == (n, variance)
+    assert (A.n, A.variance) == (len(grid), variance)
     assert A._carriers.tobytes() == group.to_array([flat[p] for p in positions]).tobytes()
-    if len(kept) == len(pairs):
+    if None not in flat:
         assert A._positions is None
     else:
         assert A._positions.tolist() == positions
     assert validate(A) == []
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_dualize_is_an_involution(group, data):
+    # dualize transposes and flips the variance; twice gives back the
+    # positions, the carriers bit for bit, and the variance
+    A, _, grid = gapped_matrix(group, data)
+    D = dualize(A)
+    assert D.variance != A.variance and D.entries == tuple(zip(*grid))
+    B = dualize(D)
+    assert (B.group, B.n, B.variance) == (A.group, A.n, A.variance)
+    assert (B._positions is None) == (A._positions is None)
+    if A._positions is not None:
+        assert B._positions.tolist() == A._positions.tolist()
+    assert B._carriers.shape == A._carriers.shape and B._carriers.tobytes() == A._carriers.tobytes()
 
 
 # --- tie rule across blocks ---------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from holopc import pcmatrix, simplicial
+from holopc import integrate, pcmatrix, simplicial
 from holopc.cli import build_parser, main
 from holopc.groups import (
     RPLUS,
@@ -24,6 +24,7 @@ from holopc.pcmatrix import (
     _TRIAD_BLOCK,
     PCMatrix,
     default_indicator,
+    from_gauge_vector,
     from_upper_triangle,
     ii3_matrix,
     ii_indicator,
@@ -95,24 +96,71 @@ def _exit(capsys, parse, argv):
 
 @pytest.mark.parametrize("name", PARSE_EXITS)
 def test_main_parses_as_the_full_parser(name, capsys):
-    # main builds only the named subcommand's parser; help, usage and errors
-    # are those of the parser of every subcommand, byte for byte
+    # main parses with one parser shared by every call; help, usage and
+    # errors are those of a new build_parser(), byte for byte
     argv = PARSE_EXITS[name]
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
 
 
-def test_a_call_builds_only_its_subcommands_parser(tmp_path, capsys, monkeypatch):
-    # the top-level parser and the check subparser, not the other three
+def test_warm_calls_build_no_parser(tmp_path, capsys, monkeypatch):
+    argvs = [
+        ["check", write_csv(tmp_path, "m.csv", "1,2\n0.5,1\n")],
+        ["montecarlo", "--random-pc", "3", "--group", "u1", "-N", "16"],
+    ]
+    run(capsys, argvs[0])  # the shared parser exists from here on
     built = []
     init = argparse.ArgumentParser.__init__
 
-    def counting(self, **kwargs):
-        built.append(kwargs["prog"])
-        init(self, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    code, _, _ = run(capsys, ["check", write_csv(tmp_path, "m.csv", "1,2\n0.5,1\n")])
-    assert code == 0 and built == ["holopc", "holopc check"]
+    assert [run(capsys, argv)[0] for argv in argvs] == [0, 0] and built == []
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, returned or raised."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _alone(argv):
+    """The exit code of argv parsed by a new parser (no call here reaches
+    main's error handling)."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_calls_in_one_process_carry_no_state(tmp_path, capsys):
+    # each call after one that set an option, failed or printed help reads
+    # as with a parser of its own: an option left over would change the
+    # loop, refuse the u1 matrix as not rplus, or change the format
+    cpath = tmp_path / "k.json"
+    save_obj(complex_to_obj(full_simplex(3)), cpath)
+    m = write_csv(tmp_path, "m.csv", "1,2\n0.5,1\n")
+    u = str(tmp_path / "u.json")
+    save_matrix(from_gauge_vector(U1, (0.0, 1.0, 2.0)), u)
+    mc = ["montecarlo", "--complex", str(cpath), "--group", "u1", "--observable", "wilson_character", "-N", "64"]
+    argvs = [
+        [*mc, "--loop", "0", "1", "3", "0"],
+        mc,
+        ["check", m, "--group", "rplus"],
+        ["check", m],
+        ["check", u],
+        ["check", m, "--format", "xml"],
+        ["check", u],
+        ["check", "-h"],
+        ["check", m],
+    ]
+    shared = [_outcome(capsys, main, argv) for argv in argvs]
+    assert shared == [_outcome(capsys, _alone, argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert shared[0][1] != shared[1][1]  # the loops differ, and so do their means
 
 
 # --- check ---------------------------------------------------------------------
@@ -752,3 +800,41 @@ def test_montecarlo_unknown_observable(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown observable" in err
+
+
+@pytest.mark.parametrize("source", ["complex", "random-pc"])
+def test_montecarlo_refuses_a_negative_seed_by_its_flag(source, tmp_path, capsys):
+    cpath = tmp_path / "k.json"
+    save_obj(complex_to_obj(full_simplex(2)), cpath)
+    where = ["--complex", str(cpath)] if source == "complex" else ["--random-pc", "3"]
+    code, out, err = run(capsys, ["montecarlo", *where, "--group", "u1", "-N", "16", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: seed (--seed) must be a nonnegative integer, got -1\n"
+
+
+def test_montecarlo_refuses_csv_without_out_before_sampling(capsys, monkeypatch):
+    def sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the options")
+
+    monkeypatch.setattr(integrate, "_sample_values", sampling)
+    code, out, err = run(capsys, ["montecarlo", "--random-pc", "3", "--group", "u1", "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == "error: --format csv needs --out for the histogram file\n"
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_montecarlo_random_pc_size_names_its_flag(n, capsys):
+    code, out, err = run(capsys, ["montecarlo", "--random-pc", n, "--group", "u1", "-N", "16"])
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix size n (--random-pc) must be at least 2, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--observable", "ii3_of_random_matrix"], ["--observable", "mean_curvature_In"], ["--loop", "0", "1", "2", "0"]],
+    ids=["observable-ii3", "observable-default", "loop"],
+)
+def test_montecarlo_random_pc_refuses_field_options(extra, capsys):
+    code, out, err = run(capsys, ["montecarlo", "--random-pc", "3", "--group", "u1", "-N", "16", *extra])
+    assert (code, out) == (2, "")
+    assert "--observable and --loop apply to --complex only" in err
