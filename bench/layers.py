@@ -26,7 +26,13 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   above: ``check`` of a u1 n = 9 JSON matrix, ``consistencize --method
   abelian`` of an rplus n = 9 CSV matrix with log-normal entries,
   ``holonomy`` of a u1 field on ``full_simplex(4)``, and ``montecarlo
-  --random-pc 5 --group u1 -N 256``.
+  --random-pc 5 --group u1 -N 256``;
+- at the sizes of the ``haar-mc`` workload, on inputs drawn after all of
+  the above: the u1 kernels ``batch_multiply`` and ``batch_defect`` on
+  (600, 4) and (1300,) carrier arrays (the u1 curvature and Wilson loop
+  blocks), ``_estimate`` of 600 sample values, ``json_text`` of a
+  ``montecarlo --random-pc 5`` report, and one ``expectation`` per
+  ``haar-mc`` configuration, at its N.
 
 Each source tree is timed in its own interpreter, since both are the package
 ``holopc``; with a baseline the two trees alternate for ``--rounds`` rounds.
@@ -63,10 +69,10 @@ def layers(src: str, tmp: Path) -> dict:
     no arguments; the inputs are drawn from a fixed seed, and files go in
     ``tmp``."""
     sys.path[:0] = [src, str(ROOT)]
-    from holopc.cli import main
+    from holopc.cli import _mc_report, main
     from holopc.consistencize import consistencize_riemannian
     from holopc.groups import RPLUS, SU2, U1
-    from holopc.integrate import Observable, expectation
+    from holopc.integrate import Observable, _estimate, expectation, ii_distribution
     from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix, validate
     from holopc.serialize import Records, complex_to_obj, field_to_obj, json_text, load_matrix, save_matrix, save_obj
     from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
@@ -122,7 +128,7 @@ def layers(src: str, tmp: Path) -> dict:
     out["mc_block.u1_random_pc5"] = lambda: expectation(None, U1, random_pc5, N=1024, seed=5)
     K = full_simplex(3)
     curvature = Observable("mean_curvature_In")
-    out["mc_block.su2_mean_curvature_simplex3"] = lambda: expectation(K, SU2, curvature, N=1024, seed=3)
+    out["mc_block.su2_mean_curvature_simplex3"] = lambda K=K: expectation(K, SU2, curvature, N=1024, seed=3)
     for m, A in holonomy.items():
         out[f"validate.holonomy_su2_grid{m}"] = lambda A=A: validate(A)
     out["validate.su2_n48"] = lambda A=random_pc_matrix(SU2, 48, rng): validate(A)
@@ -133,6 +139,26 @@ def layers(src: str, tmp: Path) -> dict:
     save_obj(complex_to_obj(K), tmp / "simplex4.json")
     theta = rng.uniform(-np.pi, np.pi, len(K.edges)).tolist()
     save_obj(field_to_obj(EdgeField(U1, dict(zip(K.edges, theta)))), tmp / "u1_field.json")
+    for shape in ((600, 4), (1300,)):
+        a, b, c = (U1.batch_haar_sample(rng, shape) for _ in range(3))
+        size = "x".join(map(str, shape))
+        out[f"u1.batch_multiply.{size}"] = lambda a=a, b=b: U1.batch_multiply(a, b)
+        out[f"u1.batch_defect.{size}"] = lambda a=a, b=b, c=c: U1.batch_defect(a, b, c)
+    values = rng.uniform(0.0, np.pi, 600)
+    out["estimate.600"] = lambda: _estimate(values, 0, "mean_curvature_In")
+    hist, est = ii_distribution(U1, 5, N=440, seed=int(rng.integers(2**31)))
+    random_pc_report = _mc_report("u1", est, hist.to_obj())  # as cli.cmd_montecarlo builds it
+    out["json_text.montecarlo_random_pc5"] = lambda: json_text(random_pc_report)
+    haar_mc = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]["haar-mc"]["inputs"]
+    simplex3 = full_simplex(3)
+    for cfg in haar_mc["configs"]:
+        group = {"u1": U1, "su2": SU2}[cfg["group"]]
+        if "random_pc" in cfg:
+            K, obs = None, Observable("ii3_of_random_matrix", n=cfg["random_pc"])
+        else:
+            K, obs = simplex3, Observable(cfg["observable"], loop=tuple(cfg["loop"]) if "loop" in cfg else None)
+        name = f"expectation.{cfg['group']}_{obs.tag}_N{cfg['N']}"
+        out[name] = lambda K=K, group=group, obs=obs, N=cfg["N"]: expectation(K, group, obs, N=N, seed=7)
     calls = {
         "check": ["check", str(tmp / "u1_9.json")],
         "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],

@@ -44,10 +44,10 @@ from .simplicial import _triangle_scores, holonomy_pc_matrix
 
 def _print_report(report: dict, out: str | None) -> None:
     text = json_text(report)
-    print(text)
-    if out:
+    if out:  # written first, so that a path that cannot be written leaves stdout empty
         with open(out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _fail(message: str) -> int:
@@ -183,9 +183,13 @@ def cmd_montecarlo(args) -> int:
 
     if args.format == "csv":
         return _fail("--format csv applies to --random-pc histograms only")
+    obs = Observable(
+        "mean_curvature_In" if args.observable is None else args.observable,
+        loop=tuple(args.loop) if args.loop else None,
+    )
+    if obs.loop is not None and obs.tag != "wilson_character":
+        return _fail("--loop applies to --observable wilson_character only")
     K = complex_from_obj(load_json(args.complex))
-    tag = "mean_curvature_In" if args.observable is None else args.observable
-    obs = Observable(tag, loop=tuple(args.loop) if args.loop else None)
     est = expectation(K, group, obs, N=args.samples, seed=args.seed)
     _print_report(_mc_report(group.tag, est, None), args.out)
     return 0

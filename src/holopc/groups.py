@@ -77,15 +77,22 @@ def wrap_angle(theta: float) -> float:
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Array form of :func:`wrap_angle`, bit for bit.
 
-    ``fmod`` is exact and leaves (-TAU, TAU); one correction by TAU lands
-    in (-pi, pi] and is exact too (Sterbenz), so the result is the same
-    exactly reduced angle that ``remainder`` plus the tie rule gives.
-    Scalars and 0-d arrays come back as 0-d arrays.
+    ``fmod`` is exact and leaves (-TAU, TAU); one :func:`_fold` lands in
+    (-pi, pi] and is exact too, so the result is the same exactly reduced
+    angle that ``remainder`` plus the tie rule gives.  Scalars and 0-d
+    arrays come back as 0-d arrays.
     """
-    t = np.asarray(np.fmod(theta, TAU))  # fmod gives a numpy scalar on 0-d input
-    np.subtract(t, TAU, out=t, where=t > math.pi)
-    np.add(t, TAU, out=t, where=t <= -math.pi)
-    return t
+    return np.asarray(_fold(np.fmod(theta, TAU)))
+
+
+def _fold(t: np.ndarray) -> np.ndarray:
+    """Angles t in (-TAU, TAU] moved onto (-pi, pi] by one exact step,
+    t - TAU k with k = 1 above pi, -1 at or below -pi and 0 otherwise
+    (Sterbenz).  Subtracting 0.0 keeps -0.0, and TAU goes to 0.0, as
+    ``fmod`` sends it; on the rest of this range ``fmod`` by TAU changes
+    nothing, so a sum or difference of two carriers, or a carrier's
+    negation, needs only this fold."""
+    return t - TAU * ((t > math.pi).view(np.int8) - (t <= -math.pi).view(np.int8))
 
 
 class Group:
@@ -352,7 +359,16 @@ class PositiveReals(Group):
 
 
 class CircleGroup(Group):
-    """U(1) stored as an angle on the canonical branch (-pi, pi]."""
+    """U(1) stored as an angle on the canonical branch (-pi, pi].
+
+    The kernels on carriers reduce with :func:`_fold` alone: a sum or
+    difference of two angles in (-pi, pi], or a negation, lies in
+    (-TAU, TAU], where ``fmod`` by TAU changes nothing but TAU itself, which
+    the fold sends to 0.0 too; so the fold gives what :func:`wrap_angles`
+    gives, bit for bit, in one pass.
+    ``batch_exp`` and ``batch_synchronize`` take arbitrary angles and keep
+    the full :func:`wrap_angles`, as :meth:`check` keeps :func:`wrap_angle`.
+    """
 
     tag = "u1"
     dim = 1
@@ -364,13 +380,13 @@ class CircleGroup(Group):
         return wrap_angle(_as_real(self.tag, a))
 
     def batch_multiply(self, a, b):
-        return wrap_angles(a + b)
+        return _fold(a + b)
 
     def batch_inverse(self, a):
-        return wrap_angles(-a)
+        return _fold(-a)
 
     def batch_distance(self, a, b):
-        return np.abs(wrap_angles(a - b))
+        return np.abs(_fold(a - b))
 
     def batch_defect(self, a, b, c):
         # the size of the loop product (ab) c^-1 by the group law, bit for bit
@@ -394,7 +410,7 @@ class CircleGroup(Group):
         return lam
 
     def batch_haar_sample(self, rng, shape):
-        return wrap_angles(rng.uniform(-math.pi, math.pi, size=shape))
+        return _fold(rng.uniform(-math.pi, math.pi, size=shape))
 
 
 class UnitQuaternions(Group):

@@ -19,6 +19,7 @@ values at N are the first N sample values at any larger N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,7 +175,7 @@ def _sample_values(
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed (--seed) must be a nonnegative integer, got {seed!r}")
     if N < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+        raise ValueError(f"sample count N (-N/--samples) must be at least 2 for a standard error, got {N!r}")
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
     width, score = _make_scorer(K, group, obs, indicator)
@@ -186,10 +187,16 @@ def _sample_values(
 
 
 def _estimate(vals: np.ndarray, seed: int, tag: str) -> MCEstimate:
+    """Mean and standard error of the sample values, bit for bit
+    ``np.mean(vals)`` and ``np.std(vals, ddof=1) / np.sqrt(n)``: the same
+    sums and divisions, without the wrappers around them."""
     n = len(vals)
+    mean = vals.sum() / n
+    dev = vals - mean
+    np.multiply(dev, dev, out=dev)
     return MCEstimate(
-        mean=float(np.mean(vals)),
-        std_error=float(np.std(vals, ddof=1) / np.sqrt(n)),
+        mean=float(mean),
+        std_error=math.sqrt(dev.sum() / (n - 1)) / math.sqrt(n),
         samples=n,
         seed=seed,
         observable=tag,

@@ -19,9 +19,10 @@ fractional numbers are refused.
 
 Every document and report is written by :func:`json_text`, whose output is
 byte for byte that of ``json.dumps(obj, indent=2, sort_keys=True)``; ``json``
-only reads.  The writer appends text pieces to one list, joined once.  A
-:class:`PCMatrix` is written as its document :func:`matrix_to_obj` straight
-from its carriers: each entry through one element template (the text of
+only reads.  The writer appends text pieces to one list, joined once; a
+list whose items are all ``float`` or all ``int`` is one piece, a join of
+the item texts.  A :class:`PCMatrix` is written as its document
+:func:`matrix_to_obj` straight from its carriers: each entry through one element template (the text of
 ``Group.checked_to_obj`` with a slot per carrier scalar), each run of gaps
 as a string of ``null`` items built once per run length, and, above
 ``_FORMAT_ONCE`` carrier scalars, each distinct magnitude formatted once.
@@ -318,6 +319,13 @@ def _write(o, pad: str, out: list[str]) -> None:
         return out.append(_json_float(o))
     inner = pad + "  "
     if isinstance(o, (list, tuple)):
+        kinds = set(map(type, o))
+        if len(kinds) == 1 and (text := _NUMBER_TEXT.get(kinds.pop())):  # all float, or all int (no bool)
+            sep = "," + inner
+            body = sep.join(map(text, o))
+            if "n" in body:  # nan or inf, the only float reprs with an "n": json spells them
+                body = sep.join(map(_json_float, o))
+            return out.append("[" + inner + body + pad + "]")
         items, brackets = zip(repeat(""), o), "[]"
     elif isinstance(o, dict):  # each key is checked as it is written, as json does
         items, brackets = ((_json_key(k) + ": ", v) for k, v in sorted(o.items())), "{}"
@@ -418,6 +426,9 @@ def _json_key(k) -> str:
     if isinstance(k, (int, float)) or k is None:
         return _escape(json_text(k))
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+_NUMBER_TEXT = {float: float.__repr__, int: int.__repr__}  # the item texts of a number list, joined once
 
 
 def _json_float(x: float) -> str:

@@ -29,6 +29,7 @@ from scipy.linalg import expm
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian, lsq_gradient, lsq_objective
 from holopc.errors import LogBranchError
 from holopc.groups import RPLUS, SU2, TAU, U1, CircleGroup, CyclicGroup, wrap_angle, wrap_angles, zmod
+from holopc.integrate import _estimate
 from holopc.pcmatrix import (
     _TRIAD_BLOCK,
     ALGEBRA_TOL,
@@ -124,6 +125,64 @@ def test_wrap_angles_ties_go_to_plus_pi():
     got = wrap_angles(odd)
     assert bits(got) == bits([wrap_angle(t) for t in odd])
     assert got[-2] == got[-1] == math.pi
+
+
+# u1 carriers lie in (-pi, pi]; the one float below pi, its negation (the
+# carrier nearest -pi) and pi itself bound every sum, difference and negation
+# the kernels fold; -pi is not a carrier
+NEAR_PI = math.nextafter(math.pi, 0.0)
+u1_carriers = st.one_of(
+    st.sampled_from([math.pi, NEAR_PI, -NEAR_PI, 0.0, -0.0, math.pi / 2, -math.pi / 2]),
+    angles.map(U1.check),
+)
+u1_pairs = st.one_of(
+    st.tuples(u1_carriers, u1_carriers),
+    st.just((math.pi, math.pi)),  # the sum is exactly TAU
+    u1_carriers.map(lambda x: (x, U1.check(math.pi - x))),  # sums at pi, either side of it
+    u1_carriers.map(lambda x: (x, U1.check(-math.pi - x))),  # sums at -pi, either side of it
+    u1_carriers.map(lambda x: (x, -x if x != math.pi else x)),  # sums at 0
+)
+
+
+def wrapped(theta):
+    """wrap_angle elementwise: the reduction by ``math.remainder`` that
+    ``wrap_angles`` matches bit for bit, with no numpy in it."""
+    theta = np.asarray(theta)
+    return np.array([wrap_angle(t) for t in theta.ravel().tolist()]).reshape(theta.shape)
+
+
+@PROPERTY
+@given(st.lists(u1_pairs, min_size=1, max_size=24), st.integers(0, 2**32 - 1))
+def test_u1_kernels_are_the_wrapped_formulas(pairs, seed):
+    # each kernel folds a sum, difference or negation of carriers once, where
+    # it used to call wrap_angles; on carrier input both are the exact reduction
+    a, b = np.array(pairs).T
+    c = np.random.default_rng(seed).permutation(np.concatenate((a, b)))[: len(a)]
+    assert bits(U1.batch_multiply(a, b)) == bits(wrapped(a + b))
+    assert bits(U1.batch_inverse(a)) == bits(wrapped(-a))
+    assert bits(U1.batch_distance(a, b)) == bits(np.abs(wrapped(a - b)))
+    assert bits(U1.batch_defect(a, b, c)) == bits(np.abs(wrapped(wrapped(a + b) + wrapped(-c))))
+    grid = np.stack((a, b), axis=1)  # (m, 2) arrays, as the Monte Carlo blocks pass them
+    assert bits(U1.batch_multiply(grid, grid[::-1])) == bits(wrapped(grid + grid[::-1]))
+    draws = U1.batch_haar_sample(np.random.default_rng(seed), (len(a), 3))
+    assert bits(draws) == bits(wrapped(np.random.default_rng(seed).uniform(-math.pi, math.pi, (len(a), 3))))
+
+
+@PROPERTY
+@given(
+    st.one_of(  # magnitudes whose squared deviations stay finite, as np.std needs
+        st.lists(st.floats(-1e100, 1e100), min_size=2, max_size=40).map(np.array),
+        st.tuples(st.integers(2, 3000), st.floats(1e-100, 1e100), st.integers(0, 2**32 - 1)).map(
+            lambda t: t[1] * np.random.default_rng(t[2]).normal(size=t[0])
+        ),
+    )
+)
+def test_estimate_is_numpy_mean_and_std(vals):
+    # one pass over the sample values, with the sums and divisions that
+    # np.mean and np.std make
+    est = _estimate(vals, 0, "mean_curvature_In")
+    assert bits(est.mean) == bits(np.mean(vals))
+    assert bits(est.std_error) == bits(np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
 # --- the models the group laws are checked against --------------------------------

@@ -838,3 +838,46 @@ def test_montecarlo_random_pc_refuses_field_options(extra, capsys):
     code, out, err = run(capsys, ["montecarlo", "--random-pc", "3", "--group", "u1", "-N", "16", *extra])
     assert (code, out) == (2, "")
     assert "--observable and --loop apply to --complex only" in err
+
+
+@pytest.mark.parametrize("observable", [[], ["--observable", "mean_curvature_In"], ["--observable", "sup_curvature_In"]])
+def test_montecarlo_loop_needs_the_wilson_character(observable, tmp_path, capsys, monkeypatch):
+    def sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the options")
+
+    monkeypatch.setattr(integrate, "_sample_values", sampling)
+    where = ["--complex", _complex_file(tmp_path, full_simplex(2))]
+    code, out, err = run(capsys, ["montecarlo", *where, "--group", "u1", "--loop", "0", "1", "2", "0", *observable])
+    assert (code, out) == (2, "")
+    assert err == "error: --loop applies to --observable wilson_character only\n"
+
+
+@pytest.mark.parametrize("source", ["complex", "random-pc"])
+@pytest.mark.parametrize("n", ["1", "0", "-5"])
+def test_montecarlo_sample_count_names_its_flag(source, n, tmp_path, capsys):
+    where = ["--complex", _complex_file(tmp_path, full_simplex(2))] if source == "complex" else ["--random-pc", "3"]
+    code, out, err = run(capsys, ["montecarlo", *where, "--group", "u1", "-N", n])
+    assert (code, out) == (2, "")
+    assert err == f"error: sample count N (-N/--samples) must be at least 2 for a standard error, got {n}\n"
+
+
+def _unwritable_out_calls(tmp_path):
+    K = _complex_file(tmp_path, full_simplex(2))
+    return {
+        "check": ["check", write_csv(tmp_path, "m.csv", "1,2,4\n0.5,1,2\n0.25,0.5,1\n")],
+        "holonomy": ["holonomy", *_holonomy_files(tmp_path)],
+        "montecarlo-complex": ["montecarlo", "--complex", K, "--group", "u1", "-N", "16"],
+        "montecarlo-random-pc": ["montecarlo", "--random-pc", "3", "--group", "u1", "-N", "16"],
+    }
+
+
+@pytest.mark.parametrize("name", ["check", "holonomy", "montecarlo-complex", "montecarlo-random-pc"])
+def test_a_report_that_cannot_be_written_is_not_printed(name, tmp_path, capsys):
+    argv = _unwritable_out_calls(tmp_path)[name]
+    bad = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, [*argv, "--out", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not bad.exists()
+    code, out, _ = run(capsys, [*argv, "--out", str(tmp_path / "report.json")])  # the same call with a good path
+    assert code == 0 and out == (tmp_path / "report.json").read_text()

@@ -286,3 +286,35 @@ def test_estimate_fields():
     assert est.observable == "mean_curvature_In"
     obj = est.to_obj()
     assert set(obj) == {"mean", "std_error", "samples", "seed", "observable"}
+
+
+# --- continuous laws ------------------------------------------------------------
+
+# Thresholds fixed before the first run: a KS p-value above 1e-6, and a mean
+# within 5 standard errors of its law.
+KS_P_MIN = 1e-6
+SE_MAX = 5.0
+D_LAW = {  # CDF on [0, pi] of d(1, g) for Haar g: uniform for u1, density (2/pi) sin^2 for su2
+    "u1": lambda x: x / math.pi,
+    "su2": lambda x: (x - np.sin(x) * np.cos(x)) / math.pi,
+}
+
+
+@pytest.mark.parametrize("group", [U1, SU2], ids=lambda g: g.tag)
+def test_one_triad_defect_has_the_law_of_d_1_g(group):
+    # for n = 3 the one triad's loop product a01 a12 a02^-1 of independent
+    # Haar entries is Haar, so ii_In has the law of d(1, g)
+    vals = _sample_values(None, group, Observable("ii3_of_random_matrix", n=3), 20_000, 21, None)
+    assert stats.kstest(vals, D_LAW[group.tag]).pvalue > KS_P_MIN
+
+
+@pytest.mark.parametrize("group, second_moment", [(U1, 0.5), (SU2, 1.0)], ids=["u1", "su2"])
+def test_wilson_character_moments(group, second_moment):
+    # the holonomy of a loop is Haar, so its character has E chi = 0 and
+    # E chi^2 = 1 (su2, the defining representation is irreducible) or
+    # E cos^2 = 1/2 (u1)
+    obs = Observable("wilson_character", loop=(0, 1, 2, 3, 0))
+    chi = _sample_values(full_simplex(3), group, obs, 20_000, 22, None)
+    for x, law in ((chi, 0.0), (chi * chi, second_moment)):
+        se = np.std(x, ddof=1) / math.sqrt(len(x))
+        assert abs(np.mean(x) - law) <= SE_MAX * se

@@ -230,6 +230,26 @@ def test_json_text_raises_what_json_raises(obj):
     assert str(got.value) == str(expected.value)
 
 
+number_lists = st.one_of(
+    st.lists(json_floats, max_size=300),
+    st.lists(st.one_of(st.integers(), st.integers(-(2**200), 2**200)), max_size=300),
+    st.lists(st.one_of(json_floats, json_floats.map(np.float64)), min_size=1, max_size=300),  # subclass of float
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=300),  # bool is an int subclass
+    st.lists(st.one_of(json_floats, st.integers()), min_size=1, max_size=300),
+)
+
+
+@WRITER_PROPERTY
+@given(number_lists, st.integers(0, 3))
+def test_number_lists_are_written_as_json_dumps(items, depth):
+    # a list of only float or only int items is written as one join; every
+    # other list, such as one mixing in bool or np.float64, item by item
+    for doc in (items, tuple(items)):
+        for _ in range(depth):
+            doc = {"k": [doc]}
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 def test_reports_are_written_by_json_text(tmp_path):
     A = random_pc_matrix(SU2, 4, rng=72)
     save_matrix(A, tmp_path / "m.json")
