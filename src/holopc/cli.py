@@ -26,7 +26,6 @@ import math
 import sys
 
 from .consistencize import _check_solver_options, consistencize_abelian, consistencize_riemannian
-from .errors import ParseError
 from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
 from .pcmatrix import _require_nonnegative, ii_n_chain, is_consistent, validate
@@ -263,9 +262,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         return _fail(str(exc))
 
 

@@ -280,15 +280,12 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
         raise ValueError(f"closed-form consistencization needs rplus or u1, not {G.tag}")
     lam = _log_row_mean(G, _entry_array(A))
     e, f = _objective(A, lam)
-    result = _result(A, lam, e, f, STATUS_CONVERGED)
-
-    if G.tag == "u1":
-        if np.max(G.batch_distance(_upper(A), e)) > math.pi / 2:
-            # principal-branch least squares can pick a wrong winding
-            refined = consistencize_riemannian(A)
-            if refined.residual < result.residual:
-                return refined
-    return result
+    if G.tag == "u1" and np.max(G.batch_distance(_upper(A), e)) > math.pi / 2:
+        # principal-branch least squares can pick a wrong winding
+        refined = consistencize_riemannian(A)
+        if refined.residual < f:  # f is the closed form's residual
+            return refined
+    return _result(A, lam, e, f, STATUS_CONVERGED)
 
 
 def _check_solver_options(max_iter: int, tol: float) -> None:

@@ -146,8 +146,11 @@ def _make_scorer(
             loop = (i, j, k, i)
         loop = tuple(int(v) for v in loop)
         if len(loop) < 2 or loop[0] != loop[-1]:
-            raise ValueError(f"wilson loop must close up, got {loop}")
-        cols, against = _path_steps(K, loop)
+            raise ValueError(f"wilson loop (--loop) must close up, got {loop}")
+        try:
+            cols, against = _path_steps(K, loop)
+        except ValueError as exc:
+            raise ValueError(f"wilson loop (--loop): {exc}") from None
         chi = _character(group)
         return width, lambda X: chi(_path_product(group, X[:, cols], against))
 

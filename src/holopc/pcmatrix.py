@@ -6,12 +6,13 @@ when the matrix is assembled from an incomplete comparison graph; the gap
 pattern is symmetric and the diagonal is never gapped.
 
 A :class:`PCMatrix` stores the carrier array of its present entries in
-row-major order and, when some entry is a gap, their flat positions
-``i * n + j``.  The holonomy matrix of a field on ``grid_complex(20)`` is
-2,921 carriers and positions instead of a 441 x 441 grid of which 191,560
-cells are gaps.  Every constructor fills these arrays directly; the grid of
-plain elements, ``entries``, is built only when something reads it, and
-``entry`` reads one stored carrier.  Matrices that break the axioms (a gap
+row-major order and their sorted flat positions ``i * n + j``, gaps or
+none: one layout, in which a matrix is gap-free exactly when it stores
+n * n positions.  The holonomy matrix of a field on ``grid_complex(20)``
+is 2,921 carriers and positions instead of a 441 x 441 grid of which
+191,560 cells are gaps.  Every constructor fills these arrays directly;
+the grid of plain elements, ``entries``, is built only when something
+reads it, and ``entry`` reads one stored carrier.  Matrices that break the axioms (a gap
 without its mirror, a wrong reciprocal or diagonal) are stored as given,
 so :func:`validate`, which reads the stored entries, can name the
 violation.  Only a gap-free matrix is ever viewed as an (n, n, ...) array.
@@ -54,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GapError, InconsistentMatrixError, InvalidMatrixError, NonCompactGroupError
-from .groups import Element, Group, as_generator
+from .groups import RPLUS, Element, Group, as_generator
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -71,13 +72,14 @@ class PCMatrix:
     """Immutable n x n matrix of optional group elements.
 
     The matrix is stored as the carrier array of its present entries, in
-    row-major order, and their flat positions ``i * n + j`` (``None`` when
-    no entry is a gap), so a sparse comparison graph costs memory for its
-    edges only.  The public constructor takes any nested sequence of rows
-    with ``None`` marking a gap and checks the present values once, with
-    one ``group.batch_check``; the triad sweeps and solvers work on the
-    carrier array and never check it again.  ``entries``, the grid of plain
-    elements, is built on first access; ``entry`` reads one stored carrier.
+    row-major order, and their sorted flat positions ``i * n + j``, so a
+    sparse comparison graph costs memory for its edges only; ``gap_free``
+    counts the positions.  The public constructor takes any nested sequence
+    of rows with ``None`` marking a gap and checks the present values once,
+    with one ``group.batch_check``; the triad sweeps and solvers work on
+    the carrier array and never check it again.  ``entries``, the grid of
+    plain elements, is built on first access; ``entry`` reads one stored
+    carrier.
     """
 
     __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_valid")
@@ -94,7 +96,8 @@ class PCMatrix:
     @classmethod
     def _of_checked(cls, group: Group, n: int, carriers: np.ndarray, positions, variance: str) -> PCMatrix:
         """Wrap a carrier array of entries that already passed ``group.check``
-        and their sorted flat positions (``None``: all n * n of them)."""
+        and their strictly increasing flat positions, an index array aligned
+        with the carriers; nothing is checked again."""
         A = cls.__new__(cls)
         A._set(group, n, carriers, positions, variance)
         return A
@@ -104,9 +107,7 @@ class PCMatrix:
             raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
         if n < 2:
             raise ValueError("entries must form a square grid with n >= 2")
-        if positions is not None and len(positions) == n * n:
-            positions = None
-        _frozen(*(arr for arr in (carriers, positions) if arr is not None))
+        _frozen(carriers, positions)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "variance", variance)
@@ -126,13 +127,9 @@ class PCMatrix:
     def entries(self) -> tuple[tuple[Element | None, ...], ...]:
         """The n x n grid of plain elements, ``None`` at the gaps."""
         if self._grid is None:
-            n, values = self.n, self.group.from_array(self._carriers)
-            if self._positions is None:
-                flat = values
-            else:
-                flat = [None] * (n * n)
-                for p, v in zip(self._positions.tolist(), values):
-                    flat[p] = v
+            n, flat = self.n, [None] * (self.n * self.n)
+            for p, v in zip(self._positions.tolist(), self.group.from_array(self._carriers)):
+                flat[p] = v
             object.__setattr__(self, "_grid", tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
         return self._grid
 
@@ -141,18 +138,18 @@ class PCMatrix:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i},{j}) is outside the {self.n} x {self.n} matrix")
         P, p = self._positions, i * self.n + j
-        k = p if P is None else int(P.searchsorted(p))  # where a_ij is stored, if it is
-        if P is not None and (k == len(P) or P[k] != p):
+        k = int(P.searchsorted(p))  # where a_ij is stored, if it is
+        if k == len(P) or P[k] != p:
             return None
         return self.group.from_array(self._carriers[k : k + 1])[0]
 
     @property
     def gap_free(self) -> bool:
-        return self._positions is None
+        return len(self._positions) == self.n * self.n
 
     def gaps(self) -> list[tuple[int, int]]:
         """The absent positions (i, j), row-major."""
-        return [divmod(p, self.n) for p in np.setdiff1d(np.arange(self.n**2), _stored_positions(self)).tolist()]
+        return [divmod(p, self.n) for p in np.setdiff1d(np.arange(self.n**2), self._positions).tolist()]
 
     def triads(self):
         """All index triples i < j < k."""
@@ -160,7 +157,7 @@ class PCMatrix:
 
     def _key(self) -> tuple:
         # plain values, so that -0.0 and 0.0 compare and hash alike
-        pos = None if self._positions is None else tuple(self._positions.tolist())
+        pos = tuple(self._positions.tolist())
         return (self.group, self.variance, self.n, pos, tuple(self._carriers.ravel().tolist()))
 
     def __eq__(self, other) -> bool:
@@ -188,17 +185,12 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat positions ``i * n + j`` and ``j * n + i`` of the pairs i < j,
-    row-major, read-only: indexing a flattened (n, n, ...) array with
-    ``take`` at them is faster than indexing the grid by (I, J)."""
+def _pair_positions(n: int) -> np.ndarray:
+    """The flat positions ``i * n + j`` of the pairs i < j, row-major,
+    read-only: indexing a flattened (n, n, ...) array with ``take`` at them
+    is faster than indexing the grid by (I, J)."""
     I, J = _pairs(n)
-    return _frozen(I * n + J, J * n + I)
-
-
-def _stored_positions(A: PCMatrix) -> np.ndarray:
-    """The flat positions of the stored carriers."""
-    return np.arange(A.n * A.n) if A._positions is None else A._positions
+    return _frozen(I * n + J)[0]
 
 
 def _entry_array(A: PCMatrix) -> np.ndarray:
@@ -214,7 +206,7 @@ def _identities(group: Group, count: int) -> np.ndarray:
 
 
 def identity_matrix(group: Group, n: int, variance: str = COVARIANT) -> PCMatrix:
-    return PCMatrix._of_checked(group, n, _identities(group, n * n), None, variance)
+    return PCMatrix._of_checked(group, n, _identities(group, n * n), np.arange(n * n), variance)
 
 
 def from_upper_triangle(group: Group, values: Sequence[Element], variance: str = COVARIANT) -> PCMatrix:
@@ -251,10 +243,10 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     (i, i, "diagonal"), then over the pairs i < j, row-major, a lone entry
     as (i, j, "gap symmetry") or a wrong a_ji as (j, i, "reciprocity").
     """
-    G, n, C, P = A.group, A.n, A._carriers, _stored_positions(A)
+    G, n, C, P = A.group, A.n, A._carriers, A._positions
     I, J = np.divmod(P, n)
     T = J * n + I  # each entry's transpose
-    k = T if A._positions is None else P.searchsorted(T)  # where the transpose is stored, if it is
+    k = T if A.gap_free else P.searchsorted(T)  # where the transpose is stored, if it is
     paired = P.take(k, mode="clip") == T  # past the end, P's last position is below T
     d = np.flatnonzero(I == J)
     bad_diag = np.ones(n, dtype=bool)  # a missing diagonal entry is bad
@@ -308,7 +300,7 @@ def dualize(A: PCMatrix) -> PCMatrix:
     contravariant-consistent ones and back.
     """
     flipped = CONTRAVARIANT if A.variance == COVARIANT else COVARIANT
-    n, pos = A.n, _stored_positions(A)
+    n, pos = A.n, A._positions
     moved = (pos % n) * n + pos // n  # (i, j) goes to (j, i)
     order = np.argsort(moved)
     return PCMatrix._of_checked(A.group, n, A._carriers[order], moved[order], flipped)
@@ -392,7 +384,7 @@ def _first_max(blocks, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def _upper(A: PCMatrix) -> np.ndarray:
     """The entries a_ij, i < j, row-major, of a gap-free matrix as a carrier array."""
     M = _entry_array(A)
-    return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n)[0], axis=0)
+    return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n), axis=0)
 
 
 def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
@@ -482,7 +474,7 @@ def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
     n, G = A.n, A.group
     if not 0 <= i < j < k < n:
         raise ValueError(f"triad indices must be strictly increasing in 0..{n - 1}, got ({i},{j},{k})")
-    flat, P = [i * n + j, i * n + k, j * n + k], _stored_positions(A)
+    flat, P = [i * n + j, i * n + k, j * n + k], A._positions
     if not np.isin(flat, P).all():
         raise GapError(f"gap on the triangle ({i},{j},{k})")
     x, y, z = (A._carriers[[p]] for p in P.searchsorted(flat))  # the stored carriers (a_ij, a_ik, a_jk)
@@ -492,10 +484,10 @@ def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
 def ii3(x: float, y: float, z: float) -> float:
     """Triad inconsistency 1 - min(y/(xz), xz/y) for positive reals.
 
-    Zero exactly when y = x*z; always in [0, 1).
+    Zero exactly when y = x*z; always in [0, 1).  Each value is checked
+    by ``RPLUS.check``.
     """
-    if min(x, y, z) <= 0:
-        raise ValueError("triad values must be positive")
+    x, y, z = map(RPLUS.check, (x, y, z))
     r = y / (x * z)
     return 1.0 - min(r, 1.0 / r)
 
@@ -643,7 +635,7 @@ def gauge_transform(A: PCMatrix, mu: Sequence[Element]) -> PCMatrix:
     mu = G.batch_check(mu)
     if len(mu) != A.n:
         raise ValueError(f"gauge length {len(mu)} does not match matrix size {A.n}")
-    I, J = np.divmod(_stored_positions(A), A.n)
+    I, J = np.divmod(A._positions, A.n)
     up = I < J  # the present pairs i < j and their stored carriers
     I, J, X = I[up], J[up], A._carriers[up]
     return _from_pairs(G, A.n, I, J, _gauge_action(G, A.variance, mu, X, I, J), A.variance)

@@ -52,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .groups import Group, group_from_tag
+from .errors import GroupMismatchError, ParseError
+from .groups import RPLUS, Group, group_from_tag
 from .pcmatrix import COVARIANT, PCMatrix, _entry_array
 from .simplicial import EdgeField, SimplicialComplex2, _as_integer
 
@@ -67,8 +67,7 @@ def matrix_to_obj(A: PCMatrix) -> dict:
     matrix as this document without building it."""
     G = A.group
     flat = [None] * (A.n * A.n)
-    positions = range(A.n * A.n) if A._positions is None else A._positions.tolist()
-    for p, e in zip(positions, G.from_array(A._carriers)):
+    for p, e in zip(A._positions.tolist(), G.from_array(A._carriers)):
         flat[p] = G.checked_to_obj(e)
     return {**_matrix_header(A), "entries": flat}
 
@@ -112,6 +111,9 @@ def matrix_to_csv(A: PCMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> PCMatrix:
+    """A gap-free covariant rplus matrix.  Each cell is checked once, by
+    ``RPLUS.check``, where it is read, so every refusal names its line and
+    column; the checked values are the matrix's carriers."""
     rows = []
     lines = [ln for ln in text.splitlines()]
     for r, line in enumerate(lines, start=1):
@@ -122,12 +124,11 @@ def matrix_from_csv(text: str) -> PCMatrix:
         row = []
         for c, cell in enumerate(line.split(","), start=1):
             try:
-                v = float(cell)
+                row.append(RPLUS.check(float(cell)))
+            except GroupMismatchError as exc:
+                raise ParseError(str(exc), line=r, column=c) from None
             except ValueError:
                 raise ParseError(f"not a number: {cell.strip()!r}", line=r, column=c) from None
-            if v <= 0:
-                raise ParseError(f"entries must be positive, got {v}", line=r, column=c)
-            row.append(v)
         rows.append(row)
     if not rows:
         raise ParseError("empty CSV matrix", line=1)
@@ -135,8 +136,9 @@ def matrix_from_csv(text: str) -> PCMatrix:
     for r, row in enumerate(rows, start=1):
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", line=r)
+    carriers = RPLUS.to_array([v for row in rows for v in row])
     try:
-        return PCMatrix(group_from_tag("rplus"), rows, COVARIANT)
+        return PCMatrix._of_checked(RPLUS, n, carriers, np.arange(n * n), COVARIANT)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -351,7 +353,7 @@ def _write_entries(A: PCMatrix, pad: str, out: list[str]) -> None:
     C = A._carriers
     parts = _template(A.group.checked_to_obj(_SLOT if C.ndim == 1 else (_SLOT,) * C.shape[1]), pad + "  ")
     texts = _scalar_texts(C.reshape(len(C), -1), once=C.size > _FORMAT_ONCE)
-    gaps = None if A._positions is None else np.diff(A._positions, prepend=-1, append=A.n * A.n) - 1
+    gaps = None if A.gap_free else np.diff(A._positions, prepend=-1, append=A.n * A.n) - 1
     _write_rows(parts, texts, pad, out, gaps)
 
 

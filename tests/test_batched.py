@@ -10,10 +10,12 @@ Python-int arithmetic mod m for zmod.  The scalar triad loops that the
 sweeps replaced live on here as the oracle for ``is_consistent``,
 ``ii_indicator``, ``ii3_matrix`` and ``validate``, the identity-filled dense
 grid as the reference for ``validate`` on gapped matrices, and the scalar
-``plaquette`` as the oracle for ``global_ii``.  The loop scorer, which reads
-the default indicator of a holonomy as the triad defect d(xz, y) or
-d(zx, y), is checked against the holonomy form d(1, h^-1), and the
-indicators against gauge transformations.
+``plaquette`` as the oracle for ``global_ii``.  Every constructor and
+reader is held to the one matrix layout (sorted flat positions beside the
+carriers).  The loop scorer, which reads the default indicator of a
+holonomy as the triad defect d(xz, y) or d(zx, y), is checked against the
+holonomy form d(1, h^-1), and the indicators against gauge
+transformations.
 """
 
 import cmath
@@ -56,12 +58,16 @@ from holopc.pcmatrix import (
     triad_holonomy,
     validate,
 )
+from holopc.serialize import matrix_from_csv, matrix_from_obj, matrix_to_csv, matrix_to_obj
 from holopc.simplicial import (
     EdgeField,
+    SimplicialComplex2,
+    field_from_gauge,
     full_simplex,
     gauge_transform_field,
     global_ii,
     grid_complex,
+    holonomy_pc_matrix,
     identity_field,
     plaquette,
 )
@@ -100,6 +106,10 @@ COORDS = {
 
 def elements(group, min_size=1):
     return st.lists(ELEMENTS[group.tag], min_size=min_size, max_size=8)
+
+
+def elements_of(group, count):
+    return st.lists(ELEMENTS[group.tag], min_size=count, max_size=count)
 
 
 def bits(x) -> bytes:
@@ -497,7 +507,7 @@ def dense_validate(A):
     n x n carrier grid and an n^2 gap mask by flat position, with the same
     kernels on the same carriers."""
     G, n = A.group, A.n
-    P = np.arange(n * n) if A.gap_free else A._positions
+    P = A._positions
     M = np.repeat(G.to_array([G.identity]), n * n, axis=0)
     M[P] = A._carriers
     gap = np.ones(n * n, dtype=bool)
@@ -595,10 +605,8 @@ def test_from_pairs_matches_a_dense_reference(group, data):
     positions = [p for p, x in enumerate(flat) if x is not None]
     assert (A.n, A.variance) == (len(grid), variance)
     assert A._carriers.tobytes() == group.to_array([flat[p] for p in positions]).tobytes()
-    if None not in flat:
-        assert A._positions is None
-    else:
-        assert A._positions.tolist() == positions
+    assert A._positions.tolist() == positions
+    assert A.gap_free == (None not in flat)
     assert validate(A) == []
 
 
@@ -613,10 +621,108 @@ def test_dualize_is_an_involution(group, data):
     assert D.variance != A.variance and D.entries == tuple(zip(*grid))
     B = dualize(D)
     assert (B.group, B.n, B.variance) == (A.group, A.n, A.variance)
-    assert (B._positions is None) == (A._positions is None)
-    if A._positions is not None:
-        assert B._positions.tolist() == A._positions.tolist()
+    assert B._positions.tolist() == A._positions.tolist()
+    assert D._positions.tolist() == sorted((p % A.n) * A.n + p // A.n for p in A._positions.tolist())
     assert B._carriers.shape == A._carriers.shape and B._carriers.tobytes() == A._carriers.tobytes()
+
+
+# --- one layout -----------------------------------------------------------------------
+
+
+def assert_one_layout(A, positions):
+    """Every matrix stores its flat positions: strictly increasing in
+    [0, n^2), one per stored carrier, exactly the expected ones, each read
+    back by ``entry``; and it is gap-free exactly when there are n^2."""
+    n, P = A.n, A._positions
+    assert P.ndim == 1 and P.dtype.kind == "i" and len(P) == len(A._carriers)
+    assert (np.diff(P) > 0).all() and all(0 <= p < n * n for p in P.tolist())
+    assert P.tolist() == list(positions)
+    assert A.gap_free == (len(P) == n * n)
+    stored = set(P.tolist())
+    assert all((A.entry(i, j) is not None) == (i * n + j in stored) for i in range(n) for j in range(n))
+    assert not (P.flags.writeable or A._carriers.flags.writeable)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_every_constructor_stores_one_layout(group, data):
+    A, variance, grid = gapped_matrix(group, data)
+    n = A.n
+    present = [p for p, x in enumerate(itertools.chain(*grid)) if x is not None]
+    dense = list(range(n * n))
+    holes = data.draw(st.sets(st.integers(0, n * n - 1), max_size=3))  # any cells, the diagonal too
+    holed = [[None if i * n + j in holes else x for j, x in enumerate(row)] for i, row in enumerate(grid)]
+    values = data.draw(elements_of(group, n * (n - 1) // 2))
+    lam = data.draw(elements_of(group, n))
+    # a connected complex: the kept pairs of A and a path through every vertex
+    edges = sorted({divmod(p, n) for p in present if p // n < p % n} | {(i, i + 1) for i in range(n - 1)})
+    K, swapped = SimplicialComplex2(n, edges), [(j, i) for i, j in edges]
+    F = EdgeField(group, dict(zip(edges, data.draw(elements_of(group, len(edges))))))
+    built = [
+        (PCMatrix(group, grid), present),
+        (PCMatrix(group, holed), [p for p in present if p not in holes]),
+        (A, present),
+        (from_upper_triangle(group, values, variance), dense),
+        (from_gauge_vector(group, lam), dense),
+        (identity_matrix(group, n, variance), dense),
+        (dualize(A), sorted(p % n * n + p // n for p in present)),
+        (gauge_transform(A, lam), present),
+        (holonomy_pc_matrix(K, F), sorted([i * (n + 1) for i in range(n)] + [i * n + j for i, j in edges + swapped])),
+        (matrix_from_obj(matrix_to_obj(A)), present),
+    ]
+    if group.compact:
+        built.append((random_pc_matrix(group, n, data.draw(st.integers(0, 2**32 - 1)), variance), dense))
+    else:
+        built.append((matrix_from_csv(matrix_to_csv(from_upper_triangle(group, values))), dense))
+    for B, positions in built:
+        assert_one_layout(B, positions)
+
+
+# --- ii3 = 1 - exp(-ii_In), triad by triad ------------------------------------------
+
+
+@PROPERTY
+@given(data=st.data())
+def test_ii3_is_one_minus_exp_of_the_triad_indicator(data):
+    # ii3's own formula 1 - min(r, 1/r), r = y / (xz), against the default
+    # indicator of each triad's holonomy; each errs by a few rounding steps
+    # of 1 at most, whatever the magnitudes, since neither sums the logs of
+    # the entries
+    n = data.draw(st.integers(3, 8))
+    values = data.draw(elements_of(RPLUS, n * (n - 1) // 2))
+    A = from_upper_triangle(RPLUS, values)
+    In = default_indicator(RPLUS)
+    for i, j, k in itertools.combinations(range(n), 3):
+        expected = -math.expm1(-In(triad_holonomy(A, i, j, k)))
+        assert abs(ii3(A.entry(i, j), A.entry(i, k), A.entry(j, k)) - expected) <= 8 * math.ulp(1.0)
+
+
+# --- flatness and consistency share their witness -----------------------------------------
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_one_edge_perturbation_has_the_same_witness(group, data):
+    # a flat field on full_simplex(n) with one edge moved by g: global_ii
+    # and the sweep of the field's matrix score the same triads, so they
+    # name the same worst triangle; once g is clearly off the identity that
+    # triangle holds the moved edge
+    n = data.draw(st.integers(2, 7))
+    K = full_simplex(n)
+    lam = data.draw(elements_of(group, n + 1))
+    F = field_from_gauge(K, group, lam)
+    c = data.draw(st.integers(0, len(K.edges) - 1))
+    g = data.draw(ELEMENTS[group.tag])
+    X = F._carriers.copy()
+    X[c] = group.batch_multiply(group.to_array([g]), X[c : c + 1])[0]
+    moved = EdgeField._of_checked(group, F._edges, X)
+    _, worst = global_ii(K, moved)
+    chk = is_consistent(holonomy_pc_matrix(K, moved))
+    assert worst == chk.worst_triad
+    if group.distance(group.identity, g) > 1e-6:
+        assert set(K.edges[c]) <= set(worst)
 
 
 # --- tie rule across blocks ---------------------------------------------------------

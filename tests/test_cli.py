@@ -32,7 +32,14 @@ from holopc.pcmatrix import (
     random_pc_matrix,
 )
 from holopc.serialize import complex_to_obj, field_to_obj, load_matrix, save_matrix, save_obj
-from holopc.simplicial import EdgeField, full_simplex, grid_complex, identity_field, triangle_curvature
+from holopc.simplicial import (
+    EdgeField,
+    SimplicialComplex2,
+    full_simplex,
+    grid_complex,
+    identity_field,
+    triangle_curvature,
+)
 
 
 def run(capsys, argv):
@@ -554,17 +561,17 @@ def _holonomy_files(tmp_path):
 MONTECARLO = ["montecarlo", "-N", "1500", "--seed", "4"]
 
 # (argv from a tmp_path, element check calls, values parsed through batch_check):
-# each JSON or CSV document goes through one batch_check, which runs su2 as
-# arrays and the other groups as a loop over check; nothing after parsing
-# checks again
+# each JSON document goes through one batch_check, which runs su2 as arrays
+# and the other groups as a loop over check, and each CSV cell through one
+# check where it is read; nothing after parsing checks again
 CLI_CALLS = {
-    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9, 9),
+    "check-rplus-csv": (lambda t: ["check", write_csv(t, "m.csv", "1,2,4\n0.5,1,4\n0.25,0.25,1\n")], 9, 0),
     "check-u1": (lambda t: ["check", _matrix_file(t, random_pc_matrix(U1, 5, rng=87))], 25, 25),
     "check-su2": (lambda t: ["check", _matrix_file(t, random_pc_matrix(SU2, 6, rng=88))], 0, 36),
     "consistencize-abelian-rplus": (
         lambda t: ["consistencize", write_csv(t, "m.csv", "1,2,8\n0.5,1,2\n0.125,0.5,1\n"), "--method", "abelian"],
         9,
-        9,
+        0,
     ),
     "consistencize-abelian-u1-winding": (
         lambda t: ["consistencize", _matrix_file(t, _u1_winding_matrix()), "--method", "abelian"],
@@ -859,6 +866,31 @@ def test_montecarlo_sample_count_names_its_flag(source, n, tmp_path, capsys):
     code, out, err = run(capsys, ["montecarlo", *where, "--group", "u1", "-N", n])
     assert (code, out) == (2, "")
     assert err == f"error: sample count N (-N/--samples) must be at least 2 for a standard error, got {n}\n"
+
+
+@pytest.mark.parametrize("cell", ["nan", "1e-320", "0"])
+def test_check_names_the_bad_csv_cell(cell, tmp_path, capsys):
+    code, out, err = run(capsys, ["check", write_csv(tmp_path, "m.csv", f"1,{cell}\n1,1\n")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: group mismatch: ") and err.endswith(" (line 1, column 2)\n")
+
+
+# four vertices, no edge 1-3
+NO_EDGE_13 = SimplicialComplex2(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], [(0, 1, 2), (0, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "loop, message",
+    [
+        (["0", "1", "2"], "wilson loop (--loop) must close up, got (0, 1, 2)"),
+        (["0", "1", "3", "0"], "wilson loop (--loop): non-adjacent step 1->3: missing edge 1-3"),
+    ],
+    ids=["open", "non-adjacent"],
+)
+def test_montecarlo_loop_errors_name_their_flag(loop, message, tmp_path, capsys):
+    where = ["--complex", _complex_file(tmp_path, NO_EDGE_13), "--group", "u1", "-N", "16"]
+    code, out, err = run(capsys, ["montecarlo", *where, "--observable", "wilson_character", "--loop", *loop])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _unwritable_out_calls(tmp_path):

@@ -142,6 +142,17 @@ def test_abelian_fallback_validates_once(monkeypatch):
     assert calls == [A]
 
 
+def test_abelian_fallback_sweeps_only_the_result_it_returns(monkeypatch):
+    # the closed form's ii_before and ii_after are not computed when Newton wins
+    calls = []
+    sweep = pcmatrix._triad_sweep
+    monkeypatch.setattr(pcmatrix, "_triad_sweep", lambda *args: calls.append(args[0]) or sweep(*args))
+    A = from_gauge_vector(U1, (0.0, 2.5, -2.5))  # the closed form falls back to Newton
+    result = consistencize_abelian(A)
+    assert result.residual < 1e-16  # Newton's result: the closed form's winding is wrong
+    assert calls == [A, result.matrix]
+
+
 # --- descent ------------------------------------------------------------------
 
 

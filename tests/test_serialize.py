@@ -117,6 +117,24 @@ def test_matrix_csv_errors_carry_location():
         matrix_to_csv(random_pc_matrix(SU2, 3, rng=0))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e-320", "0", "-2"])
+def test_matrix_csv_cells_are_checked_by_the_group_where_they_are_read(cell):
+    # the group's refusal of the value, at the cell's line and column
+    with pytest.raises(GroupMismatchError) as refusal:
+        RPLUS.check(float(cell))
+    with pytest.raises(ParseError) as err:
+        matrix_from_csv(f"1,2,4\n0.5,1,{cell}\n0.25,1,1\n")
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert str(err.value) == f"{refusal.value} (line 2, column 3)"
+
+
+def test_matrix_csv_blames_the_first_bad_cell():
+    # a_12 = inf is read before its reciprocal 0
+    with pytest.raises(ParseError, match="non-finite") as err:
+        matrix_from_csv("1,inf\n0,1\n")
+    assert (err.value.line, err.value.column) == (1, 2)
+
+
 def test_bad_json_reports_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"group": "u1",\n  "n": }')
