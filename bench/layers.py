@@ -8,7 +8,8 @@ It times the ``src/`` of the checkout it is in.  The layers are:
 - ``json_text`` of the su2 ``holonomy`` report (matrix, curvature records,
   global_ii) of a random field on ``grid_complex(m)``, m = 20, 30, 40;
 - ``json_text`` of the su2 n = 21 ``consistencize`` report;
-- ``load_matrix`` of an n = 48 su2 matrix document;
+- ``load_matrix`` of an n = 48 su2 matrix document, and ``load_json`` of
+  the ``full_simplex(3)`` complex document the ``haar-mc`` workload reads;
 - ``consistencize_riemannian`` of an su2 matrix at n = 15 and 21, drawn by
   the ``su2-dense`` generator of ``perfbench/inputs.py`` at its noise, and
   the synchronization start of that solver (``SU2.batch_synchronize`` of
@@ -25,8 +26,10 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   end with its stdout captured, on small inputs drawn after all of the
   above: ``check`` of a u1 n = 9 JSON matrix, ``consistencize --method
   abelian`` of an rplus n = 9 CSV matrix with log-normal entries,
-  ``holonomy`` of a u1 field on ``full_simplex(4)``, and ``montecarlo
-  --random-pc 5 --group u1 -N 256``;
+  ``holonomy`` of a u1 field on ``full_simplex(4)``, ``montecarlo
+  --random-pc 5 --group u1 -N 256``, and, as ``cli.montecarlo_complex``,
+  the su2 ``mean_curvature_In`` call of ``haar-mc`` (``--complex`` of the
+  ``full_simplex(3)`` file, N = 200);
 - at the sizes of the ``haar-mc`` workload, on inputs drawn after all of
   the above: the u1 kernels ``batch_multiply`` and ``batch_defect`` on
   (600, 4) and (1300,) carrier arrays (the u1 curvature and Wilson loop
@@ -74,7 +77,16 @@ def layers(src: str, tmp: Path) -> dict:
     from holopc.groups import RPLUS, SU2, U1
     from holopc.integrate import Observable, _estimate, expectation, ii_distribution
     from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix, validate
-    from holopc.serialize import Records, complex_to_obj, field_to_obj, json_text, load_matrix, save_matrix, save_obj
+    from holopc.serialize import (
+        Records,
+        complex_to_obj,
+        field_to_obj,
+        json_text,
+        load_json,
+        load_matrix,
+        save_matrix,
+        save_obj,
+    )
     from holopc.simplicial import EdgeField, _triangle_scores, full_simplex, grid_complex, holonomy_pc_matrix
     from perfbench.inputs import su2_matrix
 
@@ -112,6 +124,9 @@ def layers(src: str, tmp: Path) -> dict:
     path = tmp / "su2_48.json"
     save_matrix(random_pc_matrix(SU2, 48, rng), path)
     out["load_matrix.su2_n48"] = lambda: load_matrix(path)
+    simplex3_path = str(tmp / "simplex3.json")
+    save_obj(complex_to_obj(full_simplex(3)), simplex3_path)
+    out["load_json.simplex3"] = lambda: load_json(simplex3_path)
     noise = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]["su2-dense"]["inputs"]["noise"]
 
     def dense(n):
@@ -164,6 +179,10 @@ def layers(src: str, tmp: Path) -> dict:
         "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],
         "holonomy": ["holonomy", str(tmp / "simplex4.json"), str(tmp / "u1_field.json")],
         "montecarlo": ["montecarlo", "--random-pc", "5", "--group", "u1", "-N", "256", "--seed", "5"],
+        "montecarlo_complex": [
+            "montecarlo", "--complex", simplex3_path, "--group", "su2",
+            "--observable", "mean_curvature_In", "-N", "200", "--seed", "5",
+        ],
     }
 
     def cli(argv):

@@ -57,15 +57,20 @@ def worker(src: str, calls_path: str, out_dir: str) -> None:
 
 def usage_calls(work: Path) -> list[list[str]]:
     """Argv that argparse or the subcommand refuses with exit 2, or answers
-    with help, each the same for a parser built per call or once."""
+    with help, each the same for a parser built per call or once, and for a
+    parse entered at the subcommand or at the top."""
     matrix = work / "usage.csv"
     matrix.write_text("1,2\n0.5,1\n")
+    triangle = work / "usage_triangle.json"
+    triangle.write_text('{"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2]], "base": 0}\n')
     return [
         ["chek"],
         ["check"],
         ["montecarlo", "--random-pc", "3", "--group", "u1", "--format", "xml"],
         ["consistencize", str(matrix), "--method", "newton"],
         ["holonomy", "-h"],
+        ["check", str(matrix), "--bogus"],  # arguments the subcommand leaves: the full parser's error
+        ["montecarlo", "--complex", str(triangle), "--group", "u1", "--bogus"],
     ]
 
 

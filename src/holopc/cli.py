@@ -10,12 +10,22 @@ and 2 for invalid input.
 Every call of :func:`main` in a process parses with one parser, built on
 its first call, so importing this module costs no more for it.  Reuse is
 safe because argparse keeps no state between parses: each one fills a new
-namespace, and a subcommand's options are parsed into a namespace of their
-own and copied over.  Building a parser on every call took about as long
-as the rest of a small matrix's ``check`` or ``consistencize`` call; in 10
-alternating 24 s pairs of the benchmark's ``ahp-small`` workload
-(``perfbench``, seed 4242), reusing one took the median operation from 1.70
-to 0.91 ms.
+namespace.  Building a parser on every call took about as long as the rest
+of a small matrix's ``check`` or ``consistencize`` call; in 10 alternating
+24 s pairs of the benchmark's ``ahp-small`` workload (``perfbench``, seed
+4242), reusing one took the median operation from 1.70 to 0.91 ms.
+
+When the first argument names a subcommand, :func:`main` parses the rest
+with that subcommand's parser, taken from the shared parser's subparsers
+action, and sets ``command`` itself: that is all the top-level parse would
+do with such an argv, and it cost as much again as the subcommand's own
+parse.  Every other argv (none, ``-h``, a misspelled subcommand) and every
+argv whose subcommand leaves arguments unrecognized goes to the full
+parser, the one parser that answers them; so help, usage and errors are
+argparse's own.  With input files read by plain ``open``
+(``serialize._read``), this took the median ``haar-mc`` operation (8
+``montecarlo`` calls) from 3.75 to 3.34 ms in 10 alternating 24 s pairs of
+the benchmark at seed 7, 10 of 10 pairs faster.
 """
 
 from __future__ import annotations
@@ -255,11 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_shared_parser = functools.cache(build_parser)  # built on the first main() call
+@functools.cache
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of :func:`build_parser`, built on the first :func:`main`
+    call, and its subcommand parsers by name."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _shared_parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, unknown = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or unknown:  # argparse's own answer: help, a usage error, or unrecognized arguments
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # a ParseError is a ValueError

@@ -106,7 +106,7 @@ class PCMatrix:
         if variance not in (COVARIANT, CONTRAVARIANT):
             raise ValueError(f"variance must be covariant or contravariant, got {variance!r}")
         if n < 2:
-            raise ValueError("entries must form a square grid with n >= 2")
+            raise ValueError(f"a PC matrix needs n >= 2, got n = {n}")
         _frozen(carriers, positions)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "n", n)

@@ -2,11 +2,12 @@ import argparse
 import collections
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from holopc import integrate, pcmatrix, simplicial
+from holopc import cli, integrate, pcmatrix, simplicial
 from holopc.cli import build_parser, main
 from holopc.groups import (
     RPLUS,
@@ -68,18 +69,24 @@ PARSE_EXITS = {  # argv that argparse answers itself, with help or a usage error
                 "missing-positional": [],
                 "unrecognized": ["m.csv", "--bogus"],
                 "bad-format": ["m.csv", "--format", "xml"],
+                "abbreviated-bad-format": ["m.csv", "--form", "xml"],
+                "double-dash-only": ["--"],
+                "double-dash-extra": ["m.csv", "--", "extra"],
             },
             "consistencize": {
                 "help": ["-h"],
                 "missing-positional": ["--method", "abelian"],
                 "unrecognized": ["m.csv", "--method", "abelian", "--bogus"],
                 "bad-format": ["m.csv", "--method", "abelian", "--format", "xml"],
+                "ambiguous-abbreviation": ["m.csv", "--m", "abelian"],  # --method or --max-iter
+                "abbreviated-bad-method": ["m.csv", "--meth", "newton"],
             },
             "holonomy": {
                 "help": ["-h"],
                 "missing-positional": ["k.json"],
                 "unrecognized": ["k.json", "f.json", "--bogus"],
                 "bad-format": ["k.json", "f.json", "--format", "xml"],  # no --format: unrecognized
+                "double-dash-extra": ["k.json", "f.json", "--", "g.json"],
             },
             "montecarlo": {
                 "help": ["-h"],
@@ -87,6 +94,9 @@ PARSE_EXITS = {  # argv that argparse answers itself, with help or a usage error
                 "unrecognized": ["--random-pc", "3", "--group", "u1", "--bogus"],
                 "bad-format": ["--random-pc", "3", "--group", "u1", "--format", "xml"],
                 "complex-and-random-pc": ["--complex", "k.json", "--random-pc", "3", "--group", "u1"],
+                "abbreviated-help": ["--he"],
+                "abbreviated-complex-and-random-pc": ["--comp", "k.json", "--rand", "3", "--group", "u1"],
+                "double-dash-unrecognized": ["--random-pc", "3", "--group", "u1", "--", "x"],
             },
         }.items()
         for case, argv in cases.items()
@@ -107,6 +117,46 @@ def test_main_parses_as_the_full_parser(name, capsys):
     # errors are those of a new build_parser(), byte for byte
     argv = PARSE_EXITS[name]
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+VALID_ARGV = {  # one argv per subcommand that parses, with abbreviations, "=" forms and a "--"
+    "check": ["check", "m.csv", "--gr", "rplus", "--tol=1e-6", "--eps", "0.5", "--out", "r.json"],
+    "consistencize": ["consistencize", "--meth", "riemannian", "--max", "7", "--", "m.csv"],
+    "holonomy": ["holonomy", "k.json", "--out", "r.json", "--", "-f.json"],
+    "montecarlo": [
+        "montecarlo", "--comp", "k.json", "--group=u1", "-N5",
+        "--obs", "wilson_character", "--loop", "0", "1", "2", "0",
+    ],
+    "montecarlo-random-pc": ["montecarlo", "--random-pc=4", "--group", "su2", "-N", "5", "--seed=3", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", VALID_ARGV)
+def test_main_hands_its_command_the_namespace_of_the_full_parse(name, monkeypatch):
+    argv = VALID_ARGV[name]
+    seen = []
+
+    def capture(args):
+        seen.append(args)
+        return 0
+
+    for sub in cli._shared_parsers()[1].values():
+        monkeypatch.setitem(sub._defaults, "func", capture)
+    assert main(argv) == 0
+    expected = build_parser().parse_args(argv)
+    assert expected.command == argv[0]
+    assert seen == [argparse.Namespace(**{**vars(expected), "func": capture})]
+
+
+def test_main_reads_sys_argv_when_given_no_argv(tmp_path, capsys, monkeypatch):
+    m = write_csv(tmp_path, "m.csv", "1,2\n0.5,1\n")
+    monkeypatch.setattr(sys, "argv", ["holopc", "check", m])
+    assert run(capsys, None) == run(capsys, ["check", m])
+    monkeypatch.setattr(sys, "argv", ["holopc", "check", m, "--bogus"])
+    assert _exit(capsys, main, None) == _exit(capsys, build_parser().parse_args, None)
+    code, out, err = _exit(capsys, main, None)
+    assert code == 2 and out == "" and err.startswith("usage: holopc [-h]")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 def test_warm_calls_build_no_parser(tmp_path, capsys, monkeypatch):

@@ -135,6 +135,39 @@ def test_matrix_csv_blames_the_first_bad_cell():
     assert (err.value.line, err.value.column) == (1, 2)
 
 
+@pytest.mark.parametrize("cell", ["1_000", "1_0.5", "1e1_0"])
+def test_matrix_csv_refuses_underscores(cell):
+    # float() reads "1_000" as 1000.0, but no decimal has an underscore
+    with pytest.raises(ParseError) as err:
+        matrix_from_csv(f"1,{cell}\n0.001,1\n")
+    assert str(err.value) == f"not a number: {cell!r} (line 1, column 2)"
+
+
+def test_a_one_by_one_matrix_is_refused_by_its_size():
+    with pytest.raises(ParseError) as err:
+        matrix_from_csv("1\n")
+    assert str(err.value) == "a PC matrix needs n >= 2, got n = 1 (line 1)"
+    with pytest.raises(ParseError) as err:
+        matrix_from_obj({"group": "rplus", "n": 1, "entries": [1.0]})
+    assert str(err.value) == "bad matrix document: a PC matrix needs n >= 2, got n = 1"
+    with pytest.raises(ValueError, match=r"^a PC matrix needs n >= 2, got n = 0$"):
+        PCMatrix(RPLUS, [])
+    with pytest.raises(ValueError, match="square grid"):  # not square: the grid's own message
+        PCMatrix(RPLUS, [[1.0, 2.0]])
+
+
+def test_files_are_read_with_their_errors_wrapped(tmp_path):
+    missing = tmp_path / "missing.json"
+    for load in (load_json, load_matrix, lambda p: load_matrix(p, fmt="csv")):
+        with pytest.raises(ParseError, match=r"^cannot read .*missing\.json: \[Errno 2\]"):
+            load(missing)
+        with pytest.raises(ParseError, match=r"^cannot read .*: \[Errno 21\] Is a directory"):
+            load(str(tmp_path))
+    p = tmp_path / "m.CSV"  # the extension picks the format, in any case
+    p.write_text("1,2\n0.5,1\n")
+    assert load_matrix(str(p)).entries == ((1.0, 2.0), (0.5, 1.0))
+
+
 def test_bad_json_reports_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"group": "u1",\n  "n": }')
