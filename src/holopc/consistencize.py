@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FloatRangeError, GapError, LogBranchError
-from .groups import Element, Group, _in_rplus_range, _log_row_mean, _row_gauge
+from .groups import Element, Group, _log_row_mean, _row_gauge
 from .pcmatrix import (
     COVARIANT,
     Indicator,
@@ -154,8 +154,6 @@ def _objective(A: PCMatrix, lam: np.ndarray) -> tuple[np.ndarray, float]:
     """The products e_ij = lam_i^-1 lam_j over the pairs i < j, row-major,
     and the objective at the carrier array ``lam``."""
     G = A.group
-    if G.tag == "rplus" and not _in_rplus_range(lam):  # before 1 / lam can overflow
-        raise FloatRangeError("positive-real gauge left (2**-1024, inf)")
     e = _gauge_upper(G, lam)  # the rplus product kernel refuses e that C's lower triangle could not invert
     return e, _sum_of_squares(G.batch_distance(_upper(A), e))
 
@@ -282,7 +280,7 @@ def consistencize_abelian(A: PCMatrix) -> ConsistencizationResult:
     e, f = _objective(A, lam)
     if G.tag == "u1" and np.max(G.batch_distance(_upper(A), e)) > math.pi / 2:
         # principal-branch least squares can pick a wrong winding
-        refined = consistencize_riemannian(A)
+        refined = _newton(A)
         if refined.residual < f:  # f is the closed form's residual
             return refined
     return _result(A, lam, e, f, STATUS_CONVERGED)
@@ -306,8 +304,8 @@ def _start(A: PCMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     for lam in (_row_gauge(A.group, M), A.group.batch_synchronize(M)):
         with contextlib.suppress(FloatRangeError):
             starts.append((lam, *_objective(A, lam)))
-    if not starts:  # synchronization fell back to row 0: the least-squares gauge leaves the range
-        raise FloatRangeError("positive-real least-squares gauge left (2**-1024, inf)")
+    if not starts:  # the products of both gauges, or the least-squares gauge itself, leave the range
+        raise FloatRangeError("positive-real products of the row-0 and least-squares gauges left (2**-1024, inf)")
     return min(starts, key=lambda start: start[2])
 
 
@@ -331,6 +329,12 @@ def consistencize_riemannian(A: PCMatrix, max_iter: int = 500, tol: float = 1e-1
     """
     _check_solver_options(max_iter, tol)
     _require_ready(A)
+    return _newton(A, max_iter, tol)
+
+
+def _newton(A: PCMatrix, max_iter: int = 500, tol: float = 1e-12) -> ConsistencizationResult:
+    """The Newton loop of :func:`consistencize_riemannian`, on a matrix and
+    options that have passed its checks."""
     G, n = A.group, A.n
     lam, e, f = _start(A)
     half, H = _linearize(A, e)

@@ -31,12 +31,15 @@ the curvature and bracket terms of its Hessian, and ``batch_synchronize``,
 the gauge it starts from.  Nor has ``batch_defect``,
 the triad defect d(ab, c) that scores every default-indicator loop: one
 product and one distance, except for rplus, which sums logs so that a
-product beyond the float range is never formed.
+product beyond the float range is never formed.  :class:`PositiveReals`
+alone knows the rplus range: its product and exponential refuse a result
+outside it, and its distance, in logs where a ratio leaves it, never fails.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -280,8 +283,7 @@ def _log_row_mean(G: Group, M: np.ndarray) -> np.ndarray:
     least-squares optimum, on u1 its principal-branch reading."""
     ell = -G.batch_log(M)[..., 0].mean(axis=1)
     ell -= ell[0]
-    with np.errstate(over="ignore"):  # beyond the float range: inf or 0, for the caller to refuse
-        return G.batch_exp(ell[:, None])
+    return G.batch_exp(ell[:, None])
 
 
 def _in_rplus_range(x: np.ndarray) -> bool:
@@ -302,11 +304,34 @@ def _as_real(tag: str, a) -> float:
     return x
 
 
+def _as_integer(value) -> int | None:
+    """``value`` as an int when it is an int or a float with an integral
+    value; None for a bool, a fractional or non-finite number or anything
+    else."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int by the rule of :func:`_as_integer`; anything else
+    raises ``ValueError`` naming ``name`` and the value."""
+    k = _as_integer(value)
+    if k is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return k
+
+
 _RPLUS_FLOOR = 2.0**-1024  # 1 / 2**-1024 overflows; the inverse of every larger positive float is finite
 
 
 class PositiveReals(Group):
-    """Multiplicative group of strictly positive reals."""
+    """Multiplicative group of strictly positive reals, carried in (2**-1024, inf)."""
 
     tag = "rplus"
     dim = 1
@@ -334,11 +359,11 @@ class PositiveReals(Group):
         return 1.0 / a
 
     def batch_distance(self, a, b):
-        with np.errstate(over="ignore", divide="ignore"):  # a ratio that leaves (0, inf) is raised on below
+        # |log(a / b)|, and |log a - log b| where the ratio overflows or underflows
+        with np.errstate(over="ignore", divide="ignore"):
             d = np.abs(np.log(a / b))
-        if not np.isfinite(d).all():
-            raise FloatRangeError("positive-real ratio left (0, inf)")
-        return d
+        far = d == math.inf
+        return np.where(far, np.abs(np.log(a) - np.log(b)), d) if far.any() else d
 
     def batch_defect(self, a, b, c):
         # |log a - log c + log b|: a sum of logs, where the product ab or the
@@ -346,16 +371,22 @@ class PositiveReals(Group):
         return np.abs(np.log(a) - np.log(c) + np.log(b))
 
     def batch_exp(self, v):
-        return np.exp(v[..., 0])
+        with np.errstate(over="ignore"):  # an overflow to inf is raised on below
+            x = np.exp(v[..., 0])
+        if not _in_rplus_range(x):
+            raise FloatRangeError("positive-real exponential left (2**-1024, inf), where its inverse is finite")
+        return x
 
     def batch_log(self, g):
         return np.log(g)[..., None]
 
     def batch_synchronize(self, M):
-        # the log row mean is the least-squares gauge; a spread of logs beyond
-        # the float range leaves it unrepresentable, and row 0 stands in
-        lam = _log_row_mean(self, M)
-        return lam if _in_rplus_range(lam) else _row_gauge(self, M)
+        # the log row mean is the least-squares gauge; where the exponential
+        # kernel refuses it, beyond the float range, row 0 stands in
+        try:
+            return _log_row_mean(self, M)
+        except FloatRangeError:
+            return _row_gauge(self, M)
 
 
 class CircleGroup(Group):
@@ -581,7 +612,7 @@ class CyclicGroup(Group):
     dtype = np.int64
 
     def __init__(self, m: int):
-        m = int(m)
+        m = _require_integer("cyclic group order m", m)
         if m < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {m}")
         if m > MAX_CYCLIC_ORDER:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonCompactGroupError
-from .groups import Group, as_generator
+from .groups import Group, _require_integer, as_generator
 from .pcmatrix import CONTRAVARIANT, COVARIANT, Indicator, _first_max, _loop_scorer, _triad_blocks, _triangle_edges
 from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps
 
@@ -126,9 +126,10 @@ def _make_scorer(
     Haar elements, and ``score`` maps a block's (B, width) carrier array to
     the B sample values."""
     if obs.tag == "ii3_of_random_matrix":
-        if obs.n is None or obs.n < 2:
+        n = None if obs.n is None else _require_integer("matrix size n (--random-pc)", obs.n)
+        if n is None or n < 2:
             raise ValueError(f"matrix size n (--random-pc) must be at least 2, got {obs.n!r}")
-        n, score = obs.n, _loop_scorer(group, COVARIANT, indicator)
+        score = _loop_scorer(group, COVARIANT, indicator)
         return n * (n - 1) // 2, lambda U: _first_max(
             (score(*_triangle_edges(cols, U)) for cols in _triad_blocks(n, _TRIAD_STEP)), len(U)
         )[0]
@@ -144,7 +145,7 @@ def _make_scorer(
                 raise ValueError("wilson_character on a complex without triangles needs an explicit loop")
             i, j, k = K._tri_array[0].tolist()
             loop = (i, j, k, i)
-        loop = tuple(int(v) for v in loop)
+        loop = tuple(_require_integer("wilson loop (--loop): vertex", v) for v in loop)
         if len(loop) < 2 or loop[0] != loop[-1]:
             raise ValueError(f"wilson loop (--loop) must close up, got {loop}")
         try:
@@ -177,6 +178,7 @@ def _sample_values(
     """Values of samples 0..N-1, block by block on ``block_rng(seed, b)``."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed (--seed) must be a nonnegative integer, got {seed!r}")
+    N = _require_integer("sample count N (-N/--samples)", N)
     if N < 2:
         raise ValueError(f"sample count N (-N/--samples) must be at least 2 for a standard error, got {N!r}")
     if not group.compact:

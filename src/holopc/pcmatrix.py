@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GapError, InconsistentMatrixError, InvalidMatrixError, NonCompactGroupError
-from .groups import RPLUS, Element, Group, as_generator
+from .groups import RPLUS, Element, Group, _require_integer, as_generator
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -82,7 +82,7 @@ class PCMatrix:
     carrier.
     """
 
-    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid", "_valid")
+    __slots__ = ("group", "n", "variance", "_carriers", "_positions", "_grid")
 
     def __init__(self, group: Group, entries, variance: str = COVARIANT):
         rows = [list(r) for r in entries]
@@ -114,7 +114,6 @@ class PCMatrix:
         object.__setattr__(self, "_carriers", carriers)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_grid", None)
-        object.__setattr__(self, "_valid", False)  # set by _require_valid
 
     def __setattr__(self, name, value):
         raise AttributeError("PCMatrix is immutable")
@@ -135,6 +134,7 @@ class PCMatrix:
 
     def entry(self, i: int, j: int) -> Element | None:
         """The entry a_ij, ``None`` at a gap, read from its stored carrier."""
+        i, j = _require_integer("row index i", i), _require_integer("column index j", j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i},{j}) is outside the {self.n} x {self.n} matrix")
         P, p = self._positions, i * self.n + j
@@ -254,7 +254,7 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
     lone = np.flatnonzero(~paired)  # an entry whose mirror is a gap; the diagonal is its own mirror
     up = np.flatnonzero(paired & (I < J))
-    unreciprocal = _reciprocity_defects(G, C.take(up, axis=0), C.take(k[up], axis=0)) > ALGEBRA_TOL
+    unreciprocal = G.batch_distance(C.take(k[up], axis=0), G.batch_inverse(C.take(up, axis=0))) > ALGEBRA_TOL
     # one violation per pair at most, ordered by the pair's position i * n + j, i < j
     key = np.concatenate((np.minimum(P, T)[lone], P[up][unreciprocal]))
     asymmetric = np.arange(len(key)) < len(lone)
@@ -264,33 +264,13 @@ def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     return out
 
 
-def _reciprocity_defects(G: Group, a_ij: np.ndarray, a_ji: np.ndarray) -> np.ndarray:
-    """d(a_ji, a_ij^-1) for each pair.  A positive-real ratio a_ji a_ij that
-    leaves the float range, which ``batch_distance`` refuses, is scored in
-    logs, |log a_ij + log a_ji|, as ``batch_defect`` scores triads; every
-    other defect is the distance kernel's, bit for bit."""
-    inv = G.batch_inverse(a_ij)
-    if G.tag == "rplus":
-        with np.errstate(over="ignore"):
-            ratio = a_ji / inv
-        far = (ratio == 0.0) | (ratio == math.inf)
-        if far.any():
-            d = np.abs(np.log(a_ij) + np.log(a_ji))
-            d[~far] = G.batch_distance(a_ji[~far], inv[~far])
-            return d
-    return G.batch_distance(a_ji, inv)
-
-
 def _require_valid(A: PCMatrix) -> None:
-    """Refuse a matrix that breaks the axioms, naming its first violation.
-    A matrix that passes is marked, so a repair that falls back to another
-    method does not validate it again."""
-    violations = [] if A._valid else validate(A)
+    """Refuse a matrix that breaks the axioms, naming its first violation."""
+    violations = validate(A)
     if violations:
         i, j, axiom = violations[0]
         message = f"matrix breaks the PC axioms: {axiom} at ({i},{j}); run `holopc check` on it to list every violation"
         raise InvalidMatrixError(message, violations[0])
-    object.__setattr__(A, "_valid", True)
 
 
 def dualize(A: PCMatrix) -> PCMatrix:
@@ -472,6 +452,7 @@ def triad_holonomy(A: PCMatrix, i: int, j: int, k: int) -> Element:
     when the triad satisfies its consistency law.
     """
     n, G = A.n, A.group
+    i, j, k = (_require_integer(f"triad index {name}", v) for name, v in zip("ijk", (i, j, k)))
     if not 0 <= i < j < k < n:
         raise ValueError(f"triad indices must be strictly increasing in 0..{n - 1}, got ({i},{j},{k})")
     flat, P = [i * n + j, i * n + k, j * n + k], A._positions
@@ -659,6 +640,7 @@ def random_pc_matrix(group: Group, n: int, rng, variance: str = COVARIANT) -> PC
     """
     if not group.compact:
         raise NonCompactGroupError(f"{group.tag}: no normalized Haar measure")
+    n = _require_integer("matrix size n", n)
     if n < 2:
         raise ValueError(f"random matrix needs n >= 2, got {n}")
     upper = group.batch_haar_sample(as_generator(rng), (n * (n - 1) // 2,))

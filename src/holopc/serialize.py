@@ -54,9 +54,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroupMismatchError, ParseError
-from .groups import RPLUS, Group, group_from_tag
+from .groups import RPLUS, Group, _require_integer, group_from_tag
 from .pcmatrix import COVARIANT, PCMatrix, _entry_array
-from .simplicial import EdgeField, SimplicialComplex2, _as_integer
+from .simplicial import EdgeField, SimplicialComplex2
 
 
 def _matrix_header(A: PCMatrix) -> dict:
@@ -235,12 +235,8 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 def _integer(obj: dict, key: str, default=None) -> int:
     """``obj[key]`` (or ``default`` when absent) as an int, by the rule of
-    :func:`holopc.simplicial._as_integer`; the error names the key."""
-    value = obj[key] if default is None else obj.get(key, default)
-    n = _as_integer(value)
-    if n is None:
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return n
+    :func:`holopc.groups._as_integer`; the error names the key."""
+    return _require_integer(repr(key), obj[key] if default is None else obj.get(key, default))
 
 
 def _read(path: str | Path) -> str:

@@ -29,7 +29,6 @@ transformations.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingEdgeError
-from .groups import Element, Group
+from .groups import Element, Group, _as_integer, _require_integer
 from .pcmatrix import CONTRAVARIANT, Indicator, PCMatrix, _first_max, _from_pairs, _frozen, _gauge_action
 from .pcmatrix import _identities, _loop_scorer, _triangle_edges
 
@@ -65,6 +64,7 @@ class SimplicialComplex2:
         triangles: Iterable[Sequence[int]] = (),
         base: int = 0,
     ):
+        vertices, base = _require_integer("vertices", vertices), _require_integer("base vertex", base)
         if vertices < 1:
             raise ValueError("complex needs at least one vertex")
         if vertices > _MAX_VERTICES:
@@ -105,6 +105,7 @@ class SimplicialComplex2:
         return _triangle_key(t) in self._tri_set
 
     def neighbors(self, v: int) -> list[int]:
+        v = _require_integer("vertex", v)
         if not 0 <= v < self.vertices:  # a negative index would name another vertex
             raise ValueError(f"vertex {v} out of range")
         return self._nbrs.get(v, [])
@@ -114,10 +115,11 @@ class SimplicialComplex2:
         return len(self._parents) == self.vertices
 
     def reachable(self, v: int) -> bool:
-        return v in self._parents
+        return _as_integer(v) in self._parents
 
     def tree_path(self, v: int) -> tuple[int, ...]:
         """Vertex sequence base -> v along the breadth-first spanning tree."""
+        v = _require_integer("vertex", v)
         if v not in self._parents:
             raise ValueError(f"vertex {v} unreachable from base {self.base}")
         path = [v]
@@ -225,20 +227,6 @@ def _breadth_first(base: int, edges: np.ndarray) -> tuple[dict[int, list[int]], 
                 parents[w] = v
                 queue.append(w)
     return nbrs, parents
-
-
-def _as_integer(value) -> int | None:
-    """``value`` as an int when it is an int or a float with an integral
-    value; None for a bool, a fractional or non-finite number or anything
-    else."""
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else None
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 def _triangle_key(t: Sequence[int]) -> Triangle | None:
@@ -430,12 +418,18 @@ def path_holonomy(K: SimplicialComplex2, F: EdgeField, path: Sequence[int]) -> E
 
 
 def _edge_column(K: SimplicialComplex2, v: int, w: int) -> int | None:
-    """Column in ``K.edges`` of the edge {v, w}, or None when it is not one."""
+    """Column in ``K.edges`` of the edge {v, w}, or None when it is not one;
+    an end that is not an integer by the rule of :func:`_as_integer` is no
+    vertex."""
+    v, w = _as_integer(v), _as_integer(w)
+    if v is None or w is None:
+        return None
     a, b = (v, w) if v < w else (w, v)
     if not 0 <= a < b < K.vertices:
         return None
-    c = int(K._keys.searchsorted(a * K.vertices + b))
-    return c if c < len(K._keys) and K._edge_array[c].tolist() == [a, b] else None
+    key = a * K.vertices + b
+    c = int(K._keys.searchsorted(key))
+    return c if c < len(K._keys) and K._keys[c] == key else None
 
 
 def _step_column(K: SimplicialComplex2, v: int, w: int) -> int:
@@ -481,7 +475,7 @@ def spanning_tree_gauge(K: SimplicialComplex2, F: EdgeField) -> tuple[Element, .
     g = _identities(G, K.vertices)
     level = [K.base]
     while True:
-        steps = [(p, c) for p in level for c in K.neighbors(p) if K._parents[c] == p]
+        steps = [(p, c) for p in level for c in K._nbrs.get(p, ()) if K._parents[c] == p]
         if not steps:
             return tuple(G.from_array(g))
         parent, child = np.array(steps, dtype=np.intp).T

@@ -48,12 +48,14 @@ from holopc.pcmatrix import (
     dualize,
     from_gauge_vector,
     from_upper_triangle,
+    gauge_extract,
     gauge_transform,
     identity_matrix,
     ii3,
     ii3_matrix,
     ii_indicator,
     is_consistent,
+    normalize_gauge,
     random_pc_matrix,
     triad_holonomy,
     validate,
@@ -62,6 +64,7 @@ from holopc.serialize import matrix_from_csv, matrix_from_obj, matrix_to_csv, ma
 from holopc.simplicial import (
     EdgeField,
     SimplicialComplex2,
+    _triangle_scores,
     field_from_gauge,
     full_simplex,
     gauge_transform_field,
@@ -374,6 +377,28 @@ def test_zmod_kernels_stay_exact_at_the_order_limit():
     b = [m - 1, 3, m - 1, 0]
     for prod, inv, dist in law_results(z, a, b):
         assert_law(z, a, b, prod, inv, dist)
+
+
+decades = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(decades, decades)
+def test_rplus_distance_is_the_log_ratio_inside_and_beyond_the_float_range(xs, ys):
+    # every pair of a = 10**x and b = 10**y, by broadcasting: where a / b is
+    # inside (0, inf) the kernel is |log(a / b)| bit for bit; where the ratio
+    # overflows or underflows it is |log a - log b|, and it never raises (a
+    # numpy warning would be an error here)
+    a, b = 10.0 ** np.array(xs)[:, None], 10.0 ** np.array(ys)[None, :]
+    d = RPLUS.batch_distance(a, b)
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = a / b
+    inside = (ratio > 0.0) & (ratio < math.inf)
+    assert d.shape == ratio.shape
+    assert bits(d[inside]) == bits(np.abs(np.log(ratio[inside])))
+    for i, j in zip(*np.nonzero(~inside)):
+        logs = abs(math.log(a[i, 0]) - math.log(b[0, j]))
+        assert d[i, j] == pytest.approx(logs, rel=1e-12)
 
 
 # --- the scalar triad loops, kept as the oracle -------------------------------------
@@ -722,6 +747,49 @@ def test_one_edge_perturbation_has_the_same_witness(group, data):
     chk = is_consistent(holonomy_pc_matrix(K, moved))
     assert worst == chk.worst_triad
     if group.distance(group.identity, g) > 1e-6:
+        assert set(K.edges[c]) <= set(worst)
+
+
+GRIDS = [grid_complex(m) for m in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_gauge_round_trip(group, data):
+    # gauge_extract of from_gauge_vector(lam) is lam left-translated to
+    # lam_0 = 1, and that gauge builds the same matrix
+    lam = data.draw(elements(group, min_size=2))
+    A = from_gauge_vector(group, lam)
+    mu = gauge_extract(A)
+    assert mu[0] == group.identity
+    assert max(group.distance(g, h) for g, h in zip(mu, normalize_gauge(group, lam), strict=True)) <= 1e-12
+    assert np.max(group.batch_distance(A._carriers, from_gauge_vector(group, mu)._carriers)) <= 1e-12
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_gauge_fields_on_grids_are_flat_and_one_moved_edge_shows(group, data):
+    # on grid_complex(1..4) a gauge field is flat; moving one edge by g puts
+    # d(1, g) on every triangle that holds it, by bi-invariance, and leaves
+    # the others flat
+    K = data.draw(st.sampled_from(GRIDS))
+    F = field_from_gauge(K, group, data.draw(elements_of(group, K.vertices)))
+    assert global_ii(K, F)[0] <= 1e-12
+    c = data.draw(st.integers(0, len(K.edges) - 1))
+    g = data.draw(ELEMENTS[group.tag])
+    X = F._carriers.copy()
+    X[c] = group.batch_multiply(group.to_array([g]), X[c : c + 1])[0]
+    moved = EdgeField._of_checked(group, F._edges, X)
+    curvature, value, worst = _triangle_scores(K, moved, None)
+    d = group.distance(group.identity, g)
+    holds = np.array([set(K.edges[c]) <= set(t) for t in K.triangles])
+    assert holds.any()  # every grid edge lies on a triangle
+    assert np.all(np.abs(curvature[holds] - d) <= 1e-12)
+    assert np.all(curvature[~holds] <= 1e-12)
+    assert value == pytest.approx(d, abs=1e-12)
+    if d > 1e-6:
         assert set(K.edges[c]) <= set(worst)
 
 

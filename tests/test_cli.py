@@ -488,6 +488,21 @@ def test_consistencize_rplus_beyond_the_float_range_exits_2(method, tmp_path, ca
     assert json.loads(out)["matrix"]["entries"][1] == pytest.approx(1e200, rel=1e-9)  # sqrt(1e400)
 
 
+def test_consistencize_abelian_repairs_where_a_distance_leaves_the_float_range(tmp_path, capsys):
+    # a valid matrix whose ratios a_ij / c_ij to its repair reach 1e-575:
+    # each distance is scored in logs, and the repair, within [1e-275, 1e275], is written
+    text = "1,1e-300,1e-300,1e-200\n1e300,1,1e-300,1e300\n1e300,1e300,1,1e-300\n1e200,1e-300,1e300,1\n"
+    path, out_path = write_csv(tmp_path, "m.csv", text), tmp_path / "c.csv"
+    code, out, err = run(capsys, ["consistencize", path, "--method", "abelian", "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    A, C = load_matrix(path), load_matrix(str(out_path))
+    logs = sum((math.log(A.entry(i, j)) - math.log(C.entry(i, j))) ** 2 for i in range(4) for j in range(i + 1, 4))
+    assert json.loads(out)["residual"] == pytest.approx(logs, rel=1e-12)
+    assert all(1e-276 < C.entry(i, j) < 1e276 for i in range(4) for j in range(4))
+    code, _, _ = run(capsys, ["check", str(out_path)])
+    assert code == 0
+
+
 def test_consistencize_riemannian_su2(tmp_path, capsys):
     A = random_pc_matrix(SU2, 4, rng=83)
     path = tmp_path / "q.json"

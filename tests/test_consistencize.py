@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holopc import pcmatrix
+from holopc import consistencize, pcmatrix
 from holopc.errors import GapError, InvalidMatrixError
 from holopc.groups import RPLUS, SU2, U1, zmod
 from holopc.consistencize import (
@@ -151,6 +151,28 @@ def test_abelian_fallback_sweeps_only_the_result_it_returns(monkeypatch):
     result = consistencize_abelian(A)
     assert result.residual < 1e-16  # Newton's result: the closed form's winding is wrong
     assert calls == [A, result.matrix]
+
+
+def test_each_repair_validates_its_input(monkeypatch):
+    # no mark is left on a matrix: every call validates it
+    calls = []
+    validate = pcmatrix.validate
+    monkeypatch.setattr(pcmatrix, "validate", lambda A: calls.append(A) or validate(A))
+    A = from_upper_triangle(RPLUS, [2.0, 8.0, 2.0])
+    consistencize_abelian(A)
+    consistencize_riemannian(A)
+    consistencize_abelian(A)
+    assert calls == [A, A, A]
+
+
+def test_abelian_fallback_checks_no_solver_options(monkeypatch):
+    # the fallback runs the Newton core, past the public function's checks
+    calls = []
+    check = consistencize._check_solver_options
+    monkeypatch.setattr(consistencize, "_check_solver_options", lambda *args: calls.append(args) or check(*args))
+    A = from_gauge_vector(U1, (0.0, 2.5, -2.5))  # the closed form falls back to Newton
+    assert consistencize_abelian(A).residual < 1e-16
+    assert calls == []
 
 
 # --- descent ------------------------------------------------------------------

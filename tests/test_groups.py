@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from holopc.errors import GroupMismatchError, LogBranchError, NonCompactGroupError
+from holopc.errors import FloatRangeError, GroupMismatchError, LogBranchError, NonCompactGroupError
 from holopc.groups import RPLUS, SU2, U1, group_from_tag, wrap_angle, zmod
 
 ALL_GROUPS = [RPLUS, U1, SU2, zmod(5)]
@@ -279,3 +279,20 @@ def test_cyclic_order_limited_to_int64_carriers():
         zmod(2**62 + 1)
     with pytest.raises(ValueError, match=r"bad cyclic group tag .* at most 2\*\*62"):
         group_from_tag(f"zmod:{2**63}")
+
+
+def test_cyclic_order_is_an_integer():
+    assert zmod(5.0) == zmod(np.int64(5)) == zmod(5)
+    for m in (5.7, True, "5"):
+        with pytest.raises(ValueError, match=f"cyclic group order m must be an integer, got {m!r}"):
+            zmod(m)
+
+
+@pytest.mark.parametrize("v", [710.0, -710.0, 1e6, -1e6])
+def test_rplus_exp_refuses_a_result_outside_the_carrier_range(v):
+    # exp(710) overflows and exp(-710) is below 2**-1024, where the inverse overflows
+    with pytest.raises(FloatRangeError, match=r"left \(2\*\*-1024, inf\)"):
+        RPLUS.batch_exp(np.array([[0.0], [v]]))
+    with pytest.raises(FloatRangeError):
+        RPLUS.exp_coords([v])
+    assert RPLUS.exp_coords([math.copysign(709.0, v)]) == math.exp(math.copysign(709.0, v))

@@ -128,6 +128,25 @@ def test_expectation_validation():
         expectation(triangle_free, U1, Observable("mean_curvature_In"), N=10, seed=0)
 
 
+def test_vertex_and_size_arguments_are_integers():
+    K = full_simplex(3)
+    for loop in [(0, 1.7, 2, 0), (0, True, 2, 0)]:
+        with pytest.raises(ValueError, match=rf"^wilson loop \(--loop\): vertex must be an integer, got {loop[1]!r}$"):
+            expectation(K, U1, Observable("wilson_character", loop=loop), N=10, seed=0)
+    exact = expectation(K, U1, Observable("wilson_character", loop=(0, 1, 2, 0)), N=10, seed=0)
+    assert expectation(K, U1, Observable("wilson_character", loop=(0.0, 1, np.int64(2), 0)), N=10, seed=0) == exact
+    with pytest.raises(ValueError, match=r"sample count N \(-N/--samples\) must be an integer, got 2\.5"):
+        expectation(K, U1, Observable("mean_curvature_In"), N=2.5, seed=0)
+    assert expectation(K, U1, Observable("mean_curvature_In"), N=4.0, seed=0) == expectation(
+        K, U1, Observable("mean_curvature_In"), N=4, seed=0
+    )
+    with pytest.raises(ValueError, match=r"matrix size n \(--random-pc\) must be an integer, got 4\.5"):
+        ii_distribution(U1, 4.5, 10)
+    with pytest.raises(ValueError, match=r"sample count N \(-N/--samples\) must be an integer, got 10\.5"):
+        ii_distribution(U1, 4, 10.5)
+    assert ii_distribution(U1, 4.0, 10.0) == ii_distribution(U1, 4, 10)
+
+
 def test_expectation_follows_sample_streams():
     # samples come in blocks of 1024, block b drawn as one (B, E) carrier
     # array from block_rng(seed, b); the element methods, applied sample by

@@ -16,7 +16,6 @@ from holopc.pcmatrix import (
     COVARIANT,
     PCMatrix,
     _entry_array,
-    _reciprocity_defects,
     default_indicator,
     dualize,
     from_gauge_vector,
@@ -61,14 +60,14 @@ def test_validate_reports_reciprocity():
 
 
 def test_validate_scores_rplus_reciprocity_beyond_the_float_range_in_logs():
-    # a_10 a_01 = 1e600 and a_21 a_12 = 1e-600 leave the float range, where
-    # the distance kernel raises; the pair (0, 2) stays in it
+    # a_10 / a_01^-1 = 1e600 and a_21 / a_12^-1 = 1e-600 leave the float
+    # range, where the distance kernel scores in logs; the pair (0, 2) stays in it
     A = PCMatrix(RPLUS, [[1, 1e300, 2], [1e300, 1, 1e-300], [0.5, 1e-300, 1]])
     assert validate(A) == [(1, 0, "reciprocity"), (2, 1, "reciprocity")]
     a_ij, a_ji = np.array([1e300, 1e-300, 2.0]), np.array([1e300, 1e-300, 0.4])
-    d = _reciprocity_defects(RPLUS, a_ij, a_ji)
+    d = RPLUS.batch_distance(a_ji, RPLUS.batch_inverse(a_ij))
     assert d[:2] == pytest.approx([600 * math.log(10.0)] * 2, rel=1e-12)
-    assert d[2] == RPLUS.batch_distance(a_ji[2:], RPLUS.batch_inverse(a_ij[2:]))[0]  # the kernel's bits
+    assert d[2] == np.abs(np.log(a_ji[2] / 0.5))  # |log(a / b)|, bit for bit, inside the range
 
 
 def test_validate_reports_diagonal_and_gap_symmetry():
@@ -108,6 +107,23 @@ def test_entry_reads_one_stored_carrier():
     for i, j in ((-1, 0), (0, -1), (48, 0), (0, 48)):
         with pytest.raises(IndexError):
             A.entry(i, j)
+
+
+def test_index_arguments_are_integers():
+    # integral floats and numpy integers are indices; fractions and bools are not
+    A = from_upper_triangle(RPLUS, [2.0, 8.0, 3.0, 4.0, 5.0, 6.0])
+    assert A.entry(1.0, np.int64(2)) == A.entry(1, 2) == 4.0
+    assert triad_holonomy(A, 0.0, 1, 2.0) == triad_holonomy(A, 0, 1, 2)
+    for i, j, name in [(0.5, 1, "row index i"), (True, 1, "row index i"), (0, 1.5, "column index j")]:
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got {(i if name[0] == 'r' else j)!r}"):
+            A.entry(i, j)
+    with pytest.raises(ValueError, match=r"triad index k must be an integer, got 2\.5"):
+        triad_holonomy(A, 0, 1, 2.5)
+    with pytest.raises(ValueError, match="triad index i must be an integer, got False"):
+        triad_holonomy(A, False, 1, 2)
+    with pytest.raises(ValueError, match=r"matrix size n must be an integer, got 3\.5"):
+        random_pc_matrix(U1, 3.5, 0)
+    assert random_pc_matrix(U1, 3.0, 7) == random_pc_matrix(U1, 3, 7)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)

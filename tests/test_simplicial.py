@@ -339,6 +339,32 @@ def test_edge_lookups_match_edges_by_value():
             path_holonomy(K, F, (i, j))
 
 
+def test_vertex_arguments_are_integers():
+    # the rule of complex construction: a bool or a fraction is no vertex, so
+    # a lookup does not find it and an operation on a vertex refuses it
+    K = full_simplex(3)
+    assert not K.has_edge(True, 2) and not K.has_edge(0, False)
+    assert not K.reachable(True) and K.reachable(1.0)
+    assert K.neighbors(1.0) == K.neighbors(np.int64(1)) == [0, 2, 3]
+    assert K.tree_path(2.0) == (0, 2)
+    for v in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match=f"vertex must be an integer, got {v!r}"):
+            K.neighbors(v)
+        with pytest.raises(ValueError, match=f"vertex must be an integer, got {v!r}"):
+            K.tree_path(v)
+    with pytest.raises(ValueError, match="non-adjacent step 0->True"):
+        path_holonomy(K, identity_field(K, U1), (0, True))
+
+
+def test_complex_size_and_base_are_integers():
+    K = SimplicialComplex2(4.0, [(0, 1)], base=np.int64(1))
+    assert (K.vertices, K.base) == (4, 1) and type(K.vertices) is int
+    with pytest.raises(ValueError, match=r"vertices must be an integer, got 4\.5"):
+        SimplicialComplex2(4.5, [(0, 1)])
+    with pytest.raises(ValueError, match="base vertex must be an integer, got True"):
+        SimplicialComplex2(4, [(0, 1)], base=True)
+
+
 # --- global indicator ---------------------------------------------------------------------
 
 
