@@ -6,7 +6,8 @@
 It times the ``src/`` of the checkout it is in.  The layers are:
 
 - ``json_text`` of the su2 ``holonomy`` report (matrix, curvature records,
-  global_ii) of a random field on ``grid_complex(m)``, m = 20, 30, 40;
+  global_ii) of a random field on ``grid_complex(m)``, m = 20, 30, 40, and
+  ``field_from_obj`` of the m = 20 field's document as ``json`` reads it;
 - ``json_text`` of the su2 n = 21 ``consistencize`` report;
 - ``load_matrix`` of an n = 48 su2 matrix document, and ``load_json`` of
   the ``full_simplex(3)`` complex document the ``haar-mc`` workload reads;
@@ -26,7 +27,9 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   end with its stdout captured, on small inputs drawn after all of the
   above: ``check`` of a u1 n = 9 JSON matrix, ``consistencize --method
   abelian`` of an rplus n = 9 CSV matrix with log-normal entries,
-  ``holonomy`` of a u1 field on ``full_simplex(4)``, ``montecarlo
+  ``holonomy`` of a u1 field on ``full_simplex(4)``, as
+  ``cli.holonomy_su2_grid20`` the ``holonomy`` of the su2 field on
+  ``grid_complex(20)`` above (the size of a ``lattice`` call), ``montecarlo
   --random-pc 5 --group u1 -N 256``, and, as ``cli.montecarlo_complex``,
   the su2 ``mean_curvature_In`` call of ``haar-mc`` (``--complex`` of the
   ``full_simplex(3)`` file, N = 200);
@@ -80,6 +83,7 @@ def layers(src: str, tmp: Path) -> dict:
     from holopc.serialize import (
         Records,
         complex_to_obj,
+        field_from_obj,
         field_to_obj,
         json_text,
         load_json,
@@ -107,6 +111,11 @@ def layers(src: str, tmp: Path) -> dict:
         }
         out[f"json_text.holonomy_su2_grid{m}"] = lambda report=report: json_text(report)
         holonomy[m] = report["matrix"]
+        if m == 20:  # the documents the lattice workload reads, for the reader and the end-to-end call
+            save_obj(complex_to_obj(K), tmp / "grid20.json")
+            save_obj(field_to_obj(F), tmp / "su2_grid20_field.json")
+            field20 = load_json(tmp / "su2_grid20_field.json")
+            out["field_from_obj.su2_grid20"] = lambda: field_from_obj(field20)
     result = consistencize_riemannian(random_pc_matrix(SU2, 21, rng), max_iter=20)
     report = {  # as cli.cmd_consistencize builds it
         "group": "su2",
@@ -178,6 +187,7 @@ def layers(src: str, tmp: Path) -> dict:
         "check": ["check", str(tmp / "u1_9.json")],
         "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],
         "holonomy": ["holonomy", str(tmp / "simplex4.json"), str(tmp / "u1_field.json")],
+        "holonomy_su2_grid20": ["holonomy", str(tmp / "grid20.json"), str(tmp / "su2_grid20_field.json")],
         "montecarlo": ["montecarlo", "--random-pc", "5", "--group", "u1", "-N", "256", "--seed", "5"],
         "montecarlo_complex": [
             "montecarlo", "--complex", simplex3_path, "--group", "su2",

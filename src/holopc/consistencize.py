@@ -36,7 +36,10 @@ solver keeps its gauge vector as a carrier array (see
 :mod:`holopc.groups`); each pair's gradient and Hessian terms are
 scatter-added into the gauge coordinates with one ``np.bincount`` each.
 Each trial gauge's products e_ij are formed once, for its objective, and
-reused by its linearization and by the result.
+reused by its linearization and by the result.  The residual logs come from
+``Group.batch_log_ratio``, which on rplus takes log a_ij - log e_ij where
+e_ij^-1 a_ij leaves the float range, as the distance does; so no residual
+beyond that range makes the Newton path refuse a valid matrix.
 
 Both methods refuse a matrix that breaks the PC axioms (validated once per
 repair), and a positive-real repair that leaves double precision.
@@ -190,7 +193,7 @@ def _linearize(A: PCMatrix, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G, n, d = A.group, A.n, A.group.dim
     if d == 0:  # finite groups have no directions to move in
         return np.zeros((n, 0)), np.zeros((0, 0))
-    r = G.batch_log(G.batch_multiply(G.batch_inverse(e), _upper(A)))
+    r = G.batch_log_ratio(e, _upper(A))
     ad = G.batch_adjoint(e)
     s = (ad @ r[..., None])[..., 0]  # Ad(e) r = log(a e^-1)
     rows, cells = _pair_slots(n, d)

@@ -27,13 +27,15 @@ checks a whole sequence of raw values into a carrier array, bit for bit as
 ``check`` would one at a time.  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
 which the Newton consistencizer needs, as it needs ``batch_pair_hessian``,
-the curvature and bracket terms of its Hessian, and ``batch_synchronize``,
-the gauge it starts from.  Nor has ``batch_defect``,
+the curvature and bracket terms of its Hessian, ``batch_synchronize``,
+the gauge it starts from, and ``batch_log_ratio``, its residual logs
+log(e^-1 a).  Nor has ``batch_defect``,
 the triad defect d(ab, c) that scores every default-indicator loop: one
 product and one distance, except for rplus, which sums logs so that a
 product beyond the float range is never formed.  :class:`PositiveReals`
 alone knows the rplus range: its product and exponential refuse a result
-outside it, and its distance, in logs where a ratio leaves it, never fails.
+outside it, and its distance and residual logs, in logs where a ratio or
+product leaves it, never fail.
 """
 
 from __future__ import annotations
@@ -224,6 +226,12 @@ class Group:
         Raises :class:`LogBranchError` if any element sits at the cut locus."""
         raise NotImplementedError
 
+    def batch_log_ratio(self, e: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Principal logarithms of e^-1 a, coordinates along a new last axis:
+        the residual logs of the Newton consistencizer.  Here the log of the
+        composition; raises :class:`LogBranchError` as :meth:`batch_log` does."""
+        return self.batch_log(self.batch_multiply(self.batch_inverse(e), a))
+
     def batch_adjoint(self, g: np.ndarray) -> np.ndarray:
         """The matrices of v -> log(g exp(v) g^-1) in exp/log coordinates,
         shape ``(..., dim, dim)``.  An abelian group acts trivially: the
@@ -369,6 +377,15 @@ class PositiveReals(Group):
         # |log a - log c + log b|: a sum of logs, where the product ab or the
         # ratio ab / c could leave the float range
         return np.abs(np.log(a) - np.log(c) + np.log(b))
+
+    def batch_log_ratio(self, e, a):
+        # log((1 / e) a), the composition's log bit for bit, and log a - log e
+        # where the product leaves (2**-1024, inf), which the product kernel refuses
+        with np.errstate(over="ignore", divide="ignore"):
+            p = 1.0 / e * a
+            r = np.log(p)
+        far = (p <= _RPLUS_FLOOR) | (p == math.inf)
+        return (np.where(far, np.log(a) - np.log(e), r) if far.any() else r)[..., None]
 
     def batch_exp(self, v):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below

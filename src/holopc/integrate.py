@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonCompactGroupError
-from .groups import Group, _require_integer, as_generator
+from .groups import Group, _as_integer, _require_integer, as_generator
 from .pcmatrix import CONTRAVARIANT, COVARIANT, Indicator, _first_max, _loop_scorer, _triad_blocks, _triangle_edges
 from .simplicial import EdgeField, SimplicialComplex2, _array_field, _path_product, _path_steps
 
@@ -167,6 +167,15 @@ def _make_scorer(
     return width, lambda X: _first_max((curvatures(X),), len(X))[0]
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int by the rule of :func:`holopc.groups._as_integer`,
+    at least 0."""
+    k = _as_integer(seed)
+    if k is None or k < 0:
+        raise ValueError(f"seed (--seed) must be a nonnegative integer, got {seed!r}")
+    return k
+
+
 def _sample_values(
     K: SimplicialComplex2 | None,
     group: Group,
@@ -175,9 +184,8 @@ def _sample_values(
     seed: int,
     indicator: Indicator | None,
 ) -> np.ndarray:
-    """Values of samples 0..N-1, block by block on ``block_rng(seed, b)``."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed (--seed) must be a nonnegative integer, got {seed!r}")
+    """Values of samples 0..N-1, block by block on ``block_rng(seed, b)``,
+    for a seed that :func:`_seed` has read."""
     N = _require_integer("sample count N (-N/--samples)", N)
     if N < 2:
         raise ValueError(f"sample count N (-N/--samples) must be at least 2 for a standard error, got {N!r}")
@@ -222,6 +230,7 @@ def expectation(
     so results are bit-identical for fixed (seed, N); the standard error
     uses the unbiased variance estimator, so N >= 2.
     """
+    seed = _seed(seed)
     return _estimate(_sample_values(K, group, obs, N, seed, indicator), seed, obs.tag)
 
 
@@ -239,6 +248,7 @@ def ii_distribution(
     Monte Carlo estimate of the mean.  The histogram needs all N values,
     so memory grows as 8 N bytes.
     """
+    seed = _seed(seed)
     vals = _sample_values(None, group, Observable("ii3_of_random_matrix", n=n), N, seed, indicator)
     counts, edges = np.histogram(vals, bins=bins)
     hist = Histogram(tuple(int(c) for c in counts), tuple(float(e) for e in edges))

@@ -401,6 +401,24 @@ def test_rplus_distance_is_the_log_ratio_inside_and_beyond_the_float_range(xs, y
         assert d[i, j] == pytest.approx(logs, rel=1e-12)
 
 
+@PROPERTY
+@given(decades, decades)
+def test_rplus_residual_log_is_the_composition_log_inside_and_the_log_difference_beyond(xs, ys):
+    # log(e^-1 a) for every pair of e = 10**x and a = 10**y: where the
+    # product (1 / e) a is inside (2**-1024, inf) it is the log of the group
+    # law's product bit for bit; beyond, where that kernel refuses it, log a - log e
+    e, a = 10.0 ** np.array(xs)[:, None], 10.0 ** np.array(ys)[None, :]
+    r = RPLUS.batch_log_ratio(e, a)
+    with np.errstate(over="ignore"):
+        p = 1.0 / e * a
+    inside = (p > 2.0**-1024) & (p < math.inf)
+    assert r.shape == p.shape + (1,)
+    e_in, a_in = (np.broadcast_to(x, p.shape)[inside] for x in (e, a))
+    assert bits(r[inside, 0]) == bits(np.log(RPLUS.batch_multiply(RPLUS.batch_inverse(e_in), a_in)))
+    for i, j in zip(*np.nonzero(~inside)):
+        assert r[i, j, 0] == pytest.approx(math.log(a[0, j]) - math.log(e[i, 0]), rel=1e-12)
+
+
 # --- the scalar triad loops, kept as the oracle -------------------------------------
 
 

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import gc
 import json
 import math
 import sys
@@ -174,6 +175,66 @@ def test_warm_calls_build_no_parser(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert [run(capsys, argv)[0] for argv in argvs] == [0, 0] and built == []
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "text, extra, expected",
+    [
+        ("1,2\n0.5,1\n", [], 0),
+        ("1,2,1\n0.5,1,2\n1,0.5,1\n", [], 1),
+        ("1,nan\n1,1\n", [], 2),  # refused by the command
+        ("1,2\n0.5,1\n", ["--bogus"], 2),  # refused by the parser, before the command runs
+    ],
+    ids=["consistent", "inconsistent", "invalid", "usage"],
+)
+def test_main_leaves_the_collector_as_it_found_it(collecting, text, extra, expected, tmp_path, capsys, monkeypatch):
+    paused = []
+    command = cli.cmd_check
+
+    def check(args):
+        paused.append(not gc.isenabled())
+        return command(args)
+
+    monkeypatch.setitem(cli._shared_parsers()[1]["check"]._defaults, "func", check)
+    argv = ["check", write_csv(tmp_path, "m.csv", text), *extra]
+    before = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        code, _, _ = _outcome(capsys, main, argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if before else gc.disable()
+    assert (code, after) == (expected, collecting)
+    assert paused == ([] if extra else [True])  # the command itself runs with the collector paused
+
+
+def test_holonomy_on_a_large_grid_starts_no_collection(tmp_path, capsys):
+    # json.loads of the 1,240-edge field builds thousands of containers,
+    # which would start collections of the cyclic collector while it is on
+    K = grid_complex(20)
+    q = np.random.default_rng(26).normal(size=(len(K.edges), 4))
+    F = EdgeField(SU2, dict(zip(K.edges, map(tuple, q / np.linalg.norm(q, axis=1, keepdims=True)))))
+    cpath, fpath = tmp_path / "k.json", tmp_path / "f.json"
+    save_obj(complex_to_obj(K), cpath)
+    save_obj(field_to_obj(F), fpath)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    before = gc.isenabled()
+    gc.enable()
+    gc.collect()  # from an empty youngest generation: the parse before the pause allocates too
+    gc.callbacks.append(record)
+    try:
+        code, out, _ = run(capsys, ["holonomy", str(cpath), str(fpath)])
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if before else gc.disable()
+    assert code == 0 and json.loads(out)["vertices"] == K.vertices
+    assert starts == []
 
 
 def _outcome(capsys, call, argv):
@@ -501,6 +562,22 @@ def test_consistencize_abelian_repairs_where_a_distance_leaves_the_float_range(t
     assert all(1e-276 < C.entry(i, j) < 1e276 for i in range(4) for j in range(4))
     code, _, _ = run(capsys, ["check", str(out_path)])
     assert code == 0
+
+
+def test_consistencize_riemannian_repairs_where_a_residual_leaves_the_float_range(tmp_path, capsys):
+    # the same matrix: at its repair the Newton step's residual logs
+    # log(e^-1 a) reach -748, below the float range, and are taken as
+    # log a - log e, so it repairs what the closed form repairs
+    text = "1,1e-300,1e-300,1e-200\n1e300,1,1e-300,1e300\n1e300,1e300,1,1e-300\n1e200,1e-300,1e300,1\n"
+    path = write_csv(tmp_path, "m.csv", text)
+    code, out, err = run(capsys, ["consistencize", path, "--method", "riemannian"])
+    assert (code, err) == (0, "")
+    newton = json.loads(out)
+    code, out, _ = run(capsys, ["consistencize", path, "--method", "abelian"])
+    closed = json.loads(out)
+    assert code == 0 and newton["iterations"] == 0
+    assert newton["matrix"] == closed["matrix"] and newton["lambda"] == closed["lambda"]
+    assert newton["residual"] == closed["residual"]
 
 
 def test_consistencize_riemannian_su2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ def test_vertex_and_size_arguments_are_integers():
     with pytest.raises(ValueError, match=r"sample count N \(-N/--samples\) must be an integer, got 10\.5"):
         ii_distribution(U1, 4, 10.5)
     assert ii_distribution(U1, 4.0, 10.0) == ii_distribution(U1, 4, 10)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, -1, -1.0, "1", None, math.inf])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    obs = Observable("mean_curvature_In")
+    message = rf"^seed \(--seed\) must be a nonnegative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        expectation(TRIANGLE, U1, obs, N=4, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        ii_distribution(U1, 3, 4, seed=seed)
+
+
+def test_an_integral_seed_runs_and_is_reported_as_an_int():
+    obs = Observable("mean_curvature_In")
+    exact = expectation(TRIANGLE, U1, obs, N=4, seed=1)
+    for seed in (1.0, np.int64(1), np.uint8(1)):
+        est = expectation(TRIANGLE, U1, obs, N=4, seed=seed)
+        assert est == exact and type(est.seed) is int and est.to_obj()["seed"] == 1
+        hist, est = ii_distribution(U1, 3, 4, seed=seed)
+        assert (hist, est) == ii_distribution(U1, 3, 4, seed=1) and type(est.seed) is int
 
 
 def test_expectation_follows_sample_streams():

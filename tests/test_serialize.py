@@ -700,12 +700,56 @@ def test_bad_complexes_name_their_first_bad_cell(doc, message, numpy_pass):
         ({"0-1": _U, "1-1": _U}, "self-edge (1,1) has no holonomy"),
         ({"2-2": _U, "0-1": _U, "1-0": _U}, "self-edge (2,2) has no holonomy"),
         ({"0-1": _U, "1-0": _U, "2-2": _U}, "duplicate value for edge (0, 1)"),
+        ({"0-1": _U, "00-1": _U}, "duplicate value for edge (0, 1)"),  # both read by the numpy pass
     ],
 )
 def test_bad_field_keys_are_named(values, message):
     with pytest.raises(ParseError) as err:
         field_from_obj({"group": "u1", "values": values})
     assert str(err.value) == message
+
+
+def test_digit_keys_are_read_in_one_numpy_pass_as_the_key_loop_reads_them():
+    big = "9" * 18  # the most digits a vertex of the numpy pass may have: 10**18 - 1 fits in int64
+    keys = ["0-1", "002-0", "000000000000000007-3", f"{big}-0", f"1-{big}", f"{big}-{big[:-1]}8", "10-0009"]
+    assert serialize._DIGIT_KEYS.fullmatch(",".join(keys))
+    ends = serialize._edge_keys(keys)
+    assert ends.dtype == np.int64
+    assert ends.tolist() == [list(serialize._edge_key(key)) for key in keys]
+    assert ends.tolist()[3] == [10**18 - 1, 0]
+
+
+@pytest.mark.parametrize(
+    "key, edge",
+    [
+        ("1000000000000000000-1", (10**18, 1)),  # 19 digits, inside int64
+        ("١-٢", (1, 2)),  # digits that Python's int reads and the numpy pass does not take
+        ("+1-2", (1, 2)),
+        (" 1-2", (1, 2)),
+        ("1_0-2", (10, 2)),
+    ],
+)
+def test_keys_beside_the_numpy_pass_keep_their_reading(key, edge):
+    assert not serialize._DIGIT_KEYS.fullmatch(key)
+    for keys in ([key], ["3-4", key], [key, "3-4"]):
+        assert serialize._edge_keys(keys).tolist() == [list(edge) if k == key else [3, 4] for k in keys]
+    F = field_from_obj({"group": "u1", "values": {"3-4": _U, key: {"theta": 0.2}}})
+    assert F.value(*edge) == 0.2 and F.value(3, 4) == 0.1
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("9999999999999999999-1", "vertices must fit in 64 bits"),  # 19 digits, beyond int64
+        ("1-2,0-2", "expected 'i-j'"),  # joined with the others, its comma reads as two keys
+        ("", "expected 'i-j'"),
+    ],
+)
+def test_keys_beside_the_numpy_pass_keep_their_refusal(key, message):
+    for values in ({key: _U}, {"3-4": _U, key: _U}, {key: _U, "3-4": _U}, {"0-1": _U, key: _U, "0-2": _U}):
+        with pytest.raises(ParseError) as err:
+            field_from_obj({"group": "u1", "values": values})
+        assert str(err.value) == f"bad edge key {key!r}; {message}"
 
 
 @pytest.mark.parametrize("key", [(0, 1.7), (True, 2), (0, "1"), (0, 1, 2), (0,), 5, (0, 2**63), (0, math.nan)])
