@@ -23,6 +23,9 @@ It times the ``src/`` of the checkout it is in.  The layers are:
 - ``validate`` of the gapped matrices of the ``holonomy`` reports above,
   and of gap-free random su2 n = 48 and u1 n = 9 matrices, drawn after
   every other input so that no other layer's input moves;
+- ``load_matrix`` of the u1 n = 9 JSON file and the rplus n = 9 CSV file
+  that the ``check`` and ``consistencize`` calls below read (the matrix
+  sizes of ``ahp-small``); they draw nothing;
 - one in-process ``holopc.cli.main(argv)`` call per subcommand, end to
   end with its stdout captured, on small inputs drawn after all of the
   above: ``check`` of a u1 n = 9 JSON matrix, ``consistencize --method
@@ -159,6 +162,8 @@ def layers(src: str, tmp: Path) -> dict:
     out["validate.u1_n9"] = lambda A=random_pc_matrix(U1, 9, rng): validate(A)
     save_matrix(random_pc_matrix(U1, 9, rng), tmp / "u1_9.json")
     save_matrix(from_upper_triangle(RPLUS, np.exp(rng.normal(size=36)).tolist()), tmp / "rplus_9.csv")
+    for name, file in (("rplus_csv_n9", "rplus_9.csv"), ("u1_n9", "u1_9.json")):  # the ahp-small readers
+        out[f"load_matrix.{name}"] = lambda path=tmp / file: load_matrix(path)
     K = full_simplex(4)
     save_obj(complex_to_obj(K), tmp / "simplex4.json")
     theta = rng.uniform(-np.pi, np.pi, len(K.edges)).tolist()

@@ -24,7 +24,15 @@ carrier array of length one, and return the plain value.  A call costs a
 few microseconds of numpy overhead, so code that handles many elements
 builds carrier arrays and calls the kernels itself; :meth:`Group.batch_check`
 checks a whole sequence of raw values into a carrier array, bit for bit as
-``check`` would one at a time.  ``batch_adjoint`` has
+``check`` would one at a time.  Every group does so in one array pass over
+the values its ``check`` reads without conversion (Python floats and ints,
+ints alone for zmod, or a numeric ndarray; see :func:`_scalar_array`, and
+su2's rows of four); anything else, and any value the pass refuses, goes
+through the loop over ``check``, which answers as ``check`` does and names
+the first bad value.  The 81 angles of a u1 n = 9 matrix document are
+checked in 7.3-7.4 us instead of 32-56 us by the loop, and the 9 of an
+n = 3 document in 4-6 us either way (median of 9 ``timeit`` repeats, two
+runs, shared 2-vCPU host).  ``batch_adjoint`` has
 no element form: it gives the matrices of conjugation in log coordinates,
 which the Newton consistencizer needs, as it needs ``batch_pair_hessian``,
 the curvature and bracket terms of its Hessian, ``batch_synchronize``,
@@ -189,9 +197,10 @@ class Group:
         """Carrier array of the sequence ``values``, each canonicalized as
         :meth:`check` does, bit for bit.  On a bad value raise what
         :meth:`check` raises on the first one.  Here it is the loop over
-        :meth:`check`; a group whose check is arithmetic on the carrier
-        runs it on the whole array instead and falls back to the loop only
-        to name the bad value."""
+        :meth:`check`.  Every concrete group overrides it with one array
+        pass of its check's arithmetic, over the values that check reads
+        without conversion (see :func:`_scalar_array`), and falls back to
+        this loop when the pass refuses, only to name the bad value."""
         return self.to_array([self.check(v) for v in values])
 
     # -- array forms: carrier arrays of checked elements, never checked again --
@@ -300,6 +309,28 @@ def _in_rplus_range(x: np.ndarray) -> bool:
     return bool(np.all((x > _RPLUS_FLOOR) & (x < math.inf)))
 
 
+def _scalar_array(values, dtype) -> np.ndarray | None:
+    """A new one-dimensional ``dtype`` array of ``values`` when ``check``
+    reads each of them without conversion: a list or tuple of Python
+    floats and ints (of ints alone for an integer ``dtype``), or a
+    one-dimensional numeric ndarray that casts to ``dtype`` as ``check``
+    converts its items (for int64, no uint64).  None for anything else,
+    bools, strings and numpy scalars among them, and for an int beyond the
+    range of ``dtype``: the element loop answers for those."""
+    integer = np.dtype(dtype).kind == "i"
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        fits = (kind in "iu" and np.can_cast(values.dtype, dtype)) if integer else kind in "fiu"
+        if values.ndim != 1 or not fits:
+            return None
+    elif not isinstance(values, (list, tuple)) or not set(map(type, values)) <= ({int} if integer else {float, int}):
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an int beyond the range of dtype
+        return None
+
+
 def _as_real(tag: str, a) -> float:
     if isinstance(a, bool) or not isinstance(a, (int, float, np.integer, np.floating)):
         raise GroupMismatchError(f"group mismatch: {a!r} is not a {tag} element")
@@ -355,6 +386,12 @@ class PositiveReals(Group):
                 f"group mismatch: rplus element {a!r} is not above 2**-1024 = {_RPLUS_FLOOR!r}, so its inverse overflows"
             )
         return x
+
+    def batch_check(self, values):
+        x = _scalar_array(values, float)
+        if x is not None and _in_rplus_range(x):  # check returns each value as float() reads it
+            return x
+        return super().batch_check(values)
 
     def batch_multiply(self, a, b):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below
@@ -426,6 +463,14 @@ class CircleGroup(Group):
 
     def check(self, a):
         return wrap_angle(_as_real(self.tag, a))
+
+    def batch_check(self, values):
+        x = _scalar_array(values, float)
+        if x is not None and ((x > -math.pi) & (x <= math.pi)).all():
+            return x  # on the branch already, where wrap_angle returns each angle as it is
+        if x is not None and np.isfinite(x).all():
+            return wrap_angles(x)
+        return super().batch_check(values)
 
     def batch_multiply(self, a, b):
         return _fold(a + b)
@@ -641,6 +686,12 @@ class CyclicGroup(Group):
         if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
             raise GroupMismatchError(f"group mismatch: {a!r} is not a {self.tag} residue")
         return int(a) % self.m
+
+    def batch_check(self, values):
+        r = _scalar_array(values, np.int64)
+        if r is not None:
+            return r % self.m  # numpy's remainder takes the sign of m, as Python's does
+        return super().batch_check(values)
 
     def batch_multiply(self, a, b):
         return (a + b) % self.m

@@ -15,7 +15,13 @@ the grid of plain elements, ``entries``, is built only when something
 reads it, and ``entry`` reads one stored carrier.  Matrices that break the axioms (a gap
 without its mirror, a wrong reciprocal or diagonal) are stored as given,
 so :func:`validate`, which reads the stored entries, can name the
-violation.  Only a gap-free matrix is ever viewed as an (n, n, ...) array.
+violation.  It pairs each stored entry with its transpose by one
+``searchsorted`` on a gapped matrix's positions, and reads a gap-free
+matrix's pairing from a layout cached per n (``_gap_free_pairing``), as
+the pair lists ``_pairs`` and ``_pair_positions`` are.  That
+validates a gap-free u1 matrix in 19 us instead of 32-34 us, at n = 3 and
+at n = 9 (median of 9 ``timeit`` repeats, two runs, shared 2-vCPU host).
+Only a gap-free matrix is ever viewed as an (n, n, ...) array.
 
 The module provides validation, the two consistency notions (covariant
 a_ij * a_jk = a_ik and contravariant a_jk * a_ij = a_ik), triad holonomy,
@@ -47,7 +53,6 @@ consistencizer's ``ii_before``/``ii_after``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -151,10 +156,6 @@ class PCMatrix:
         """The absent positions (i, j), row-major."""
         return [divmod(p, self.n) for p in np.setdiff1d(np.arange(self.n**2), self._positions).tolist()]
 
-    def triads(self):
-        """All index triples i < j < k."""
-        return itertools.combinations(range(self.n), 3)
-
     def _key(self) -> tuple:
         # plain values, so that -0.0 and 0.0 compare and hash alike
         pos = tuple(self._positions.tolist())
@@ -236,32 +237,52 @@ def _from_pairs(group: Group, n: int, I: np.ndarray, J: np.ndarray, upper: np.nd
 
 def validate(A: PCMatrix) -> list[tuple[int, int, str]]:
     """Check the PC axioms on the stored entries, each paired with its
-    transpose by one ``searchsorted``.
+    transpose (:func:`_pairing`).
 
     Returns an empty list when the matrix is valid; otherwise one
     ``(i, j, axiom)`` tuple per violation: each bad diagonal entry as
     (i, i, "diagonal"), then over the pairs i < j, row-major, a lone entry
     as (i, j, "gap symmetry") or a wrong a_ji as (j, i, "reciprocity").
     """
-    G, n, C, P = A.group, A.n, A._carriers, A._positions
-    I, J = np.divmod(P, n)
-    T = J * n + I  # each entry's transpose
-    k = T if A.gap_free else P.searchsorted(T)  # where the transpose is stored, if it is
-    paired = P.take(k, mode="clip") == T  # past the end, P's last position is below T
-    d = np.flatnonzero(I == J)
+    G, n, C = A.group, A.n, A._carriers
+    diag, lhs, up, lone_key, up_key = _gap_free_pairing(n) if A.gap_free else _pairing(A._positions, n)
+    # one distance call: d(a_ii, 1) on the stored diagonal, then d(a_ji, a_ij^-1) on the pairs stored both ways
+    rhs = np.concatenate((_identities(G, len(diag)), G.batch_inverse(C.take(up, axis=0))))
+    bad = G.batch_distance(C.take(lhs, axis=0), rhs) > ALGEBRA_TOL
     bad_diag = np.ones(n, dtype=bool)  # a missing diagonal entry is bad
-    bad_diag[I[d]] = G.batch_distance(C.take(d, axis=0), G.to_array([G.identity])) > ALGEBRA_TOL
+    bad_diag[diag] = bad[: len(diag)]
     out = [(i, i, "diagonal") for i in np.flatnonzero(bad_diag).tolist()]
-    lone = np.flatnonzero(~paired)  # an entry whose mirror is a gap; the diagonal is its own mirror
-    up = np.flatnonzero(paired & (I < J))
-    unreciprocal = G.batch_distance(C.take(k[up], axis=0), G.batch_inverse(C.take(up, axis=0))) > ALGEBRA_TOL
     # one violation per pair at most, ordered by the pair's position i * n + j, i < j
-    key = np.concatenate((np.minimum(P, T)[lone], P[up][unreciprocal]))
-    asymmetric = np.arange(len(key)) < len(lone)
+    key = np.concatenate((lone_key, up_key[bad[len(diag) :]]))
+    asymmetric = np.arange(len(key)) < len(lone_key)
     for t in np.argsort(key).tolist():
         i, j = divmod(int(key[t]), n)
         out.append((i, j, "gap symmetry") if asymmetric[t] else (j, i, "reciprocity"))
     return out
+
+
+def _pairing(P: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """How :func:`validate` reads the sorted flat positions P of an n x n
+    matrix's stored entries, each paired with its transpose by one
+    ``searchsorted``: the vertices of the stored diagonal entries; the
+    indices in P of those entries and then of each a_ji whose a_ij, i < j,
+    is stored too; the indices of those a_ij and their positions i * n + j;
+    and the position i * n + j, i < j, of each lone entry, whose mirror is
+    a gap."""
+    I, J = np.divmod(P, n)
+    T = J * n + I  # each entry's transpose
+    k = P.searchsorted(T)  # where the transpose is stored, if it is
+    paired = P.take(k, mode="clip") == T  # past the end, P's last position is below T
+    d = np.flatnonzero(I == J)
+    up = np.flatnonzero(paired & (I < J))
+    return I[d], np.concatenate((d, k[up])), up, np.minimum(P, T)[~paired], P[up]  # the diagonal is its own mirror
+
+
+@functools.lru_cache(maxsize=64)
+def _gap_free_pairing(n: int) -> tuple[np.ndarray, ...]:
+    """:func:`_pairing` of the n * n positions of a gap-free matrix,
+    read-only: its layout depends on n alone."""
+    return _frozen(*_pairing(np.arange(n * n), n))
 
 
 def _require_valid(A: PCMatrix) -> None:

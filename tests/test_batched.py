@@ -19,18 +19,21 @@ transformations.
 """
 
 import cmath
+import contextlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+from holopc import pcmatrix
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian, lsq_gradient, lsq_objective
 from holopc.errors import LogBranchError
-from holopc.groups import RPLUS, SU2, TAU, U1, CircleGroup, CyclicGroup, wrap_angle, wrap_angles, zmod
+from holopc.groups import RPLUS, SU2, TAU, U1, CircleGroup, CyclicGroup, Group, PositiveReals, wrap_angle, wrap_angles, zmod
 from holopc.integrate import _estimate
 from holopc.pcmatrix import (
     _TRIAD_BLOCK,
@@ -619,6 +622,33 @@ def test_validate_without_off_diagonal_entries(group, n):
     assert validate(empty) == dense_validate(empty) == [(i, i, "diagonal") for i in range(n)]
 
 
+@pytest.mark.parametrize("group", [RPLUS, U1, SU2, Z5], ids=lambda g: g.tag)
+@PROPERTY
+@given(data=st.data())
+def test_gap_free_validate_reads_its_cached_layout_as_the_general_path(group, data):
+    # a valid gap-free matrix with diagonal and reciprocity violations
+    # injected: the per-n layout gives the list the searchsorted pairing of
+    # the stored positions gives, in the same order, and the dense reference's
+    n = data.draw(st.integers(2, 9))
+    values = VALIDATE_VALUES[group.tag]
+    A = from_upper_triangle(group, data.draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    grid = [list(row) for row in A.entries]
+    for i, j in itertools.product(range(n), repeat=2):
+        cell = data.draw(st.sampled_from(["keep", "keep", "keep", "redraw", "nudge"]))
+        if cell == "redraw":
+            grid[i][j] = data.draw(values)
+        elif cell == "nudge":
+            grid[i][j] = nudged(group, grid[i][j], data.draw(st.sampled_from([-2e-12, -5e-13, 5e-13, 2e-12])))
+    B = PCMatrix(group, grid)
+    assert B.gap_free
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcmatrix, "_gap_free_pairing", lambda m: pytest.fail("the general path read the cached layout"))
+        mp.setattr(PCMatrix, "gap_free", property(lambda self: False))
+        general = validate(B)
+    assert validate(B) == general == dense_validate(B)
+    assert not any(a.flags.writeable for a in pcmatrix._gap_free_pairing(n))
+
+
 def gapped_matrix(group, data):
     """A random valid matrix of either variance with any gap pattern, built
     by ``_from_pairs`` from its kept upper pairs; with its variance and the
@@ -885,15 +915,16 @@ class CountingCircle(CircleGroup):
 
 
 def test_constructors_check_each_value_once():
+    # one batch_check per call, which checks valid floats in one array pass, with no element check
     G = CountingCircle()
     values = [0.1 * k for k in range(10)]
     from_upper_triangle(G, values)
-    assert (G.checks, G.batches) == (len(values), 1)
+    assert (G.checks, G.batches) == (0, 1)
 
     G.checks = G.batches = 0
     lam = [0.3, -1.0, 2.5, 3.0]
     from_gauge_vector(G, lam)
-    assert (G.checks, G.batches) == (len(lam), 1)
+    assert (G.checks, G.batches) == (0, 1)
 
 
 def test_sweeps_and_descent_check_nothing():
@@ -910,6 +941,98 @@ def test_sweeps_and_descent_check_nothing():
     lsq_objective(A, lam)
     lsq_gradient(A, lam)
     assert G.checks == 0
+
+
+# --- the array pass of batch_check against the loop over check ----------------------
+
+Z_TOP = zmod(2**62)  # the largest order, whose residue sums still fit int64
+NUMBERS = st.one_of(  # the Python floats and ints that the array passes take
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.integers(),
+    st.integers(-(2**1100), 2**1100),  # beyond 2**53, 2**63 and 2**1024
+    st.integers(-50, 50),  # zmod residues, negative or at least m
+    st.sampled_from(
+        [
+            0, -1, 0.0, -0.0, -2.5, 2**53 + 1, 2**63, -(2**63) - 1, 2**64 + 3, 2**1024, -(2**1024),
+            2.0**-1024, math.nextafter(2.0**-1024, 1.0), 5e-324, math.pi, -math.pi, 2 * math.pi,
+            -2 * math.pi, 6 * math.pi, -4 * math.pi, math.inf, -math.inf, math.nan,
+        ]
+    ),
+)
+RAW_VALUES = st.one_of(
+    NUMBERS,
+    st.sampled_from([True, False, "1", "1.5", None, 1j]),
+    st.floats(-4 * math.pi, 4 * math.pi).map(np.float64),  # numpy scalars
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def check_outcome(f, values):
+    """The carriers ``f(values)`` returns, as dtype and bytes, or the type
+    and message of what it raises."""
+    try:
+        C = f(values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return C.dtype, C.shape, C.tobytes()
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, Z7, Z_TOP], ids=lambda g: g.tag)
+@PROPERTY
+@given(
+    values=st.one_of(st.lists(NUMBERS, max_size=8), st.lists(RAW_VALUES, max_size=8)),
+    form=st.sampled_from([list, tuple, np.array]),
+)
+@example(values=[-math.pi, 0.5], form=list)  # -pi leaves the u1 branch: check gives pi
+@example(values=[math.pi, -0.0, 2 * math.pi, -2 * math.pi, 7], form=list)
+@example(values=[1.0, math.inf], form=list)
+@example(values=[0.5, math.nan], form=np.array)
+def test_array_pass_gives_the_loop_carriers_or_its_first_error(group, values, form):
+    try:
+        values = form(values)
+    except (OverflowError, TypeError, ValueError):  # np.array of values it cannot hold
+        values = list(values)
+    loop = lambda vs: Group.batch_check(group, vs)  # noqa: E731  the loop over check
+    assert check_outcome(group.batch_check, values) == check_outcome(loop, values)
+
+
+NUMERIC_DTYPES = [np.float16, np.float32, np.float64, np.longdouble, np.int8, np.int64, np.uint32, np.uint64, np.bool_]
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, Z7, Z_TOP], ids=lambda g: g.tag)
+@PROPERTY
+@given(
+    values=st.sampled_from(NUMERIC_DTYPES).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.sampled_from([(0,), (1,), (5,), (3, 2)]))
+    )
+)
+def test_array_pass_on_numeric_arrays_gives_the_loop_carriers(group, values):
+    loop = lambda vs: Group.batch_check(group, vs)  # noqa: E731
+    assert check_outcome(group.batch_check, values) == check_outcome(loop, values)
+
+
+def test_array_pass_takes_the_values_check_reads_without_conversion(monkeypatch):
+    # floats and ints, or a numeric array, skip the element loop; a bool, a
+    # string, a numpy scalar or an int beyond the carrier's range runs it
+    calls = []
+    for cls in (PositiveReals, CircleGroup, CyclicGroup):
+        check = cls.check
+        monkeypatch.setattr(cls, "check", lambda self, a, _check=check: calls.append(a) or _check(self, a))
+    for group, good, others in [
+        (RPLUS, [2.0, 3, 2**1023], [[True, 2.0], ["2"], [np.float64(2.0)], [2**1024]]),
+        (U1, [7.0, -3, 2**70], [[False], ["1"], [np.float32(1.0)], [2**1024]]),
+        (Z7, [9, -3, 2**63 - 1], [[True], [1.0], [np.int64(9)], [2**63]]),
+    ]:
+        for values in (good, tuple(good), np.array(good[:2])):
+            group.batch_check(values)
+        assert calls == []
+        for values in others:
+            with contextlib.suppress(ValueError):
+                group.batch_check(values)
+            assert calls, values
+            calls.clear()
 
 
 # --- plaquette sweep against the scalar plaquette ----------------------------------

@@ -61,16 +61,17 @@ def test_documents_check_each_value_once(monkeypatch):
     A = random_pc_matrix(U1, 5, rng=71)
     F = EdgeField(U1, {(0, 1): 0.3, (1, 2): -2.0, (0, 2): 3.1})
     checked, batches = [], []
-    check, batch_check = CircleGroup.check, Group.batch_check
+    check = CircleGroup.check
     monkeypatch.setattr(CircleGroup, "check", lambda self, a: checked.append(a) or check(self, a))
-    monkeypatch.setattr(Group, "batch_check", lambda self, vs: batches.append(len(vs)) or batch_check(self, vs))
+    for owner in (Group, CircleGroup):  # the classes that define batch_check on this path
+        batch_check = owner.batch_check
+        monkeypatch.setattr(owner, "batch_check", lambda self, vs, _b=batch_check: batches.append(len(vs)) or _b(self, vs))
     obj, fobj = matrix_to_obj(A), field_to_obj(F)
     assert checked == [] and batches == []  # stored carriers are written as they are
     assert matrix_from_obj(obj) == A
-    assert len(checked) == 25 and batches == [25]  # one batch per document
-    del checked[:], batches[:]
+    assert checked == [] and batches == [25]  # one array pass per document, no element check
     assert field_from_obj(fobj).items() == F.items()
-    assert len(checked) == 3 and batches == [3]
+    assert checked == [] and batches == [25, 3]
 
 
 def test_matrix_json_preserves_gaps():
@@ -154,6 +155,73 @@ def test_a_one_by_one_matrix_is_refused_by_its_size():
         PCMatrix(RPLUS, [])
     with pytest.raises(ValueError, match="square grid"):  # not square: the grid's own message
         PCMatrix(RPLUS, [[1.0, 2.0]])
+
+
+def csv_outcome(text, array_pass=True):
+    """What ``matrix_from_csv`` makes of ``text``: the size and carrier
+    bytes, or the ParseError's message, line and column; without the array
+    pass, what the cell loop alone makes of it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not array_pass:
+            mp.setattr(serialize, "_csv_array", lambda text: None)
+        try:
+            A = matrix_from_csv(text)
+        except ParseError as exc:
+            return str(exc), exc.line, exc.column
+    return A.n, A._carriers.dtype, A._carriers.tobytes()
+
+
+POSITIVE = st.one_of(
+    st.floats(0.01, 100.0),
+    st.floats(math.nextafter(2.0**-1024, 1.0), 1e308),
+    st.sampled_from([math.nextafter(2.0**-1024, 1.0), 1.7976931348623157e308, 1.0]),
+)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_csv_array_pass_reads_repr_written_matrices_as_the_cell_loop(data):
+    n = data.draw(st.integers(2, 9))
+    rows = data.draw(st.lists(st.lists(POSITIVE, min_size=n, max_size=n), min_size=n, max_size=n))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(map(repr, row)) for row in rows) + end
+    assert serialize._csv_array(text) is not None  # the array pass takes it
+    assert csv_outcome(text) == csv_outcome(text, array_pass=False)
+
+
+_GOOD3 = [["1", "2", "4"], ["0.5", "1", "2"], ["0.25", "0.5", "1"]]
+CSV_CELLS = ["1_000", "nan", "inf", "-inf", "0", "-1", "1e400", "5e-324", "", " 2 ", "١", "x"]
+CSV_TEXTS = [
+    "\n".join(",".join(cell if (r, c) == at else v for c, v in enumerate(row)) for r, row in enumerate(_GOOD3)) + "\n"
+    for cell in CSV_CELLS
+    for at in [(0, 1), (2, 2), (1, 0)]
+] + [
+    "1,2,4\n0.5,1\n0.25,0.5,1\n",  # a ragged row
+    "1,2,4\n0.5,1,2,3\n0.25,0.5,1\n",
+    "1,2,3\n0.5,1,2\n",  # two rows of three
+    "1,2\n\n0.5,1\n",  # a blank inner row
+    "\n1,2\n0.5,1\n",  # a leading blank line
+    "1\n",  # 1 x 1
+    "0\n",
+    "1,2\n0.5,1\n\n  \n\n",  # trailing blank lines
+    "1,2\r\n0.5,1\r\n",
+    " 1 , 2\n0.5 ,\t1 \n",  # spaces around cells
+    "1,2\n0.5,1",  # no final line end
+    "1,2,\n0.5,1,\n",
+    "",
+    "\n\n",
+    "  \n",
+]
+
+
+@pytest.mark.parametrize("text", CSV_TEXTS)
+def test_csv_array_pass_answers_as_the_cell_loop(text):
+    assert csv_outcome(text) == csv_outcome(text, array_pass=False)
+
+
+@pytest.mark.parametrize("text", ["1,2\n0.5,1\n\n  \n\n", "1,2\r\n0.5,1\r\n", " 1 , 2\n0.5 ,\t1 \n", "1,١\n1,1\n"])
+def test_csv_array_pass_takes_valid_line_ends_spaces_and_digits_float_reads(text):
+    assert serialize._csv_array(text) is not None
 
 
 def test_files_are_read_with_their_errors_wrapped(tmp_path):
@@ -696,7 +764,8 @@ def test_bad_complexes_name_their_first_bad_cell(doc, message, numpy_pass):
         ({"0-1": _U, "1.5-2": _U}, "bad edge key '1.5-2'; expected 'i-j'"),
         ({"0-1": _U, f"0-{2**63}": _U}, f"bad edge key '0-{2**63}'; vertices must fit in 64 bits"),
         ({"0-1": _U, "1-0": _U}, "duplicate value for edge (0, 1)"),
-        ({"0-1": _U, "0-2": _U, "0-1 ": _U}, "duplicate value for edge (0, 1)"),  # the same edge spelled twice
+        # the same edge spelled twice, the second read by the key loop: 19 digits are beyond the numpy pass
+        ({"0-1": _U, "0-2": _U, "0000000000000000000-1": _U}, "duplicate value for edge (0, 1)"),
         ({"0-1": _U, "1-1": _U}, "self-edge (1,1) has no holonomy"),
         ({"2-2": _U, "0-1": _U, "1-0": _U}, "self-edge (2,2) has no holonomy"),
         ({"0-1": _U, "1-0": _U, "2-2": _U}, "duplicate value for edge (0, 1)"),
@@ -723,10 +792,6 @@ def test_digit_keys_are_read_in_one_numpy_pass_as_the_key_loop_reads_them():
     "key, edge",
     [
         ("1000000000000000000-1", (10**18, 1)),  # 19 digits, inside int64
-        ("١-٢", (1, 2)),  # digits that Python's int reads and the numpy pass does not take
-        ("+1-2", (1, 2)),
-        (" 1-2", (1, 2)),
-        ("1_0-2", (10, 2)),
     ],
 )
 def test_keys_beside_the_numpy_pass_keep_their_reading(key, edge):
@@ -743,6 +808,11 @@ def test_keys_beside_the_numpy_pass_keep_their_reading(key, edge):
         ("9999999999999999999-1", "vertices must fit in 64 bits"),  # 19 digits, beyond int64
         ("1-2,0-2", "expected 'i-j'"),  # joined with the others, its comma reads as two keys
         ("", "expected 'i-j'"),
+        # ASCII digits only: Python's int would read each of these as a vertex
+        ("١-٢", "expected 'i-j'"),
+        ("+1-2", "expected 'i-j'"),
+        (" 1-2", "expected 'i-j'"),
+        ("1_0-2", "expected 'i-j'"),
     ],
 )
 def test_keys_beside_the_numpy_pass_keep_their_refusal(key, message):
