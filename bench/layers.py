@@ -16,7 +16,10 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   the synchronization start of that solver (``SU2.batch_synchronize`` of
   the entry array; a tree without it has no such layer);
 - the triad sweep of ``is_consistent`` on such su2 matrices at n = 10, 30
-  and 60;
+  and 60, and, drawn after every other input so that no other layer's
+  input moves, at n = 48 (``su2-dense``'s largest ``check``) and on an
+  exactly consistent n = 60 matrix (``from_gauge_vector`` of a Haar gauge,
+  the ranked sweep's worst case);
 - one Monte Carlo block (1024 samples) of ``expectation``: the u1 worst
   triad indicator of random 5 x 5 matrices (``montecarlo --random-pc 5``)
   and su2 ``mean_curvature_In`` on ``full_simplex(3)``;
@@ -78,11 +81,12 @@ def layers(src: str, tmp: Path) -> dict:
     no arguments; the inputs are drawn from a fixed seed, and files go in
     ``tmp``."""
     sys.path[:0] = [src, str(ROOT)]
+    from holopc import serialize
     from holopc.cli import _mc_report, main
     from holopc.consistencize import consistencize_riemannian
     from holopc.groups import RPLUS, SU2, U1
     from holopc.integrate import Observable, _estimate, expectation, ii_distribution
-    from holopc.pcmatrix import _entry_array, from_upper_triangle, is_consistent, random_pc_matrix, validate
+    from holopc.pcmatrix import _entry_array, from_gauge_vector, from_upper_triangle, is_consistent, random_pc_matrix, validate
     from holopc.serialize import (
         Records,
         complex_to_obj,
@@ -124,7 +128,11 @@ def layers(src: str, tmp: Path) -> dict:
         "group": "su2",
         "n": 21,
         "method": "riemannian",
-        "lambda": [SU2.checked_to_obj(v) for v in result.lam],
+        "lambda": (  # a tree without the carrier writer wrote the objects
+            serialize.Carriers(SU2, SU2.to_array(result.lam))
+            if hasattr(serialize, "Carriers")
+            else [SU2.checked_to_obj(v) for v in result.lam]
+        ),
         "matrix": result.matrix,
         "residual": result.residual,
         "ii_before": result.ii_before,
@@ -188,6 +196,9 @@ def layers(src: str, tmp: Path) -> dict:
             K, obs = simplex3, Observable(cfg["observable"], loop=tuple(cfg["loop"]) if "loop" in cfg else None)
         name = f"expectation.{cfg['group']}_{obs.tag}_N{cfg['N']}"
         out[name] = lambda K=K, group=group, obs=obs, N=cfg["N"]: expectation(K, group, obs, N=N, seed=7)
+    out["is_consistent.su2_n48"] = lambda A=dense(48): is_consistent(A)
+    consistent = from_gauge_vector(SU2, SU2.batch_haar_sample(rng, (60,)).tolist())
+    out["is_consistent.su2_consistent_n60"] = lambda: is_consistent(consistent)
     calls = {
         "check": ["check", str(tmp / "u1_9.json")],
         "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],

@@ -58,6 +58,7 @@ from .groups import group_from_tag
 from .integrate import Observable, expectation, ii_distribution
 from .pcmatrix import _require_nonnegative, ii_n_chain, is_consistent, validate
 from .serialize import (
+    Carriers,
     Records,
     complex_from_obj,
     field_from_obj,
@@ -140,7 +141,7 @@ def cmd_consistencize(args) -> int:
         "group": G.tag,
         "n": A.n,
         "method": args.method,
-        "lambda": [G.checked_to_obj(v) for v in result.lam],
+        "lambda": Carriers(G, G.to_array(result.lam)),
         "matrix": result.matrix,
         "residual": result.residual,
         "ii_before": result.ii_before,

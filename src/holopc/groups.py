@@ -40,7 +40,9 @@ the gauge it starts from, and ``batch_log_ratio``, its residual logs
 log(e^-1 a).  Nor has ``batch_defect``,
 the triad defect d(ab, c) that scores every default-indicator loop: one
 product and one distance, except for rplus, which sums logs so that a
-product beyond the float range is never formed.  :class:`PositiveReals`
+product beyond the float range is never formed; nor su2's
+``batch_defect_key``, the inner product <ab, c> by which ``pcmatrix``
+ranks su2 triads before it scores the few near the worst.  :class:`PositiveReals`
 alone knows the rplus range: its product and exponential refuse a result
 outside it, and its distance and residual logs, in logs where a ratio or
 product leaves it, never fail.
@@ -580,6 +582,37 @@ class UnitQuaternions(Group):
 
     def batch_distance(self, a, b):
         return 2.0 * np.arctan2(_norms(a - b), _norms(a + b))
+
+    def batch_defect_key(self, a, b, c):
+        """The inner product <ab, c> of the unnormalized product with c:
+        cos d(ab, c) up to rounding, so it falls as the defect rises, at
+        about half the defect's cost (no normalization, norms or atan2).
+        It ranks triads in ``pcmatrix``'s sweep and has no element form."""
+        # batch_multiply's sums, then the four terms of the inner product in
+        # component order, accumulated in place (the products with c may broadcast)
+        w1, x1, y1, z1 = (a[..., k] for k in range(4))
+        w2, x2, y2, z2 = (b[..., k] for k in range(4))
+        t = w1 * w2
+        t -= x1 * x2
+        t -= y1 * y2
+        t -= z1 * z2
+        s = t * c[..., 0]
+        t = w1 * x2
+        t += x1 * w2
+        t += y1 * z2
+        t -= z1 * y2
+        s += t * c[..., 1]
+        t = w1 * y2
+        t -= x1 * z2
+        t += y1 * w2
+        t += z1 * x2
+        s += t * c[..., 2]
+        t = w1 * z2
+        t += x1 * y2
+        t -= y1 * x2
+        t += z1 * w2
+        s += t * c[..., 3]
+        return s
 
     def batch_exp(self, v):
         vx, vy, vz = np.moveaxis(v, -1, 0)

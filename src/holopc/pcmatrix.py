@@ -48,6 +48,39 @@ rplus takes it as the sum of logs |log x - log y + log z|, so no product
 leaves the float range, and ``ii3_matrix`` and ``ii_n_chain`` work in logs
 too).  ``_loop_scorer`` is that one kernel, for every caller above and the
 consistencizer's ``ii_before``/``ii_after``.
+
+An su2 sweep with the default indicator that spans more than one block
+(C(n,3) > 2048, n >= 25) ranks its triads first.  The defect d(xz, y) is
+the angle phi in [0, pi] between xz and y, so it falls as the key
+c = <xz, y> = |x||z||y| cos phi rises (<zx, y> for contravariant loops),
+and the key, ``UnitQuaternions.batch_defect_key``, costs half the defect:
+no normalization, norms or atan2.  Pass 1 keys every triad, in blocks of
+``_KEY_BLOCK``, and keeps the ranks of those whose key is within
+delta = ``_KEY_TIE`` of the least (``_ranked_candidates``); pass 2 scores
+only those, with the defect kernel, and takes the first maximum by rank,
+so the value and the witness are the exhaustive sweep's, bit for bit.
+The rounding bound behind delta, for u = 2**-53: stored carriers are unit
+to within 4u, so ||x||y||z| - 1| <= eta = 12u; each component of xz sums
+four products whose magnitudes add to at most |x||z|, and the key four
+more, so |c_fp - |xz||y| cos phi| <= eps_c = 12u; and the defect kernel (a
+normalized product, two norms, an atan2 within 4 ulp) is within
+eps_d = 50u of phi.  Let t* have the least key.  A triad t with
+c_fp(t) > c_fp(t*) + delta has cos phi(t) - cos phi(t*) > delta - 2(eps_c
++ eta), and as |d cos phi / d phi| <= 1, phi(t*) - phi(t) exceeds it too;
+with delta >= 2(eps_d + eps_c + eta) = 148u, about 1.6e-14, that puts
+d_fp(t) below d_fp(t*), so t is no maximum.  ``_KEY_TIE`` = 1e-11 is 600
+times that bound (the measured errors are at most 7u).
+
+Ties have a fallback.  Once the candidates outnumber one sweep block, the
+sweep scores every triad by its defect, as a one-block sweep does: a
+matrix within rounding of consistent, every key of its first block within
+delta of the least (all defects below about 4.5e-6), pays one block of
+keys for that.  So the candidates never take more than one block's memory.
+The key blocks, (3, T) int32 pair ranks, are cached per n while one n's
+take at most ``_KEY_CACHE_BYTES`` (512 KiB, n <= 65), for at most 8 sizes
+(4 MiB); a larger n builds them block by block, so a sweep's memory stays
+bounded at any n.  One-block sweeps, the other groups, a supplied
+indicator and Monte Carlo rows keep the defect path.
 """
 
 from __future__ import annotations
@@ -60,7 +93,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GapError, InconsistentMatrixError, InvalidMatrixError, NonCompactGroupError
-from .groups import RPLUS, Element, Group, _require_integer, as_generator
+from .groups import RPLUS, Element, Group, UnitQuaternions, _require_integer, as_generator
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -68,6 +101,9 @@ CONTRAVARIANT = "contravariant"
 ALGEBRA_TOL = 1e-12  # tolerance for algebraic identities on float carriers
 
 _TRIAD_BLOCK = 2048  # triads scored per step of the sweep
+_KEY_BLOCK = 4096  # triads keyed per step of the ranked su2 sweep
+_KEY_TIE = 1e-11  # delta: keys within it of the least are scored (module docstring)
+_KEY_CACHE_BYTES = 2**19  # key blocks of one n are cached up to this size: n <= 65
 
 Triad = tuple[int, int, int]
 Indicator = Callable[[Element], float]
@@ -388,23 +424,91 @@ def _upper(A: PCMatrix) -> np.ndarray:
     return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n), axis=0)
 
 
-def _triad_sweep(A: PCMatrix, score) -> tuple[float, Triad | None]:
+def _triad_sweep(A: PCMatrix, score, key=None) -> tuple[float, Triad | None]:
     """The lexicographically first triad of maximal score, with its score.
 
     ``score(x, y, z)`` maps the carrier arrays of a block's entries
     (a_ij, a_ik, a_jk) of a gap-free matrix to one float per triad.
-    Matrices with n < 3 have no triads and give (0.0, None).
+    ``key(x, y, z)``, given with the default su2 defect (:func:`_loop_key`),
+    ranks the triads of a sweep longer than one block, and only the
+    candidates of :func:`_ranked_candidates` are scored.  Matrices with
+    n < 3 have no triads and give (0.0, None).
     """
     n, U = A.n, _upper(A)[None]  # the upper triangle: one field on the complete graph
-    # scored as (T, ...) arrays, on which the kernels run faster than on (1, T, ...)
-    blocks = (score(*(e[0] for e in _triangle_edges(cols, U)))[None] for cols in _triad_blocks(n, _TRIAD_BLOCK))
-    (value,), (t,) = _first_max(blocks, 1)
-    if t < 0:
-        return 0.0, None
+    found = _ranked_candidates(U[0], n, key) if key is not None and math.comb(n, 3) > _TRIAD_BLOCK else None
+    if found is None:
+        # scored as (T, ...) arrays, on which the kernels run faster than on (1, T, ...)
+        blocks = (score(*(e[0] for e in _triangle_edges(cols, U)))[None] for cols in _triad_blocks(n, _TRIAD_BLOCK))
+        (value,), (t,) = _first_max(blocks, 1)
+        if t < 0:
+            return 0.0, None
+    else:
+        ranks, cols = found
+        scores = score(*(e[0] for e in _triangle_edges(cols, U)))
+        b = int(scores.argmax())  # the candidates are in rank order: the first maximum
+        value, t = scores[b], ranks[b]
     _, end, shift, _ = _triad_ranks(n)
     i = int(end.searchsorted(t, side="right"))
     p, (J, K) = int(t + shift[i]), _pairs(n)
     return float(value), (i, int(J[p]), int(K[p]))
+
+
+def _ranked_candidates(U: np.ndarray, n: int, key) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ranks and (T, 3) pair-rank columns, in rank order, of the triads
+    whose key is within ``_KEY_TIE`` of the least key, from the upper
+    triangle U of an n x n su2 matrix: every triad of maximal defect is
+    among them (module docstring).  None when they outnumber one sweep
+    block, as every triad of a matrix within rounding of consistent does
+    in the first key block: the sweep then scores every triad."""
+    low, found, count = math.inf, [], 0
+    edges = np.empty((3, _KEY_BLOCK) + U.shape[1:])  # one buffer for every block's gather
+    for lo, cols in _key_blocks(n):
+        k = key(*(U.take(c, axis=0, out=e[: len(c)]) for c, e in zip(cols, edges)))
+        low = min(low, float(k.min()))
+        near = np.flatnonzero(k <= low + _KEY_TIE)
+        count += len(near)
+        if len(near) > _TRIAD_BLOCK:  # no lower key can drop these
+            return None
+        found.append((k[near], near + lo, cols[:, near]))
+        if count > _TRIAD_BLOCK:  # drop the triads a lower key has left behind
+            found = [_pruned(found, low)]
+            count = len(found[0][1])
+            if count > _TRIAD_BLOCK:
+                return None
+    _, ranks, cols = _pruned(found, low)
+    return ranks, cols.T
+
+
+def _pruned(found: list, low: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (keys, ranks, columns) of :func:`_ranked_candidates` joined, less
+    the triads whose key is more than ``_KEY_TIE`` above ``low``."""
+    keys, ranks, cols = (np.concatenate(parts, axis=-1) for parts in zip(*found))
+    keep = keys <= low + _KEY_TIE
+    return keys[keep], ranks[keep], cols[:, keep]
+
+
+def _key_blocks(n: int):
+    """The triads in lexicographic blocks of ``_KEY_BLOCK``: each block's
+    first rank and its pair ranks (ij, ik, jk) as a (3, T) int32 array,
+    each row contiguous for the gather.  Cached per n while the blocks of
+    one n take at most ``_KEY_CACHE_BYTES``."""
+    if 12 * math.comb(n, 3) <= _KEY_CACHE_BYTES:
+        return _cached_key_blocks(n)
+    return _new_key_blocks(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_key_blocks(n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """:func:`_new_key_blocks`, read-only, for at most 8 sizes n of at
+    most ``_KEY_CACHE_BYTES`` each: 4 MiB in all."""
+    return tuple((lo, _frozen(cols)[0]) for lo, cols in _new_key_blocks(n))
+
+
+def _new_key_blocks(n: int):
+    """The blocks of :func:`_key_blocks`, built one at a time."""
+    total = math.comb(n, 3)
+    for lo in range(0, total, _KEY_BLOCK):
+        yield lo, _triad_columns(n, lo, min(lo + _KEY_BLOCK, total)).T.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -435,7 +539,7 @@ def is_consistent(A: PCMatrix, tol: float = 1e-9) -> ConsistencyCheck:
     """
     _require_nonnegative("tol", tol)
     _require_gap_free(A, "consistency undefined with gaps")
-    worst_defect, worst = _triad_sweep(A, _loop_scorer(A.group, A.variance, None))
+    worst_defect, worst = _triad_sweep(A, _loop_scorer(A.group, A.variance, None), _loop_key(A.group, A.variance, None))
     return ConsistencyCheck(worst_defect <= tol, worst, worst_defect)
 
 
@@ -455,6 +559,18 @@ def _loop_scorer(G: Group, variance: str, indicator: Indicator | None) -> Callab
         return lambda x, y, z: G.batch_defect(x, z, y)
     In = _batched_indicator(G, indicator)
     return lambda x, y, z: In(_holonomies(G, variance, x, y, z))
+
+
+def _loop_key(G: Group, variance: str, indicator: Indicator | None) -> Callable[..., np.ndarray] | None:
+    """A key of the triad loops that falls as :func:`_loop_scorer`'s score
+    rises, for :func:`_triad_sweep` to rank them by: with the default
+    indicator on su2, ``key(x, y, z)`` is <xz, y> (covariant) or <zx, y>
+    (contravariant), ``UnitQuaternions.batch_defect_key``.  None otherwise."""
+    if indicator is not None or not isinstance(G, UnitQuaternions):
+        return None
+    if variance == CONTRAVARIANT:
+        return lambda x, y, z: G.batch_defect_key(z, x, y)
+    return lambda x, y, z: G.batch_defect_key(x, z, y)
 
 
 def _holonomies(G: Group, variance: str, x, y, z) -> np.ndarray:
@@ -548,7 +664,7 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
     scored on whole blocks; a supplied indicator sees each holonomy.
     """
     _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
-    return _triad_sweep(A, _loop_scorer(A.group, A.variance, indicator))
+    return _triad_sweep(A, _loop_scorer(A.group, A.variance, indicator), _loop_key(A.group, A.variance, indicator))
 
 
 def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[np.ndarray], np.ndarray]:

@@ -14,7 +14,9 @@ are unwrapped in one comprehension (``Group.unwrap_objs``) and the whole
 document goes through one ``Group.batch_check``, one array pass in every
 group.  When either fails, a loop over the elements reports the bad one as
 the one-at-a-time parse would: the first bad key or element in document
-order.  A CSV matrix is read as one ``np.array(rows, dtype=float)``, which
+order.  A matrix document with no ``null`` takes its flat positions from
+one ``np.arange``, with no list of them.  A CSV matrix is read as one
+``np.array(rows, dtype=float)``, which
 converts each cell as Python's ``float`` does, and checked by one
 ``RPLUS.batch_check``; text with an ``_`` in it, or that this pass
 refuses, is read cell by cell, so that each refusal names its line and
@@ -34,7 +36,9 @@ the item texts.  A :class:`PCMatrix` is written as its document
 as a string of ``null`` items built once per run length, and, above
 ``_FORMAT_ONCE`` carrier scalars, each distinct magnitude formatted once.
 A :class:`Records` list, such as the ``curvatures`` of a ``holonomy``
-report, goes through one record template.  The su2 ``holonomy`` report of
+report, goes through one record template, and a :class:`Carriers` list,
+the gauge of a ``consistencize`` report, through the element template, or
+as a number list where elements are plain numbers.  The su2 ``holonomy`` report of
 ``grid_complex(20)`` is written in under half the time a writer of one
 string per container took (``BENCH_layers.json``).
 
@@ -103,9 +107,13 @@ def matrix_from_obj(obj) -> PCMatrix:
         raise ParseError(str(exc)) from exc
     if not isinstance(flat, list) or len(flat) != n * n:
         raise ParseError(f"expected {n * n} entries, got {len(flat) if isinstance(flat, list) else type(flat).__name__}")
-    pos = [p for p, v in enumerate(flat) if v is not None]
+    if None in flat:
+        pos = [p for p, v in enumerate(flat) if v is not None]
+        present, positions = [flat[p] for p in pos], np.array(pos, dtype=np.intp)
+    else:  # gap-free: every position, with no list of them
+        pos, present, positions = range(n * n), flat, np.arange(n * n, dtype=np.intp)
     try:
-        carriers = group.batch_check(group.unwrap_objs(flat if len(pos) == len(flat) else [flat[p] for p in pos]))
+        carriers = group.batch_check(group.unwrap_objs(present))
     except (ValueError, KeyError, TypeError):
         for p in pos:  # name the first bad element in document order
             try:
@@ -114,7 +122,7 @@ def matrix_from_obj(obj) -> PCMatrix:
                 raise ParseError(f"bad matrix document: {exc}") from exc
         raise
     try:
-        return PCMatrix._of_checked(group, n, carriers, np.array(pos, dtype=np.intp), variance)
+        return PCMatrix._of_checked(group, n, carriers, positions, variance)
     except ValueError as exc:
         raise ParseError(f"bad matrix document: {exc}") from exc
 
@@ -340,6 +348,18 @@ def save_obj(obj, path: str | Path) -> None:
 _escape = json.encoder.encode_basestring_ascii
 
 
+class Carriers:
+    """A list of elements of ``group`` given as a carrier array of checked
+    elements, such as a gauge vector, which :func:`json_text` writes as the
+    list of their ``Group.checked_to_obj`` forms without building it,
+    through one element template, as it writes a matrix's entries."""
+
+    __slots__ = ("group", "array")
+
+    def __init__(self, group: Group, array: np.ndarray):
+        self.group, self.array = group, array
+
+
 class Records:
     """A list of records ``{name: column[r]}`` over parallel numpy columns
     of floats or integers, one value per record (shape (R,)) or one row of
@@ -396,6 +416,10 @@ def _write(o, pad: str, out: list[str]) -> None:
         items, brackets = ((_escape(k) + ": ", v) for k, v in _matrix_header(o).items()), ",}"
     elif isinstance(o, Records):
         return _write_records(o, pad, out)
+    elif isinstance(o, Carriers):
+        if o.group.obj_key is None:  # plain numbers: one join, as a list of them is written
+            return _write(o.array.tolist(), pad, out)
+        return _write_elements(o.group, o.array, pad, out)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     sep = brackets[0] + inner
@@ -407,12 +431,19 @@ def _write(o, pad: str, out: list[str]) -> None:
 
 
 def _write_entries(A: PCMatrix, pad: str, out: list[str]) -> None:
-    """The ``entries`` list of a matrix document: each stored entry through
-    one element template, ``null`` at each gap."""
-    C = A._carriers
-    parts = _template(A.group.checked_to_obj(_SLOT if C.ndim == 1 else (_SLOT,) * C.shape[1]), pad + "  ")
-    texts = _scalar_texts(C.reshape(len(C), -1), once=C.size > _FORMAT_ONCE)
+    """The ``entries`` list of a matrix document: the stored entries,
+    ``null`` at each gap."""
     gaps = None if A.gap_free else np.diff(A._positions, prepend=-1, append=A.n * A.n) - 1
+    _write_elements(A.group, A._carriers, pad, out, gaps)
+
+
+def _write_elements(G: Group, C: np.ndarray, pad: str, out: list[str], gaps=None) -> None:
+    """A list of the elements of the carrier array C, each through one
+    element template; ``gaps`` as :func:`_write_rows` reads it."""
+    if not len(C):
+        return out.append("[]")  # the template rows below need one element
+    parts = _template(G.checked_to_obj(_SLOT if C.ndim == 1 else (_SLOT,) * C.shape[1]), pad + "  ")
+    texts = _scalar_texts(C.reshape(len(C), -1), once=C.size > _FORMAT_ONCE)
     _write_rows(parts, texts, pad, out, gaps)
 
 

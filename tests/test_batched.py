@@ -33,8 +33,21 @@ from scipy.linalg import expm
 from holopc import pcmatrix
 from holopc.consistencize import consistencize_abelian, consistencize_riemannian, lsq_gradient, lsq_objective
 from holopc.errors import LogBranchError
-from holopc.groups import RPLUS, SU2, TAU, U1, CircleGroup, CyclicGroup, Group, PositiveReals, wrap_angle, wrap_angles, zmod
-from holopc.integrate import _estimate
+from holopc.groups import (
+    RPLUS,
+    SU2,
+    TAU,
+    U1,
+    CircleGroup,
+    CyclicGroup,
+    Group,
+    PositiveReals,
+    UnitQuaternions,
+    wrap_angle,
+    wrap_angles,
+    zmod,
+)
+from holopc.integrate import Observable, _estimate, expectation
 from holopc.pcmatrix import (
     _TRIAD_BLOCK,
     ALGEBRA_TOL,
@@ -894,6 +907,187 @@ def test_identity_matrix_reports_first_triad(group):
     assert ii_indicator(A) == (0.0, (0, 1, 2))
     chk = is_consistent(A, tol=0.0)
     assert (chk.consistent, chk.worst_triad, chk.worst_defect) == (True, (0, 1, 2), 0.0)
+
+
+# --- the ranked su2 sweep against the exhaustive sweep ---------------------------------
+
+RANKED_SIZES = (3, 24, 25, 26, 48, 60)  # one block, the last n of one block, several key blocks
+RANKED_PROPERTY = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+
+
+def exhaustive_scores(A):
+    """Every triad's defect, in rank order, by one ``SU2.batch_defect`` call."""
+    U = pcmatrix._upper(A)
+    x, y, z = (U.take(c, axis=0) for c in pcmatrix._triad_columns(A.n, 0, math.comb(A.n, 3)).T)
+    return SU2.batch_defect(z, x, y) if A.variance == CONTRAVARIANT else SU2.batch_defect(x, z, y)
+
+
+def exhaustive_sweep(A):
+    """The first maximum of :func:`exhaustive_scores`: the su2 sweep with no ranking."""
+    (value,), (t,) = pcmatrix._first_max([exhaustive_scores(A)[None]], 1)
+    return float(value), list(itertools.combinations(range(A.n), 3))[t]
+
+
+def gauge_su2_matrix(n, variance, rng, scale=0.0, flip=False, same=None, twist=0.0):
+    """An su2 matrix of Haar gauge lam whose pair (i, j), i < j, is
+    lam_i^-1 g_ij lam_j (covariant) or lam_j g_ij lam_i^-1 (contravariant),
+    times exp of normal Lie-algebra noise of sd ``scale``, and -1 on a
+    random half of the pairs with ``flip``, so that a loop through an odd
+    number of them has a defect near pi.  The g_ij = exp(s_ij twist X) turn about one axis, with
+    s = 0 on row 0, -1 on the pair (n - 3, n - 1) and 1 elsewhere: the triad
+    (n - 3, n - 2, n - 1) has defect 3 twist and every other triad twist.
+    With ``same = (v, w)``, v < w, lam_w = lam_v, only the pairs (v, j),
+    j > w, are noisy, and row w is row v past column w: loops through v and
+    through w tie bit for bit, as (v, j, k) and (w, j, k) do for w < j."""
+    I, J = np.triu_indices(n, 1)
+    lam, noisy = SU2.batch_haar_sample(rng, (n,)), np.ones(len(I), dtype=bool)
+    if same is not None:
+        v, w = same
+        lam[w], noisy = lam[v], (I == v) & (J > w)
+    inv = SU2.batch_inverse(lam)
+    s = np.where((I == n - 3) & (J == n - 1), -1.0, 1.0) * (I > 0) * twist
+    g = SU2.batch_exp(np.stack((s, 0 * s, 0 * s), axis=-1))
+    if variance == COVARIANT:
+        upper = SU2.batch_multiply(SU2.batch_multiply(inv[I], g), lam[J])
+    else:
+        upper = SU2.batch_multiply(SU2.batch_multiply(lam[J], g), inv[I])
+    noise = SU2.batch_exp(scale * rng.normal(size=(len(I), 3)))
+    upper = np.where(noisy[:, None], SU2.batch_multiply(upper, noise), upper)
+    if flip:
+        upper = np.where(rng.integers(0, 2, len(I), dtype=bool)[:, None], -upper, upper)
+    if same is not None:
+        upper[(I == w) & (J > w)] = upper[noisy]
+    return _from_pairs(SU2, n, I, J, upper, variance)
+
+
+def ranked_inputs(kind, n, variance, rng):
+    if kind == "from_gauge_vector":
+        A = from_gauge_vector(SU2, SU2.batch_haar_sample(rng, (n,)).tolist())
+        return A if variance == COVARIANT else dualize(A)
+    if kind == "identity":
+        return identity_matrix(SU2, n, variance)
+    if kind.startswith("noise"):
+        return gauge_su2_matrix(n, variance, rng, scale=float(kind.split(":")[1]))
+    if kind.startswith("near-pi"):
+        return gauge_su2_matrix(n, variance, rng, scale=float(kind.split(":")[1]), flip=True)
+    if kind == "ties":
+        return gauge_su2_matrix(n, variance, rng, scale=0.5, same=(n // 4, n // 2))
+    if kind.startswith("twist"):  # the first key block at one defect, and the worst triad the last
+        return gauge_su2_matrix(n, variance, rng, twist=float(kind.split(":")[1]))
+    raise AssertionError(kind)
+
+
+RANKED_KINDS = [
+    "from_gauge_vector",
+    "identity",
+    *(f"noise:{scale}" for scale in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0)),
+    "near-pi:1e-8",
+    "near-pi:1e-3",
+    "ties",
+    "twist:1e-9",
+    "twist:0.1",
+]
+
+
+@pytest.mark.parametrize("kind", RANKED_KINDS)
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+@pytest.mark.parametrize("n", RANKED_SIZES)
+@RANKED_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ranked_sweep_is_the_exhaustive_sweep(n, variance, kind, seed):
+    A = ranked_inputs(kind, n, variance, np.random.default_rng(seed))
+    expected = exhaustive_sweep(A)
+    chk = is_consistent(A)
+    assert (chk.worst_defect, chk.worst_triad) == expected
+    assert ii_indicator(A) == expected
+
+
+def test_ranked_inputs_reach_what_they_are_built_for():
+    rng = np.random.default_rng(1)
+    for variance in (COVARIANT, CONTRAVARIANT):
+        value, worst = exhaustive_sweep(ranked_inputs("near-pi:1e-8", 48, variance, rng))
+        assert value > math.pi - 1e-6
+        value, worst = exhaustive_sweep(ranked_inputs("twist:0.1", 48, variance, rng))
+        assert worst == (45, 46, 47) and value == pytest.approx(0.3, abs=1e-12)
+        scores = exhaustive_scores(ranked_inputs("ties", 48, variance, rng))
+        assert np.count_nonzero(scores == scores.max()) >= 2
+
+
+def count_key_calls(monkeypatch):
+    """The length of each su2 key call from now on."""
+    calls = []
+    key = UnitQuaternions.batch_defect_key
+    monkeypatch.setattr(UnitQuaternions, "batch_defect_key", lambda G, *a: calls.append(len(a[0])) or key(G, *a))
+    return calls
+
+
+def count_products(monkeypatch):
+    """The length of each su2 product call from now on."""
+    calls = []
+    multiply = UnitQuaternions.batch_multiply
+    monkeypatch.setattr(UnitQuaternions, "batch_multiply", lambda G, a, b: calls.append(len(a)) or multiply(G, a, b))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["from_gauge_vector", "identity", "noise:1e-9", "twist:0.1"])
+def test_ties_in_the_first_key_block_score_every_triad(kind, monkeypatch):
+    # within rounding of consistent, or every triad of the first key block
+    # at one defect: one key block, then every triad scored by its defect
+    A = ranked_inputs(kind, 60, COVARIANT, np.random.default_rng(2))
+    expected = exhaustive_sweep(A)
+    calls, multiply = count_key_calls(monkeypatch), count_products(monkeypatch)
+    assert ii_indicator(A) == expected
+    assert calls == [pcmatrix._KEY_BLOCK]
+    assert len(multiply) == math.ceil(math.comb(60, 3) / _TRIAD_BLOCK)
+
+
+def test_noisy_matrices_key_every_triad_and_score_a_few(monkeypatch):
+    A = ranked_inputs("noise:0.1", 60, CONTRAVARIANT, np.random.default_rng(3))
+    expected = exhaustive_sweep(A)
+    calls, multiply = count_key_calls(monkeypatch), count_products(monkeypatch)
+    assert ii_indicator(A) == expected
+    assert sum(calls) == math.comb(60, 3) and len(calls) == math.ceil(math.comb(60, 3) / pcmatrix._KEY_BLOCK)
+    assert len(multiply) == 1 and multiply[0] < 10
+
+
+def test_other_sweeps_keep_the_defect_path(monkeypatch):
+    # one-block sweeps, a supplied indicator, other groups and Monte Carlo rows are not ranked
+    calls = count_key_calls(monkeypatch)
+    rng = np.random.default_rng(4)
+    is_consistent(random_pc_matrix(SU2, 24, rng))
+    consistencize_riemannian(random_pc_matrix(SU2, 15, rng), max_iter=2)
+    ii_indicator(random_pc_matrix(SU2, 30, rng), default_indicator(SU2))
+    for group in (U1, Z7):
+        is_consistent(random_pc_matrix(group, 30, rng))
+    is_consistent(from_upper_triangle(RPLUS, np.exp(rng.normal(size=435)).tolist()))
+    expectation(None, SU2, Observable("ii3_of_random_matrix", n=30), N=2, seed=1)
+    assert calls == []
+
+
+def test_key_and_defect_keep_their_rounding_bounds():
+    # the bound behind _KEY_TIE: |c - cos phi| <= eps_c + eta and |d - phi| <= eps_d,
+    # for phi the angle of the exact product xz and y, computed in long double
+    if np.finfo(np.longdouble).eps > 2.0**-60:
+        pytest.skip("long double is no wider than double here")
+    u = 2.0**-53
+    eps_d, eps_c, eta = 50 * u, 12 * u, 12 * u
+    assert pcmatrix._KEY_TIE >= 100 * 2 * (eps_d + eps_c + eta)
+    rng = np.random.default_rng(5)
+    x, z = SU2.batch_haar_sample(rng, (2, 20000))
+    xz = SU2.batch_multiply(x, z)
+    near = SU2.batch_multiply(xz, SU2.batch_exp(10.0 ** rng.uniform(-12, 0, (20000, 1)) * rng.normal(size=(20000, 3))))
+    y = np.concatenate((SU2.batch_haar_sample(rng, (20000,)), near, -near))  # any angle, near 0 and near pi
+    x, z = np.concatenate((x, x, x)), np.concatenate((z, z, z))
+    X, Y, Z = (v.astype(np.longdouble) for v in (x, y, z))
+    w1, x1, y1, z1 = X.T
+    w2, x2, y2, z2 = Z.T
+    p = np.stack((w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                  w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2, w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2), axis=-1)
+    p /= np.sqrt((p * p).sum(-1))[:, None]
+    Y /= np.sqrt((Y * Y).sum(-1))[:, None]
+    phi = 2 * np.arctan2(np.sqrt(((p - Y) ** 2).sum(-1)), np.sqrt(((p + Y) ** 2).sum(-1)))
+    assert np.max(np.abs(SU2.batch_defect_key(x, z, y) - np.cos(phi))) <= eps_c + eta
+    assert np.max(np.abs(SU2.batch_defect(x, z, y) - phi)) <= eps_d
 
 
 # --- each carrier is checked once ------------------------------------------------------

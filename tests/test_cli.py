@@ -1,8 +1,11 @@
 import argparse
 import collections
 import gc
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -23,6 +26,7 @@ from holopc.groups import (
     zmod,
 )
 from holopc.pcmatrix import (
+    _KEY_BLOCK,
     _TRIAD_BLOCK,
     PCMatrix,
     default_indicator,
@@ -382,19 +386,22 @@ def test_is_consistent_refuses_negative_and_nan_tol(tol):
 
 
 def test_check_is_one_triad_sweep(tmp_path, capsys, monkeypatch):
-    # the consistency defect is the indicator: one su2 product per block of
-    # triads, and the witness is the worst triad
+    # the consistency defect is the indicator: one su2 key per key block of
+    # triads, then one product for the candidates, and the witness is the worst triad
     calls = collections.Counter()
-    multiply = UnitQuaternions.batch_multiply
-    monkeypatch.setattr(
-        UnitQuaternions, "batch_multiply", lambda G, a, b: calls.update(["batch_multiply"]) or multiply(G, a, b)
-    )
+    for name in ("batch_multiply", "batch_defect_key"):
+        kernel = getattr(UnitQuaternions, name)
+        monkeypatch.setattr(
+            UnitQuaternions, name, lambda G, *a, name=name, kernel=kernel: calls.update([name]) or kernel(G, *a)
+        )
     path = _matrix_file(tmp_path, random_pc_matrix(SU2, 30, rng=90))
     calls.clear()
     code, out, _ = run(capsys, ["check", path])
     report = json.loads(out)
     assert code == 1 and report["consistent"] is False
-    assert calls["batch_multiply"] == math.ceil(math.comb(30, 3) / _TRIAD_BLOCK)
+    assert math.comb(30, 3) > _TRIAD_BLOCK
+    assert calls["batch_defect_key"] == math.ceil(math.comb(30, 3) / _KEY_BLOCK)
+    assert calls["batch_multiply"] == 1
     assert report["witness"] == report["worst_triad"]
 
 
@@ -785,14 +792,14 @@ def test_cli_calls_no_element_group_law(name, tmp_path, capsys, monkeypatch):
         assert json.loads(out)["iterations"] > 0  # the Gauss-Newton refinement was returned
 
 
-# element objects (checked_to_obj) each report builds: one per gauge component
-# of a consistencize report and one per element template of a written matrix,
-# never one per matrix entry
+# element objects (checked_to_obj) each report builds: one per element
+# template, of a consistencize report's gauge and of a written matrix, never
+# one per gauge component or matrix entry
 REPORT_OBJECTS = {
     "check-u1": 0,
     "check-su2": 0,
-    "consistencize-abelian-u1-winding": 5 + 1,
-    "consistencize-riemannian-su2": 5 + 1,
+    "consistencize-abelian-u1-winding": 1 + 1,
+    "consistencize-riemannian-su2": 1 + 1,
     "holonomy-su2": 1,
 }
 
@@ -884,6 +891,45 @@ def test_montecarlo_seed_reproducible(tmp_path, capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+# One montecarlo call per group and source, as argv after "montecarlo";
+# COMPLEX stands for the full_simplex(3) complex file.
+MC_CALLS = {
+    "u1-complex": ["--complex", "COMPLEX", "--group", "u1", "--observable", "wilson_character", "--loop", "0", "1", "2", "3", "0"],
+    "u1-random-pc": ["--random-pc", "5", "--group", "u1"],
+    "su2-complex": ["--complex", "COMPLEX", "--group", "su2", "--observable", "mean_curvature_In"],
+    "su2-random-pc": ["--random-pc", "5", "--group", "su2"],
+    "zmod5-complex": ["--complex", "COMPLEX", "--group", "zmod:5", "--observable", "sup_curvature_In"],
+    "zmod5-random-pc": ["--random-pc", "5", "--group", "zmod:5"],
+}
+# SHA-256 of each call's stdout at -N 300 --seed 2024 in a fresh interpreter, by
+# numpy version: a report is a pure function of (seed, N) for a given numpy,
+# and numpy does not promise the same Generator streams across versions (NEP 19)
+MC_DIGESTS = {
+    "2.4.6": {
+        "u1-complex": "ef8ce36ecfa42186e96f13539ec491ee7c67621032c1bfeb14f97acbb669a590",
+        "u1-random-pc": "3f88507efffb232f06757cd5116b5bdbee12c8533a9f8f19527d7079179ae65c",
+        "su2-complex": "38f8c3f516e599a9a0b5985a556b0b3a06f4624ea99ce1ca83f01448437c0600",
+        "su2-random-pc": "c3fe588a8f46bad96f08e331dae5c4d0e10bf3298138c2b9d1572736e05b7dbe",
+        "zmod5-complex": "668d87ebf227b88dcf152b2db2e06f58bcd26d6efbe83eabcfac8d884e3dcdc9",
+        "zmod5-random-pc": "2546172298e6a791bd7e12c527322e23441e9e01905206d4fd6729a7a232c451",
+    },
+}
+
+
+@pytest.mark.parametrize("name", MC_CALLS)
+def test_montecarlo_reports_match_their_recorded_digests(name, tmp_path):
+    if np.__version__ not in MC_DIGESTS:
+        pytest.skip(f"no digests recorded for numpy {np.__version__}; recorded: {', '.join(MC_DIGESTS)}")
+    save_obj(complex_to_obj(full_simplex(3)), tmp_path / "k.json")
+    argv = [str(tmp_path / "k.json") if a == "COMPLEX" else a for a in MC_CALLS[name]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the tree under test, first on the path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "holopc.cli", "montecarlo", *argv, "-N", "300", "--seed", "2024"]
+    done = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == MC_DIGESTS[np.__version__][name]
 
 
 def test_montecarlo_rplus_rejected(tmp_path, capsys):

@@ -22,6 +22,7 @@ from holopc.pcmatrix import (
     random_pc_matrix,
 )
 from holopc.serialize import (
+    Carriers,
     Records,
     complex_from_obj,
     complex_to_obj,
@@ -439,6 +440,39 @@ def test_reports_write_matrices_as_their_documents(group, tmp_path, capsys):
     report["matrix"] = matrix_to_obj(C)
     assert out == _dumps(report) + "\n"
     assert (tmp_path / "c.json").read_text() == _dumps(matrix_to_obj(C)) + "\n"
+
+
+@pytest.mark.parametrize("group", WRITER_GROUPS, ids=lambda g: g.tag)
+@WRITER_PROPERTY
+@given(data=st.data())
+def test_gap_free_documents_read_as_the_position_list(group, data):
+    # a document with no null reads every position from one arange; the
+    # matrix is the one the list of present positions gives, bit for bit
+    n = data.draw(st.integers(2, 6))
+    values = VALID["zmod:7" if group.tag.startswith("zmod") else group.tag].map(lambda v: group.checked_to_obj(group.check(v)))
+    entries = st.one_of(st.none(), values) if data.draw(st.booleans()) else values
+    flat = [data.draw(entries) for _ in range(n * n)]
+    variance = data.draw(st.sampled_from([COVARIANT, CONTRAVARIANT]))
+    pos = [p for p, v in enumerate(flat) if v is not None]
+    carriers = group.batch_check(group.unwrap_objs([flat[p] for p in pos]))
+    B = matrix_from_obj({"group": group.tag, "n": n, "variance": variance, "entries": flat})
+    assert B.group == group and (B.n, B.variance, B.gap_free) == (n, variance, None not in flat)
+    assert B._positions.dtype == np.intp and B._positions.tolist() == pos
+    assert B._carriers.dtype == carriers.dtype and B._carriers.tobytes() == carriers.tobytes()
+
+
+@pytest.mark.parametrize("group", WRITER_GROUPS, ids=lambda g: g.tag)
+@WRITER_PROPERTY
+@given(data=st.data())
+def test_carrier_lists_are_written_as_their_elements(group, data):
+    # a gauge vector is written from its carriers, as the list of its
+    # elements' objects, in any position of a report
+    values = VALID["zmod:7" if group.tag.startswith("zmod") else group.tag]
+    C = group.batch_check(data.draw(st.lists(values, max_size=30)))
+    objs = [group.checked_to_obj(v) for v in group.from_array(C)]
+    assert json_text(Carriers(group, C)) == _dumps(objs)
+    report = {"lambda": Carriers(group, C), "n": len(C), "z": [Carriers(group, C)]}
+    assert json_text(report) == _dumps({"lambda": objs, "n": len(C), "z": [objs]})
 
 
 # --- sizes beyond the float range and non-integral cells --------------------------
