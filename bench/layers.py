@@ -20,6 +20,11 @@ It times the ``src/`` of the checkout it is in.  The layers are:
   input moves, at n = 48 (``su2-dense``'s largest ``check``) and on an
   exactly consistent n = 60 matrix (``from_gauge_vector`` of a Haar gauge,
   the ranked sweep's worst case);
+- drawn after every other input, so that no other layer's input moves:
+  ``consistencize_abelian`` of an rplus n = 9 matrix with log-normal
+  entries and of a u1 n = 9 matrix with Haar entries, all round the
+  circle, which takes the Newton fallback, and ``json_text`` of that u1
+  repair's ``consistencize`` report (the sizes of ``ahp-small``);
 - one Monte Carlo block (1024 samples) of ``expectation``: the u1 worst
   triad indicator of random 5 x 5 matrices (``montecarlo --random-pc 5``)
   and su2 ``mean_curvature_In`` on ``full_simplex(3)``;
@@ -83,7 +88,7 @@ def layers(src: str, tmp: Path) -> dict:
     sys.path[:0] = [src, str(ROOT)]
     from holopc import serialize
     from holopc.cli import _mc_report, main
-    from holopc.consistencize import consistencize_riemannian
+    from holopc.consistencize import consistencize_abelian, consistencize_riemannian
     from holopc.groups import RPLUS, SU2, U1
     from holopc.integrate import Observable, _estimate, expectation, ii_distribution
     from holopc.pcmatrix import _entry_array, from_gauge_vector, from_upper_triangle, is_consistent, random_pc_matrix, validate
@@ -199,6 +204,24 @@ def layers(src: str, tmp: Path) -> dict:
     out["is_consistent.su2_n48"] = lambda A=dense(48): is_consistent(A)
     consistent = from_gauge_vector(SU2, SU2.batch_haar_sample(rng, (60,)).tolist())
     out["is_consistent.su2_consistent_n60"] = lambda: is_consistent(consistent)
+    rplus9 = from_upper_triangle(RPLUS, np.exp(rng.normal(size=36)).tolist())
+    out["consistencize_abelian.rplus_n9"] = lambda: consistencize_abelian(rplus9)
+    u1_full = random_pc_matrix(U1, 9, rng)  # Haar entries, all round the circle: the Newton fallback
+    out["consistencize_abelian.u1_fallback_n9"] = lambda: consistencize_abelian(u1_full)
+    result = consistencize_abelian(u1_full)
+    u1_report = {  # as cli.cmd_consistencize builds it
+        "group": "u1",
+        "n": 9,
+        "method": "abelian",
+        "lambda": serialize.Carriers(U1, U1.to_array(result.lam)),
+        "matrix": result.matrix,
+        "residual": result.residual,
+        "ii_before": result.ii_before,
+        "ii_after": result.ii_after,
+        "iterations": result.iterations,
+        "status": result.status,
+    }
+    out["json_text.consistencize_u1_n9"] = lambda: json_text(u1_report)
     calls = {
         "check": ["check", str(tmp / "u1_9.json")],
         "consistencize": ["consistencize", str(tmp / "rplus_9.csv"), "--method", "abelian"],

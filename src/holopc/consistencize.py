@@ -19,7 +19,10 @@ The Gauss-Newton matrix J^T J is a connection Laplacian: blocks (n - 1) I
 on the diagonal and -Ad(e_ij^-1)^T at (i, j).  For su2 this is rotation
 averaging (Hartley, Trumpf, Dai and Li, "Rotation averaging", IJCV 2013);
 for rplus and u1 it is the Laplacian of the complete graph and the exact
-Hessian.  On su2 the exact Hessian (Absil, Mahony and Sepulchre,
+Hessian, n - 1 on the diagonal and -1 off it: a one-dimensional group is
+abelian, with trivial adjoint, W = I and X = 0, so ``_linearize`` writes
+that matrix down instead of assembling it from pair blocks, and takes
+Ad(e) r = r.  On su2 the exact Hessian (Absil, Mahony and Sepulchre,
 "Optimization Algorithms on Matrix Manifolds", 2008) also weighs each
 pair by the curvature of the squared distance and adds a BCH bracket term
 (``Group.batch_pair_hessian``).  The solver uses it, so it converges
@@ -36,7 +39,10 @@ solver keeps its gauge vector as a carrier array (see
 :mod:`holopc.groups`); each pair's gradient and Hessian terms are
 scatter-added into the gauge coordinates with one ``np.bincount`` each.
 Each trial gauge's products e_ij are formed once, for its objective, and
-reused by its linearization and by the result.  The residual logs come from
+reused by its linearization and by the result, whose matrix C stores them
+unchanged as its upper triangle: ``ii_before`` and ``ii_after`` come from
+one triad sweep of the stack of A's and C's upper triangles
+(``pcmatrix._triad_sweep``).  The residual logs come from
 ``Group.batch_log_ratio``, which on rplus takes log a_ij - log e_ij where
 e_ij^-1 a_ij leaves the float range, as the distance does; so no residual
 beyond that range makes the Newton path refuse a valid matrix.
@@ -56,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FloatRangeError, GapError, LogBranchError
-from .groups import Element, Group, _log_row_mean, _row_gauge
+from .groups import _RPLUS_RANGE, Element, Group, _log_row_mean, _row_gauge
 from .pcmatrix import (
     COVARIANT,
     Indicator,
@@ -64,9 +70,12 @@ from .pcmatrix import (
     _entry_array,
     _from_pairs,
     _gauge_upper,
+    _loop_key,
+    _loop_scorer,
     _pairs,
     _require_nonnegative,
     _require_valid,
+    _triad_sweep,
     _upper,
     ii_indicator,
 )
@@ -186,7 +195,8 @@ def _linearize(A: PCMatrix, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as an (n, dim) array, row p for lam_p, and the Hessian for
     lam_1..lam_{n-1}, from the gauge products e_ij = lam_i^-1 lam_j and the
     residual logs r_ij = log(e_ij^-1 a_ij) over the pairs i < j.  Each
-    pair's terms are scatter-added in one pass.
+    pair's terms are scatter-added in one pass; on a one-dimensional group
+    the Hessian is the complete graph's Laplacian, written down.
 
     Raises :class:`LogBranchError` when some residual sits on the cut locus.
     """
@@ -194,13 +204,17 @@ def _linearize(A: PCMatrix, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if d == 0:  # finite groups have no directions to move in
         return np.zeros((n, 0)), np.zeros((0, 0))
     r = G.batch_log_ratio(e, _upper(A))
-    ad = G.batch_adjoint(e)
-    s = (ad @ r[..., None])[..., 0]  # Ad(e) r = log(a e^-1)
+    ad = None if d == 1 else G.batch_adjoint(e)  # a one-dimensional group is abelian: Ad(e) = 1
+    s = r if ad is None else (ad @ r[..., None])[..., 0]  # Ad(e) r = log(a e^-1)
     rows, cells = _pair_slots(n, d)
     # moving lam_i turns e into exp(-t xi) e, and by bi-invariance
     # d/dt d(a, exp(-t xi) e)^2 = 2 <log(a e^-1), xi> = 2 <Ad(e) r, xi>;
     # moving lam_j turns e into e exp(t xi), and d/dt d(a, e exp(t xi))^2 = -2 <r, xi>
     half = np.bincount(rows, np.concatenate((s, -r), axis=1).ravel(), n * d).reshape(n, d)
+    if ad is None:  # W = 1 and X = 0: the complete graph's Laplacian, fresh, as the solver writes into H
+        H = np.full((n - 1, n - 1), -1.0)
+        np.fill_diagonal(H, n - 1.0)
+        return half, H
     H = np.bincount(cells, _pair_hessians(G, ad, r, s).ravel(), (n * d) ** 2).reshape(n * d, n * d)
     return half, H[d:, d:].copy()
 
@@ -252,13 +266,17 @@ def _result(
     """The result at the gauge ``lam`` with its products e and objective f
     from :func:`_objective`: C's upper triangle is e, so f is the residual
     between A and C."""
-    C = _from_pairs(A.group, A.n, *_pairs(A.n), e, A.variance)
+    G, n, variance = A.group, A.n, A.variance
+    C = _from_pairs(G, n, *_pairs(n), e, variance)
+    # A's and C's upper triangles in one sweep: C's is e, stored unchanged
+    score, key = _loop_scorer(G, variance, None), _loop_key(G, variance, None)
+    (before, _), (after, _) = _triad_sweep(np.stack((_upper(A), e)), n, score, key)
     return ConsistencizationResult(
-        lam=tuple(A.group.from_array(lam)),
+        lam=tuple(G.from_array(lam)),
         matrix=C,
         residual=f,
-        ii_before=ii_indicator(A)[0],
-        ii_after=ii_indicator(C)[0],
+        ii_before=before,
+        ii_after=after,
         iterations=len(history),
         status=status,
         history=history,
@@ -308,7 +326,7 @@ def _start(A: PCMatrix) -> tuple[np.ndarray, np.ndarray, float]:
         with contextlib.suppress(FloatRangeError):
             starts.append((lam, *_objective(A, lam)))
     if not starts:  # the products of both gauges, or the least-squares gauge itself, leave the range
-        raise FloatRangeError("positive-real products of the row-0 and least-squares gauges left (2**-1024, inf)")
+        raise FloatRangeError(f"positive-real products of the row-0 and least-squares gauges left {_RPLUS_RANGE}")
     return min(starts, key=lambda start: start[2])
 
 

@@ -2,7 +2,7 @@
 
 Single elements are plain Python values, one carrier per group:
 
-* positive reals ``"rplus"``  -- finite floats above 2**-1024, whose inverses are finite,
+* positive reals ``"rplus"``  -- floats in (2**-1024, 1.7976931348623153e308), closed under the inverse,
 * circle group ``"u1"``       -- angles in (-pi, pi],
 * unit quaternions ``"su2"``  -- 4-tuples (w, x, y, z) of unit norm,
 * cyclic groups ``"zmod:m"``  -- integer residues modulo m.
@@ -43,9 +43,14 @@ product and one distance, except for rplus, which sums logs so that a
 product beyond the float range is never formed; nor su2's
 ``batch_defect_key``, the inner product <ab, c> by which ``pcmatrix``
 ranks su2 triads before it scores the few near the worst.  :class:`PositiveReals`
-alone knows the rplus range: its product and exponential refuse a result
-outside it, and its distance and residual logs, in logs where a ratio or
-product leaves it, never fail.
+alone knows the rplus range, (2**-1024, c) with c = 1.7976931348623153e308,
+and reads it through one predicate, ``_rplus_carriers``.  The range holds
+the inverse of each of its elements: 1 / 2**-1024 overflows, and c is the
+least float whose inverse rounds to 2**-1024, so the three largest floats
+are refused as carriers, since a matrix could not store their inverses.
+Its check refuses a value outside the range, naming both ends; its
+product and exponential refuse a result outside it; and its distance and
+residual logs, in logs where a ratio or product leaves it, never fail.
 """
 
 from __future__ import annotations
@@ -305,10 +310,12 @@ def _log_row_mean(G: Group, M: np.ndarray) -> np.ndarray:
     return G.batch_exp(ell[:, None])
 
 
-def _in_rplus_range(x: np.ndarray) -> bool:
-    """Whether every value is a positive-real carrier: finite and above
-    2**-1024, so its inverse is finite too."""
-    return bool(np.all((x > _RPLUS_FLOOR) & (x < math.inf)))
+def _rplus_carriers(x):
+    """Which values are positive-real carriers, inside (2**-1024, c) for
+    c = ``_RPLUS_CEIL``: the one rule of the rplus range.  The stored
+    inverse 1 / x of such a value is inside too: 1 / 2**-1024 overflows,
+    and c is the least float whose inverse rounds to 2**-1024 or below."""
+    return (x > _RPLUS_FLOOR) & (x < _RPLUS_CEIL)
 
 
 def _scalar_array(values, dtype) -> np.ndarray | None:
@@ -369,10 +376,13 @@ def _require_integer(name: str, value) -> int:
 
 
 _RPLUS_FLOOR = 2.0**-1024  # 1 / 2**-1024 overflows; the inverse of every larger positive float is finite
+_RPLUS_CEIL = 1.7976931348623153e308  # the least float whose inverse, 2**-1024, is not above the floor
+_RPLUS_RANGE = f"(2**-1024, {_RPLUS_CEIL!r})"
 
 
 class PositiveReals(Group):
-    """Multiplicative group of strictly positive reals, carried in (2**-1024, inf)."""
+    """Multiplicative group of strictly positive reals, carried in
+    (2**-1024, 1.7976931348623153e308), a range closed under the inverse."""
 
     tag = "rplus"
     dim = 1
@@ -383,33 +393,34 @@ class PositiveReals(Group):
         x = _as_real(self.tag, a)
         if x <= 0.0:
             raise GroupMismatchError(f"group mismatch: {a!r} is not a positive real")
-        if x <= _RPLUS_FLOOR:
+        if not _rplus_carriers(x):
             raise GroupMismatchError(
-                f"group mismatch: rplus element {a!r} is not above 2**-1024 = {_RPLUS_FLOOR!r}, so its inverse overflows"
+                f"group mismatch: rplus element {a!r} is outside {_RPLUS_RANGE}, the floats whose inverses are inside it"
             )
         return x
 
     def batch_check(self, values):
         x = _scalar_array(values, float)
-        if x is not None and _in_rplus_range(x):  # check returns each value as float() reads it
+        if x is not None and _rplus_carriers(x).all():  # check returns each value as float() reads it
             return x
         return super().batch_check(values)
 
     def batch_multiply(self, a, b):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below
             p = a * b
-        if not _in_rplus_range(p):  # at or below 2**-1024 the inverse overflows
-            raise FloatRangeError("positive-real product left (2**-1024, inf), where its inverse is finite")
+        if not _rplus_carriers(p).all():  # outside, the stored inverse would leave the range
+            raise FloatRangeError(f"positive-real product left {_RPLUS_RANGE}, where its inverse is inside too")
         return p
 
     def batch_inverse(self, a):
         return 1.0 / a
 
     def batch_distance(self, a, b):
-        # |log(a / b)|, and |log a - log b| where the ratio overflows or underflows
+        # |log(a / b)|, and |log a - log b| where the ratio leaves the range
         with np.errstate(over="ignore", divide="ignore"):
-            d = np.abs(np.log(a / b))
-        far = d == math.inf
+            q = a / b
+            d = np.abs(np.log(q))
+        far = ~_rplus_carriers(q)
         return np.where(far, np.abs(np.log(a) - np.log(b)), d) if far.any() else d
 
     def batch_defect(self, a, b, c):
@@ -419,18 +430,18 @@ class PositiveReals(Group):
 
     def batch_log_ratio(self, e, a):
         # log((1 / e) a), the composition's log bit for bit, and log a - log e
-        # where the product leaves (2**-1024, inf), which the product kernel refuses
+        # where the product leaves the range, which the product kernel refuses
         with np.errstate(over="ignore", divide="ignore"):
             p = 1.0 / e * a
             r = np.log(p)
-        far = (p <= _RPLUS_FLOOR) | (p == math.inf)
+        far = ~_rplus_carriers(p)
         return (np.where(far, np.log(a) - np.log(e), r) if far.any() else r)[..., None]
 
     def batch_exp(self, v):
         with np.errstate(over="ignore"):  # an overflow to inf is raised on below
             x = np.exp(v[..., 0])
-        if not _in_rplus_range(x):
-            raise FloatRangeError("positive-real exponential left (2**-1024, inf), where its inverse is finite")
+        if not _rplus_carriers(x).all():
+            raise FloatRangeError(f"positive-real exponential left {_RPLUS_RANGE}, where its inverse is inside too")
         return x
 
     def batch_log(self, g):

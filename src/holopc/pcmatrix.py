@@ -49,6 +49,15 @@ leaves the float range, and ``ii3_matrix`` and ``ii_n_chain`` work in logs
 too).  ``_loop_scorer`` is that one kernel, for every caller above and the
 consistencizer's ``ii_before``/``ii_after``.
 
+``_triad_sweep`` sweeps a stack of upper triangles, shape (B, P, ...), and
+returns each row's first maximum and its triad.  ``is_consistent``,
+``ii_indicator`` and ``ii3_matrix`` pass one row, scored as (T, ...)
+arrays; the consistencizer passes two, its input A and the products e
+that are its repair C's upper triangle, so both indicators of a repair
+cost one gather and one kernel call per block instead of two sweeps.  The
+kernels are elementwise, so each row's scores are those of its own sweep,
+bit for bit.
+
 An su2 sweep with the default indicator that spans more than one block
 (C(n,3) > 2048, n >= 25) ranks its triads first.  The defect d(xz, y) is
 the angle phi in [0, pi] between xz and y, so it falls as the key
@@ -79,8 +88,9 @@ keys for that.  So the candidates never take more than one block's memory.
 The key blocks, (3, T) int32 pair ranks, are cached per n while one n's
 take at most ``_KEY_CACHE_BYTES`` (512 KiB, n <= 65), for at most 8 sizes
 (4 MiB); a larger n builds them block by block, so a sweep's memory stays
-bounded at any n.  One-block sweeps, the other groups, a supplied
-indicator and Monte Carlo rows keep the defect path.
+bounded at any n.  A stack of several rows takes one ranked sweep per
+row.  One-block sweeps, the other groups, a supplied indicator and Monte
+Carlo rows keep the defect path.
 """
 
 from __future__ import annotations
@@ -424,33 +434,59 @@ def _upper(A: PCMatrix) -> np.ndarray:
     return M.reshape((-1,) + M.shape[2:]).take(_pair_positions(A.n), axis=0)
 
 
-def _triad_sweep(A: PCMatrix, score, key=None) -> tuple[float, Triad | None]:
-    """The lexicographically first triad of maximal score, with its score.
+def _triad_sweep(U: np.ndarray, n: int, score, key=None) -> list[tuple[float, Triad | None]]:
+    """Each row's lexicographically first triad of maximal score, with its
+    score, over a stack U of shape (B, P, ...): the upper triangles, a_ij
+    for i < j row-major, of B gap-free n x n matrices.
 
     ``score(x, y, z)`` maps the carrier arrays of a block's entries
-    (a_ij, a_ik, a_jk) of a gap-free matrix to one float per triad.
-    ``key(x, y, z)``, given with the default su2 defect (:func:`_loop_key`),
-    ranks the triads of a sweep longer than one block, and only the
-    candidates of :func:`_ranked_candidates` are scored.  Matrices with
-    n < 3 have no triads and give (0.0, None).
+    (a_ij, a_ik, a_jk) to one float per triad; every row's block is scored
+    in one call.  ``key(x, y, z)``, given with the default su2 defect
+    (:func:`_loop_key`), ranks the triads of a sweep longer than one block,
+    and only the candidates of :func:`_ranked_candidates` are scored, one
+    matrix at a time.  Matrices with n < 3 have no triads and give
+    (0.0, None).
     """
-    n, U = A.n, _upper(A)[None]  # the upper triangle: one field on the complete graph
-    found = _ranked_candidates(U[0], n, key) if key is not None and math.comb(n, 3) > _TRIAD_BLOCK else None
-    if found is None:
-        # scored as (T, ...) arrays, on which the kernels run faster than on (1, T, ...)
+    if n < 3:
+        return [(0.0, None)] * len(U)
+    if key is not None and math.comb(n, 3) > _TRIAD_BLOCK:
+        return [_ranked_sweep(u, n, score, key) for u in U]
+    return _block_sweep(U, n, score)
+
+
+def _block_sweep(U: np.ndarray, n: int, score) -> list[tuple[float, Triad]]:
+    """:func:`_triad_sweep` scoring every triad, block by block, for n >= 3."""
+    if len(U) == 1:  # scored as (T, ...) arrays, on which the kernels run faster than on (1, T, ...)
         blocks = (score(*(e[0] for e in _triangle_edges(cols, U)))[None] for cols in _triad_blocks(n, _TRIAD_BLOCK))
-        (value,), (t,) = _first_max(blocks, 1)
-        if t < 0:
-            return 0.0, None
     else:
-        ranks, cols = found
-        scores = score(*(e[0] for e in _triangle_edges(cols, U)))
-        b = int(scores.argmax())  # the candidates are in rank order: the first maximum
-        value, t = scores[b], ranks[b]
+        blocks = (score(*_triangle_edges(cols, U)) for cols in _triad_blocks(n, _TRIAD_BLOCK))
+    values, ranks = _first_max(blocks, len(U))
+    return [(v, _triad(n, t)) for v, t in zip(values.tolist(), ranks.tolist())]
+
+
+def _ranked_sweep(U: np.ndarray, n: int, score, key) -> tuple[float, Triad]:
+    """:func:`_triad_sweep` of one su2 upper triangle U by its ranked
+    candidates, or of every triad where they tie (module docstring)."""
+    found = _ranked_candidates(U, n, key)
+    if found is None:
+        return _block_sweep(U[None], n, score)[0]
+    ranks, cols = found
+    scores = score(*(e[0] for e in _triangle_edges(cols, U[None])))
+    b = int(scores.argmax())  # the candidates are in rank order: the first maximum
+    return float(scores[b]), _triad(n, int(ranks[b]))
+
+
+def _triad(n: int, t: int) -> Triad:
+    """The triad (i, j, k) of lexicographic rank t."""
     _, end, shift, _ = _triad_ranks(n)
     i = int(end.searchsorted(t, side="right"))
-    p, (J, K) = int(t + shift[i]), _pairs(n)
-    return float(value), (i, int(J[p]), int(K[p]))
+    p, (J, K) = t + int(shift[i]), _pairs(n)
+    return i, int(J[p]), int(K[p])
+
+
+def _sweep(A: PCMatrix, score, key=None) -> tuple[float, Triad | None]:
+    """:func:`_triad_sweep` of one gap-free matrix."""
+    return _triad_sweep(_upper(A)[None], A.n, score, key)[0]
 
 
 def _ranked_candidates(U: np.ndarray, n: int, key) -> tuple[np.ndarray, np.ndarray] | None:
@@ -539,7 +575,7 @@ def is_consistent(A: PCMatrix, tol: float = 1e-9) -> ConsistencyCheck:
     """
     _require_nonnegative("tol", tol)
     _require_gap_free(A, "consistency undefined with gaps")
-    worst_defect, worst = _triad_sweep(A, _loop_scorer(A.group, A.variance, None), _loop_key(A.group, A.variance, None))
+    worst_defect, worst = _sweep(A, _loop_scorer(A.group, A.variance, None), _loop_key(A.group, A.variance, None))
     return ConsistencyCheck(worst_defect <= tol, worst, worst_defect)
 
 
@@ -627,7 +663,7 @@ def ii3_matrix(A: PCMatrix) -> tuple[float, Triad | None]:
     G = A.group
     # 1 - min(r, 1/r) for r = y / (xz) is 1 - exp(-|log r|), and |log r| is
     # the defect, a sum of logs that no product can push out of range
-    return _triad_sweep(A, lambda x, y, z: -np.expm1(-G.batch_defect(x, z, y)))
+    return _sweep(A, lambda x, y, z: -np.expm1(-G.batch_defect(x, z, y)))
 
 
 def ii_n_chain(A: PCMatrix) -> float:
@@ -664,7 +700,7 @@ def ii_indicator(A: PCMatrix, indicator: Indicator | None = None) -> tuple[float
     scored on whole blocks; a supplied indicator sees each holonomy.
     """
     _require_gap_free(A, "indicator undefined with gaps; score the field with simplicial.global_ii")
-    return _triad_sweep(A, _loop_scorer(A.group, A.variance, indicator), _loop_key(A.group, A.variance, indicator))
+    return _sweep(A, _loop_scorer(A.group, A.variance, indicator), _loop_key(A.group, A.variance, indicator))
 
 
 def _batched_indicator(group: Group, indicator: Indicator | None) -> Callable[[np.ndarray], np.ndarray]:

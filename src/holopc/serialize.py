@@ -35,10 +35,14 @@ the item texts.  A :class:`PCMatrix` is written as its document
 ``Group.checked_to_obj`` with a slot per carrier scalar), each run of gaps
 as a string of ``null`` items built once per run length, and, above
 ``_FORMAT_ONCE`` carrier scalars, each distinct magnitude formatted once.
-A :class:`Records` list, such as the ``curvatures`` of a ``holonomy``
-report, goes through one record template, and a :class:`Carriers` list,
-the gauge of a ``consistencize`` report, through the element template, or
-as a number list where elements are plain numbers.  The su2 ``holonomy`` report of
+A gap-free list whose element template has one slot (the entries of an
+rplus, u1 or zmod matrix, or a :class:`Carriers` list of their elements,
+the gauge of a ``consistencize`` report) is one ``str.join`` of the slot
+texts, separated by the template's tail and head, as a number list is
+written: no object array is built for it.  A :class:`Records` list, such
+as the ``curvatures`` of a ``holonomy`` report, goes through one record
+template, and lists with gaps or several slots (su2 elements) through the
+element template's rows.  The su2 ``holonomy`` report of
 ``grid_complex(20)`` is written in under half the time a writer of one
 string per container took (``BENCH_layers.json``).
 
@@ -351,8 +355,8 @@ _escape = json.encoder.encode_basestring_ascii
 class Carriers:
     """A list of elements of ``group`` given as a carrier array of checked
     elements, such as a gauge vector, which :func:`json_text` writes as the
-    list of their ``Group.checked_to_obj`` forms without building it,
-    through one element template, as it writes a matrix's entries."""
+    list of their ``Group.checked_to_obj`` forms without building it, by
+    :func:`_write_elements`, as it writes a matrix's entries."""
 
     __slots__ = ("group", "array")
 
@@ -417,8 +421,6 @@ def _write(o, pad: str, out: list[str]) -> None:
     elif isinstance(o, Records):
         return _write_records(o, pad, out)
     elif isinstance(o, Carriers):
-        if o.group.obj_key is None:  # plain numbers: one join, as a list of them is written
-            return _write(o.array.tolist(), pad, out)
         return _write_elements(o.group, o.array, pad, out)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -439,12 +441,20 @@ def _write_entries(A: PCMatrix, pad: str, out: list[str]) -> None:
 
 def _write_elements(G: Group, C: np.ndarray, pad: str, out: list[str], gaps=None) -> None:
     """A list of the elements of the carrier array C, each through one
-    element template; ``gaps`` as :func:`_write_rows` reads it."""
+    element template; ``gaps`` as :func:`_write_rows` reads it.  A gap-free
+    list whose template has one slot is one join of the slot texts, as
+    :func:`_write` joins a number list."""
     if not len(C):
         return out.append("[]")  # the template rows below need one element
     parts = _template(G.checked_to_obj(_SLOT if C.ndim == 1 else (_SLOT,) * C.shape[1]), pad + "  ")
-    texts = _scalar_texts(C.reshape(len(C), -1), once=C.size > _FORMAT_ONCE)
-    _write_rows(parts, texts, pad, out, gaps)
+    once = C.size > _FORMAT_ONCE
+    if len(parts) == 2 and gaps is None:  # each item is parts[0] + text + parts[1]; the first opens with "["
+        if once or (C.dtype.kind == "f" and not np.isfinite(C).all()):
+            texts = _scalar_texts(C[:, None], once).ravel().tolist()
+        else:
+            texts = map(repr, C.tolist())  # json's text of a Python int or finite float
+        return out.append("[" + parts[0][1:] + (parts[1] + parts[0]).join(texts) + parts[1] + pad + "]")
+    _write_rows(parts, _scalar_texts(C.reshape(len(C), -1), once), pad, out, gaps)
 
 
 def _write_records(R: Records, pad: str, out: list[str]) -> None:

@@ -402,14 +402,15 @@ decades = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8)
 @given(decades, decades)
 def test_rplus_distance_is_the_log_ratio_inside_and_beyond_the_float_range(xs, ys):
     # every pair of a = 10**x and b = 10**y, by broadcasting: where a / b is
-    # inside (0, inf) the kernel is |log(a / b)| bit for bit; where the ratio
-    # overflows or underflows it is |log a - log b|, and it never raises (a
-    # numpy warning would be an error here)
+    # inside the carrier range (2**-1024, 1.7976931348623153e308) the kernel
+    # is |log(a / b)| bit for bit; where the ratio leaves it, subnormal,
+    # overflowing or underflowing, it is |log a - log b|, and it never raises
+    # (a numpy warning would be an error here)
     a, b = 10.0 ** np.array(xs)[:, None], 10.0 ** np.array(ys)[None, :]
     d = RPLUS.batch_distance(a, b)
     with np.errstate(over="ignore", under="ignore"):
         ratio = a / b
-    inside = (ratio > 0.0) & (ratio < math.inf)
+    inside = (ratio > 2.0**-1024) & (ratio < 1.7976931348623153e308)
     assert d.shape == ratio.shape
     assert bits(d[inside]) == bits(np.abs(np.log(ratio[inside])))
     for i, j in zip(*np.nonzero(~inside)):
@@ -421,13 +422,13 @@ def test_rplus_distance_is_the_log_ratio_inside_and_beyond_the_float_range(xs, y
 @given(decades, decades)
 def test_rplus_residual_log_is_the_composition_log_inside_and_the_log_difference_beyond(xs, ys):
     # log(e^-1 a) for every pair of e = 10**x and a = 10**y: where the
-    # product (1 / e) a is inside (2**-1024, inf) it is the log of the group
+    # product (1 / e) a is inside the carrier range it is the log of the group
     # law's product bit for bit; beyond, where that kernel refuses it, log a - log e
     e, a = 10.0 ** np.array(xs)[:, None], 10.0 ** np.array(ys)[None, :]
     r = RPLUS.batch_log_ratio(e, a)
     with np.errstate(over="ignore"):
         p = 1.0 / e * a
-    inside = (p > 2.0**-1024) & (p < math.inf)
+    inside = (p > 2.0**-1024) & (p < 1.7976931348623153e308)
     assert r.shape == p.shape + (1,)
     e_in, a_in = (np.broadcast_to(x, p.shape)[inside] for x in (e, a))
     assert bits(r[inside, 0]) == bits(np.log(RPLUS.batch_multiply(RPLUS.batch_inverse(e_in), a_in)))

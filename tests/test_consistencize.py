@@ -143,14 +143,35 @@ def test_abelian_fallback_validates_once(monkeypatch):
 
 
 def test_abelian_fallback_sweeps_only_the_result_it_returns(monkeypatch):
-    # the closed form's ii_before and ii_after are not computed when Newton wins
-    calls = []
+    # the closed form's ii_before and ii_after are not computed when Newton
+    # wins: the upper triangles swept are A's and the returned C's, once each
+    swept = []
     sweep = pcmatrix._triad_sweep
-    monkeypatch.setattr(pcmatrix, "_triad_sweep", lambda *args: calls.append(args[0]) or sweep(*args))
+    for module in (pcmatrix, consistencize):
+        monkeypatch.setattr(module, "_triad_sweep", lambda U, *a: swept.extend(u.tobytes() for u in U) or sweep(U, *a))
     A = from_gauge_vector(U1, (0.0, 2.5, -2.5))  # the closed form falls back to Newton
     result = consistencize_abelian(A)
     assert result.residual < 1e-16  # Newton's result: the closed form's winding is wrong
-    assert calls == [A, result.matrix]
+    assert swept == [pcmatrix._upper(A).tobytes(), pcmatrix._upper(result.matrix).tobytes()]
+
+
+@pytest.mark.parametrize("variance", [pcmatrix.COVARIANT, pcmatrix.CONTRAVARIANT])
+@pytest.mark.parametrize("n", [2, 3, 9, 21, 24, 25, 26])  # no triad, one block, two blocks, ranked su2 sweeps
+@pytest.mark.parametrize("group", [RPLUS, U1, zmod(7), SU2], ids=lambda g: g.tag)
+def test_result_indicators_are_the_sweeps_of_each_matrix(group, n, variance):
+    # ii_before and ii_after, swept as one stack, are ii_indicator of A and
+    # of C bit for bit; C is consistent, so an su2 C ties in its first key block
+    rng = np.random.default_rng(n)
+    P = n * (n - 1) // 2
+    if group is RPLUS:
+        upper, lam = np.exp(3.0 * rng.normal(size=P)), np.exp(rng.normal(size=n))
+    else:
+        upper, lam = group.batch_haar_sample(rng, (P,)), group.batch_haar_sample(rng, (n,))
+    A = pcmatrix._from_pairs(group, n, *pcmatrix._pairs(n), upper, variance)
+    result = consistencize._result(A, lam, *consistencize._objective(A, lam), STATUS_CONVERGED)
+    assert result.ii_before.hex() == ii_indicator(A)[0].hex()
+    assert result.ii_after.hex() == ii_indicator(result.matrix)[0].hex()
+    assert (n < 3) == (result.ii_before == 0.0)
 
 
 def test_each_repair_validates_its_input(monkeypatch):

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from holopc.cli import main
 from holopc.consistencize import (
     STATUS_CONVERGED,
+    _linearize,
+    _pair_hessians,
+    _pair_slots,
     _start,
     consistencize_abelian,
     consistencize_riemannian,
@@ -26,6 +29,8 @@ from holopc.groups import RPLUS, SU2, U1, _row_gauge, zmod
 from holopc.pcmatrix import (
     PCMatrix,
     _entry_array,
+    _gauge_upper,
+    _upper,
     from_gauge_vector,
     from_upper_triangle,
     gauge_transform,
@@ -147,10 +152,20 @@ def test_su2_hessian_is_the_central_difference_hessian(n, noise, seed):
 @ORACLE
 @given(n=sizes, noise=st.floats(0.0, 1.0), seed=seeds)
 def test_abelian_hessian_is_the_connection_laplacian(group, n, noise, seed):
-    # an abelian group is flat and brackets vanish: the model is J^T J,
-    # n - 1 on the diagonal and -1 off it, twice over for the full objective
+    # an abelian group is flat and brackets vanish, so the model is J^T J,
+    # which the closed form writes down: bit for bit the general path's
+    # assembly of pair blocks, run on the abelian group, and its gradient too
     A = noisy_matrix(group, n, noise, seed)
-    assert np.array_equal(lsq_hessian(A, start_gauge(A)), 2.0 * (n * np.eye(n - 1) - 1.0))
+    e = _gauge_upper(group, group.batch_check(start_gauge(A)))
+    r = group.batch_log_ratio(e, _upper(A))
+    ad = group.batch_adjoint(e)
+    s = (ad @ r[..., None])[..., 0]
+    rows, cells = _pair_slots(n, 1)
+    half = np.bincount(rows, np.concatenate((s, -r), axis=1).ravel(), n).reshape(n, 1)
+    H = np.bincount(cells, _pair_hessians(group, ad, r, s).ravel(), n * n).reshape(n, n)[1:, 1:]
+    got_half, got_H = _linearize(A, e)
+    assert got_half.tobytes() == half.tobytes() and got_H.tobytes() == H.tobytes()
+    assert lsq_hessian(A, start_gauge(A)).tobytes() == (2.0 * H).tobytes()
 
 
 def test_su2_dense_iteration_bound():

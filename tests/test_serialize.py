@@ -175,7 +175,7 @@ def csv_outcome(text, array_pass=True):
 POSITIVE = st.one_of(
     st.floats(0.01, 100.0),
     st.floats(math.nextafter(2.0**-1024, 1.0), 1e308),
-    st.sampled_from([math.nextafter(2.0**-1024, 1.0), 1.7976931348623157e308, 1.0]),
+    st.sampled_from([math.nextafter(2.0**-1024, 1.0), 1.7976931348623151e308, 1.0]),  # the ends of the range
 )
 
 
@@ -188,6 +188,41 @@ def test_csv_array_pass_reads_repr_written_matrices_as_the_cell_loop(data):
     text = end.join(",".join(map(repr, row)) for row in rows) + end
     assert serialize._csv_array(text) is not None  # the array pass takes it
     assert csv_outcome(text) == csv_outcome(text, array_pass=False)
+
+
+RPLUS_CEIL = 1.7976931348623153e308  # the least float whose inverse rounds to 2**-1024
+RPLUS_ENDS = st.one_of(
+    st.floats(2.0**-1030, 2.0**-1018),
+    st.floats(min_value=2.0**1018, allow_infinity=False),
+    st.sampled_from([x for end in (2.0**-1024, RPLUS_CEIL) for x in (math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))]),
+)
+
+
+@PROPERTY
+@given(x=RPLUS_ENDS)
+def test_rplus_range_is_closed_under_the_stored_inverse(x):
+    # near both ends of (2**-1024, RPLUS_CEIL): an accepted carrier's inverse
+    # is accepted, and a matrix that stores both reads back from JSON and CSV
+    inside = 2.0**-1024 < x < RPLUS_CEIL
+    if not inside:
+        with pytest.raises(GroupMismatchError, match=r"outside \(2\*\*-1024, 1\.7976931348623153e\+308\)"):
+            from_upper_triangle(RPLUS, [x])
+        return
+    inverse = float(RPLUS.batch_inverse(np.array([x]))[0])
+    assert RPLUS.check(x) == x and RPLUS.check(inverse) == inverse
+    A = from_upper_triangle(RPLUS, [x, inverse, 1.0])  # x and its inverse, each stored with its inverse
+    for B in (matrix_from_obj(json.loads(json_text(A))), matrix_from_csv(matrix_to_csv(A))):
+        assert B == A
+
+
+def test_largest_floats_are_refused_as_their_inverse_is_the_floor():
+    # 1 / x rounds to 2**-1024 for the three largest floats, so no matrix stores them
+    for x in (1.7976931348623157e308, 1.7976931348623155e308, RPLUS_CEIL):
+        assert 1.0 / x == 2.0**-1024
+        with pytest.raises(GroupMismatchError, match="outside"):
+            from_upper_triangle(RPLUS, [x])
+    A = from_upper_triangle(RPLUS, [math.nextafter(RPLUS_CEIL, 0.0)])
+    assert matrix_from_csv(matrix_to_csv(A)) == A == matrix_from_obj(json.loads(json_text(A)))
 
 
 _GOOD3 = [["1", "2", "4"], ["0.5", "1", "2"], ["0.25", "0.5", "1"]]
@@ -554,8 +589,11 @@ near_unit = st.tuples(
     st.floats(1.0 - 5.1e-7, 1.0 + 5.1e-7),
 ).map(_unit_times)
 VALID = {
-    # above 2**-1024, whose inverse overflows
-    "rplus": st.one_of(st.floats(min_value=2.0**-1024, exclude_min=True, allow_infinity=False), st.integers(1, 2**60)),
+    # inside (2**-1024, 1.7976931348623153e308), the floats whose inverses are inside too
+    "rplus": st.one_of(
+        st.floats(min_value=2.0**-1024, max_value=1.7976931348623153e308, exclude_min=True, exclude_max=True),
+        st.integers(1, 2**60),
+    ),
     "u1": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60)),
     "su2": st.one_of(
         near_unit,
@@ -931,6 +969,35 @@ def test_float_text_once_per_magnitude_is_repr(pool, shape, seed, special):
     for once in (False, True):
         texts = serialize._scalar_texts(C, once)
         assert texts.shape == C.shape and texts.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("group", [RPLUS, U1, Z7], ids=lambda g: g.tag)
+@WRITER_PROPERTY
+@given(
+    pool=st.lists(magnitudes, min_size=1, max_size=40),
+    size=st.one_of(st.integers(0, 12), st.integers(serialize._FORMAT_ONCE - 2, 3 * serialize._FORMAT_ONCE)),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0]),
+)
+def test_one_slot_lists_are_written_as_json_dumps(group, pool, size, seed, special):
+    # a gap-free list of one-slot elements (a gauge, a matrix's entries) is
+    # one join of the slot texts, below and above _FORMAT_ONCE scalars, with
+    # json's names of nan and +-inf and the sign of -0.0
+    rng = np.random.default_rng(seed)
+    if group is Z7:
+        C = rng.integers(-(2**62), 2**62, size) if pool[0] > 1.0 else rng.integers(0, 7, size)
+    else:
+        C = np.array(pool)[rng.integers(0, len(pool), size)] * rng.choice([-1.0, 1.0], size)
+        if special is not None and size:
+            C[rng.integers(0, size)] = special
+    objs = [group.checked_to_obj(v) for v in C.tolist()]
+    assert json_text(Carriers(group, C)) == _dumps(objs)
+    assert json_text({"lambda": Carriers(group, C), "z": [Carriers(group, C)]}) == _dumps({"lambda": objs, "z": [objs]})
+    n = math.isqrt(size)
+    if n >= 2:  # the first n * n as a gap-free matrix's entries
+        A = PCMatrix._of_checked(group, n, C[: n * n], np.arange(n * n), CONTRAVARIANT)
+        doc = {"group": group.tag, "n": n, "variance": CONTRAVARIANT, "entries": objs[: n * n]}
+        assert json_text({"matrix": A}) == _dumps({"matrix": doc})
 
 
 @pytest.mark.parametrize("n", [3, 10, 11, 16])  # 9 and 100 scalars go plain, 121 and 256 once per magnitude
